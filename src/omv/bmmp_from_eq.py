@@ -42,6 +42,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .core import (
     INF,
     CounterLedger,
@@ -50,8 +52,7 @@ from .core import (
     ReductionConfig,
     SolverFactory,
     StreamOrderError,
-    Value,
-    Vector,
+    as_array,
     inner_factory,
     validate,
     validate_query,
@@ -292,7 +293,7 @@ _LISTERS = {
 
 
 def make_lister(
-    matrix: Matrix,
+    matrix: Matrix | np.ndarray,
     delta: int,
     case: str,
     bound_constant: int = 4,
@@ -307,9 +308,9 @@ def make_lister(
     """
     if case not in _LISTERS:
         raise ValueError(f"unknown monotonicity case {case!r}")
-    n = matrix.n
+    m_hat = (as_array(matrix) // delta).astype(np.int64).tolist()
+    n = len(m_hat)
     ledger = ledger if ledger is not None else CounterLedger()
-    m_hat = [round_down(row, delta) for row in matrix.rows]
     cap = (bound_constant * n) // delta
     if case in ("cols", "stream"):
         max_key = 2 * ((bound_constant * n) // delta)
@@ -322,24 +323,22 @@ class _HittingState:
 
     def __init__(
         self,
-        matrix: Matrix,
+        matrix: np.ndarray,
         config: ReductionConfig,
         make_inner: SolverFactory,
         seed: int,
         size: int | str,
     ):
-        n = matrix.n
+        n = len(matrix)
         if size == "full":
             self.columns = list(range(n))
         else:
             rng = random.Random(seed)
             self.columns = [rng.randrange(n) for _ in range(size)]
-        self.solvers = []
-        for r in self.columns:
-            rows = [
-                [row[k] - row[r] for k in range(n)] for row in matrix.rows
-            ]
-            self.solvers.append(make_inner("eq", Matrix(rows, tag="integer"), config))
+        self.solvers = [
+            make_inner("eq", matrix - matrix[:, r : r + 1], config) for r in self.columns
+        ]
+        self.labels = [f"eq[r{position}]" for position in range(len(self.columns))]
 
 
 class BmmpFromEqSolver(OnlineSolver):
@@ -350,7 +349,8 @@ class BmmpFromEqSolver(OnlineSolver):
     without any error with probability at least 1 - 1/n.  Forced-hit mode
     (hitting_set_size="full") uses every column and is deterministic and
     always exact.  ``repeats`` > 1 runs that many independently sampled
-    hitting sets and takes a per-entry majority vote.
+    hitting sets and takes a per-entry majority vote.  The matrix must be
+    a Matrix: it carries the declared monotonicity case.
     """
 
     problem = "bmmp"
@@ -364,17 +364,18 @@ class BmmpFromEqSolver(OnlineSolver):
     ):
         super().__init__(matrix, config)
         make_inner = make_inner if make_inner is not None else inner_factory(self.config)
-        if matrix.monotone is None:
+        self.case = getattr(matrix, "monotone", None)
+        if self.case is None:
             raise ValueError("bmmp matrix must declare a monotonicity case")
-        violation = validate(matrix, "bmmp", bound_constant=self.config.bound_constant)
+        self._m = m = as_array(matrix)
+        violation = validate(m, "bmmp", monotone=self.case, bound_constant=self.config.bound_constant)
         if violation is not None:
             raise ValueError(f"invalid bmmp instance: {violation}")
-        n = matrix.n
-        self.case = matrix.monotone
+        n = self.n
         self.delta = self.config.resolve_delta(n)
         self.cap = (self.config.bound_constant * n) // self.delta
         self.lister = make_lister(
-            matrix,
+            m,
             self.delta,
             self.case,
             bound_constant=self.config.bound_constant,
@@ -383,7 +384,7 @@ class BmmpFromEqSolver(OnlineSolver):
         self.hitting_size = self.config.resolve_hitting(n, self.delta)
         self._copies = [
             _HittingState(
-                matrix,
+                m,
                 self.config,
                 make_inner,
                 seed=self.config.seed + 7919 * copy,
@@ -391,76 +392,82 @@ class BmmpFromEqSolver(OnlineSolver):
             )
             for copy in range(max(1, self.config.repeats))
         ]
+        self._offsets = np.arange(3 * self.delta - 1)
         self.last_step2_checks: Optional[int] = None
 
     @property
     def hitting_columns(self) -> list[int]:
         return self._copies[0].columns
 
-    def list_candidates(self, vector: Vector) -> list[CandidateReport]:
+    def list_candidates(self, vector) -> list[CandidateReport]:
         """Step-one listing for one query (advances state in the stream case)."""
         return self.lister.reports(vector, self.delta)
 
-    def _step2(self, copy: _HittingState, vector: Vector) -> list[Value]:
-        n = self.matrix.n
-        rows = self.matrix.rows
-        entries = vector.entries
-        best: list[Value] = [INF] * n
+    def _step1(self, v: np.ndarray) -> np.ndarray:
+        """True minimum over each small candidate set; inf for oversize rows."""
+        reports = self.list_candidates(v.astype(np.int64).tolist())
+        rows = [i for i, report in enumerate(reports) if report.candidates]
+        best = np.full(self.n, INF)
+        if rows:
+            cols = np.concatenate([reports[i].candidates for i in rows])
+            owner = np.repeat(rows, [len(reports[i].candidates) for i in rows])
+            np.minimum.at(best, owner, self._m[owner, cols] + v[cols])
+        return best
+
+    def _step2(self, copy: _HittingState, v: np.ndarray) -> np.ndarray:
+        """Minimum over the equality hits of every hitting column and offset."""
+        m = self._m
+        best = np.full(self.n, INF)
         checked = 0
-        offsets = range(3 * self.delta - 1)
+        # probes[p, d] asks whether some k has M[i,k] + v[k] = M[i,r] + v[r] - d
+        # for the p-th hitting column r and offset d.
+        columns = np.array(copy.columns, dtype=np.int64)
+        shifted = v[columns][:, None] - v[None, :]
+        probes = shifted[:, None, :] - self._offsets[None, :, None]
         for position, r in enumerate(copy.columns):
             solver = copy.solvers[position]
-            base = entries[r]
-            shifted = [base - x for x in entries]
-            for offset in offsets:
-                probe = Vector([x - offset for x in shifted])
-                bits = solver.query(probe).entries
-                self.counters.count_inner(f"eq[r{position}]")
-                for i, hit in enumerate(bits):
-                    if hit:
-                        value = rows[i][r] + base - offset
-                        if self.config.debug:
-                            witnesses = getattr(solver, "last_witnesses", None)
-                            if witnesses is not None and witnesses[i] >= 0:
-                                k = witnesses[i]
-                                assert rows[i][k] + entries[k] == value, (
-                                    "equality hit does not correspond to a real sum"
-                                )
-                                checked += 1
-                        if value < best[i]:
-                            best[i] = value
+            base = m[:, r] + v[r]
+            deepest = np.full(self.n, -1.0)  # per row, the largest offset that hit
+            for offset, probe in zip(self._offsets, probes[position]):
+                bits = solver.query(probe)
+                deepest[bits] = offset
+                if self.config.debug:
+                    checked += self._check_witnesses(solver, bits, base - offset, v)
+            self.counters.count_inner(copy.labels[position], len(self._offsets))
+            best = np.minimum(best, np.where(deepest >= 0, base - deepest, INF))
         self.last_step2_checks = checked if self.config.debug else None
         return best
 
-    def _answer(self, vector: Vector) -> Vector:
+    def _check_witnesses(self, solver, bits, values, v) -> int:
+        """Assert that each witnessed equality hit is a real sum; count them."""
+        witnesses = getattr(solver, "last_witnesses", None)
+        if witnesses is None:
+            return 0
+        witnesses = np.asarray(witnesses)
+        rows = np.flatnonzero(bits & (witnesses >= 0))
+        cols = witnesses[rows]
+        assert np.array_equal(self._m[rows, cols] + v[cols], values[rows]), (
+            "equality hit does not correspond to a real sum"
+        )
+        return len(rows)
+
+    def _answer(self, v: np.ndarray) -> np.ndarray:
         violation = validate_query(
-            vector,
+            v,
             "bmmp",
-            self.matrix.n,
+            self.n,
             monotone=self.case,
             bound_constant=self.config.bound_constant,
         )
         if violation is not None:
             raise ValueError(f"invalid bmmp query: {violation}")
-        n = self.matrix.n
-        rows = self.matrix.rows
-        reports = self.list_candidates(vector)
-        small: list[Value] = [INF] * n
-        for i, report in enumerate(reports):
-            if report.candidates is not None:
-                small[i] = min(rows[i][k] + vector[k] for k in report.candidates)
-
-        outcomes = []
-        for copy in self._copies:
-            sampled = self._step2(copy, vector)
-            outcomes.append(
-                [min(small[i], sampled[i]) for i in range(n)]
-            )
+        small = self._step1(v)
+        outcomes = [np.minimum(small, self._step2(copy, v)) for copy in self._copies]
         if len(outcomes) == 1:
-            return Vector(outcomes[0])
-        final: list[Value] = []
-        for i in range(n):
-            votes = Counter(outcome[i] for outcome in outcomes)
+            return outcomes[0]
+        final = []
+        for votes_row in zip(*(outcome.tolist() for outcome in outcomes)):
+            votes = Counter(votes_row)
             top = max(votes.values())
-            final.append(min(v for v, c in votes.items() if c == top))
-        return Vector(final)
+            final.append(min(value for value, count in votes.items() if count == top))
+        return np.array(final)

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from .bmmp_from_eq import BmmpFromEqSolver
-from .core import Matrix, OnlineSolver, ReductionConfig, SolverFactory, Vector, inner_factory
+from .core import Matrix, OnlineSolver, ReductionConfig, SolverFactory, inner_factory
 from .eq_from_bool import EqFromBoolSolver
 from .folklore import BoolFromBmmpSolver, DomFromEqSolver, MinWitnessFromMinMaxSolver
 from .minmax_from_dom import MinMaxFromDomSolver
@@ -36,7 +38,7 @@ class BoolFromMinWitSolver(OnlineSolver):
 
     def __init__(
         self,
-        matrix: Matrix,
+        matrix: Matrix | np.ndarray,
         config: Optional[ReductionConfig] = None,
         make_inner: Optional[SolverFactory] = None,
     ):
@@ -44,10 +46,10 @@ class BoolFromMinWitSolver(OnlineSolver):
         make_inner = make_inner if make_inner is not None else inner_factory(self.config)
         self._inner = make_inner("minwit", matrix, self.config)
 
-    def _answer(self, vector: Vector) -> Vector:
-        witnesses = self._inner.query(vector)
+    def _answer(self, v: np.ndarray) -> np.ndarray:
+        witnesses = self._inner.query(v)
         self.counters.count_inner("minwit")
-        return Vector([1 if w <= self.matrix.n else 0 for w in witnesses])
+        return witnesses <= self.n
 
 
 LINKS: dict[str, type[OnlineSolver]] = {
@@ -125,7 +127,7 @@ def build_solver(
     validate_chain(names, problem)
     config = config if config is not None else ReductionConfig()
 
-    def factory(inner_problem: str, inner_matrix: Matrix, cfg: ReductionConfig):
+    def factory(inner_problem: str, inner_matrix: Matrix | np.ndarray, cfg: ReductionConfig):
         return build_solver(names[1:], inner_problem, inner_matrix, cfg)
 
     head = names[0]

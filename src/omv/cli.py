@@ -41,6 +41,9 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_PROTOCOL = 4
 
+#: Default c of the [0, c*n] min-plus bound, shared by every subcommand.
+DEFAULT_BOUND_CONSTANT = 4
+
 
 class ProtocolError(ValueError):
     """Malformed traffic in a stdio protocol session."""
@@ -74,7 +77,7 @@ def _config_from_args(args) -> ReductionConfig:
         delta=getattr(args, "delta", None),
         hitting_set_size=hitting,
         seed=getattr(args, "seed", 0),
-        bound_constant=getattr(args, "bound_constant", 4),
+        bound_constant=args.bound_constant,
         repeats=getattr(args, "repeats", 1),
     )
 
@@ -102,7 +105,7 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _load_instance(path: str, bound: int = 4) -> formats.Instance:
+def _load_instance(path: str, bound: int) -> formats.Instance:
     instance = formats.parse_instance(_read_text(path))
     violation = validate(instance.matrix, instance.problem, bound_constant=bound)
     if violation is not None:
@@ -142,7 +145,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    instance = _load_instance(args.instance)
+    instance = _load_instance(args.instance, bound=args.bound_constant)
     claimed = formats.parse_answers(_read_text(args.answers), instance.matrix.n)
     if len(claimed) != len(instance.queries):
         raise formats.ParseError(
@@ -276,6 +279,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_bound_flag(p):
+        p.add_argument(
+            "--bound-constant",
+            dest="bound_constant",
+            type=int,
+            default=DEFAULT_BOUND_CONSTANT,
+            help="the c in the [0, c*n] min-plus value bound",
+        )
+
     gen = sub.add_parser("gen", help="generate a random instance file")
     gen.add_argument("problem", choices=PROBLEMS)
     gen.add_argument("n", type=int)
@@ -285,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--density", type=float, default=0.5)
     gen.add_argument("--inf-prob", dest="inf_prob", type=float, default=0.0)
     gen.add_argument("--monotone", choices=MONOTONE_CASES, default=None)
-    gen.add_argument("--bound-constant", dest="bound_constant", type=int, default=1)
+    add_bound_flag(gen)
     gen.add_argument("--queries", type=int, default=None)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("-o", "--out", default=None)
@@ -297,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--delta", type=int, default=None)
         p.add_argument("--hitting", default=None, help="hitting set size or 'full'")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--bound-constant", dest="bound_constant", type=int, default=4)
+        add_bound_flag(p)
         p.add_argument("--repeats", type=int, default=1)
 
     solve = sub.add_parser("solve", help="answer an instance with a reduction chain")
@@ -309,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="check answers against the naive solver")
     verify.add_argument("instance")
     verify.add_argument("answers")
+    add_bound_flag(verify)
     verify.set_defaults(func=cmd_verify)
 
     protocol = sub.add_parser("protocol", help="interactive stdio query session")

@@ -14,11 +14,22 @@ formats):
     bmmp    -- bounded monotone min-plus: min over k of M[i,k] + v[k], with
                entries in [0, c*n] and one declared monotonicity direction
 
-Values are plain Python ints; the infinity sentinels are ``float("inf")``
-and ``float("-inf")``, which order correctly against ints and stay exact
-(finite values never become floats).  Storage is 0-based; every index that
-reaches a user (violation reports, min-witness answers, file formats) is
-1-based.
+Two representations, one per side of a solver:
+
+* ``Vector`` and ``Matrix`` are the outer I/O types (files, the CLI, the
+  harness, tests).  Their values are plain Python ints and the infinity
+  sentinels ``float("inf")`` / ``float("-inf")``, which order correctly
+  against ints.
+* numpy arrays are the currency between layers.  Values travel as float64,
+  0/1 answers (and the boolean queries built from them) as bool.  float64
+  is exact here: validate() caps finite values at 2^40, so min-plus sums
+  (below 2^41), the rank and position encodings, and finitize's 3W+2
+  stand-ins all stay below 2^53, and the infinities stay infinities.
+
+OnlineSolver.query converts once per outer query: a Vector in gives a
+Vector out (ints and infinity sentinels), an ndarray in gives an ndarray
+out.  Storage is 0-based; every index that reaches a user (violation
+reports, min-witness answers, file formats) is 1-based.
 """
 
 from __future__ import annotations
@@ -27,12 +38,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
+import numpy as np
+
 INF = float("inf")
 NEG_INF = float("-inf")
 
 # Finite values beyond this magnitude could make derived quantities (rank
-# shifts, 2*(i+k)-M[i,k], min-plus sums) overflow a 64-bit accumulator in
-# the numpy-backed solvers; validate() rejects them up front.
+# shifts, 2*(i+k)-M[i,k], min-plus sums) lose float64 exactness in the
+# array-backed solvers; validate() rejects them up front.
 VALUE_LIMIT = 2**40
 
 PROBLEMS = ("bool", "eq", "dom", "minwit", "minmax", "bmmp")
@@ -48,8 +61,8 @@ Value = int | float
 
 
 def is_finite(value: Value) -> bool:
-    """True for plain ints, False for the two infinity sentinels."""
-    return not isinstance(value, float)
+    """False for the two infinity sentinels, True for any other number."""
+    return value != INF and value != NEG_INF
 
 
 def compare(a: Value, b: Value) -> int:
@@ -128,74 +141,111 @@ class Matrix:
         return [row[k] for row in self.rows]
 
 
-def _entry_violation(v: Value, problem: str, n: int, bound: int) -> Optional[str]:
+def as_array(matrix: Matrix | np.ndarray) -> np.ndarray:
+    """The float64 array of a Matrix (or of any array of values)."""
+    if isinstance(matrix, Matrix):
+        return np.array(matrix.rows, dtype=np.float64)
+    return np.asarray(matrix, dtype=np.float64)
+
+
+def to_vector(values: np.ndarray) -> Vector:
+    """An answer array as a Vector of ints and infinity sentinels."""
+    if values.dtype == np.bool_ or np.isfinite(values).all():
+        return Vector(values.astype(np.int64).tolist())
+    return Vector([x if x == INF or x == NEG_INF else int(x) for x in values.tolist()])
+
+
+def _entry_rules(values: np.ndarray, problem: str, n: int, bound: int) -> list[tuple[np.ndarray, str]]:
+    """Per-entry violation masks of one problem's value domain, by priority."""
     if problem in ("bool", "minwit"):
-        if v not in (0, 1):
-            return "boolean entry must be 0 or 1"
-        return None
-    if is_finite(v) and abs(v) > VALUE_LIMIT:
-        return "finite value exceeds the +/-2^40 limit"
+        return [((values != 0) & (values != 1), "boolean entry must be 0 or 1")]
+    finite = np.isfinite(values)
+    rules = [(finite & (np.abs(values) > VALUE_LIMIT), "finite value exceeds the +/-2^40 limit")]
     if problem == "eq":
-        if not is_finite(v):
-            return "equality product requires finite entries"
-        return None
-    if problem == "bmmp":
-        if not is_finite(v):
-            return "min-plus requires finite entries"
-        if v < 0 or v > bound * n:
-            return f"entry outside [0, {bound}*n]"
-        return None
+        rules.append((~finite, "equality product requires finite entries"))
+    elif problem == "bmmp":
+        rules.append((~finite, "min-plus requires finite entries"))
+        rules.append(((values < 0) | (values > bound * n), f"entry outside [0, {bound}*n]"))
     # dom / minmax accept the full extended domain
-    return None
+    return rules
+
+
+def _first_entry_violation(
+    values: np.ndarray, problem: str, n: int, bound: int
+) -> Optional[tuple[int, str]]:
+    """Row-major flat index and reason of the first bad entry, if any."""
+    rules = _entry_rules(values, problem, n, bound)
+    bad = np.logical_or.reduce([mask for mask, _ in rules]).ravel()
+    if not bad.any():
+        return None
+    index = int(bad.argmax())
+    return index, next(reason for mask, reason in rules if mask.flat[index])
+
+
+def _values_array(values) -> np.ndarray:
+    """float64 array of outside input.  Ints too large for a float become
+    out-of-limit finite stand-ins, so that validation reports them."""
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        return np.vectorize(_fit_float, otypes=[np.float64])(np.array(values, dtype=object))
+
+
+def _fit_float(value: Value) -> float:
+    if isinstance(value, int) and abs(value) > VALUE_LIMIT:
+        return 2.0 * VALUE_LIMIT if value > 0 else -2.0 * VALUE_LIMIT
+    return value
 
 
 def validate(
-    matrix: Matrix,
+    matrix: Matrix | np.ndarray,
     problem: str,
     monotone: Optional[str] = None,
     bound_constant: int = 4,
 ) -> Optional[Violation]:
-    """Check a matrix against a problem kind's value domain.
+    """Check a matrix (a Matrix or a 2-D array) against a problem kind.
 
     Returns None when the matrix is acceptable, otherwise a Violation
-    naming the first offending entry (1-based).  For bmmp with the rows or
-    cols case the declared monotonicity is checked as well; the query and
-    stream cases constrain query vectors, not the matrix.  When
+    naming the first offending entry (1-based, row-major).  For bmmp with
+    the rows or cols case the declared monotonicity is checked as well; the
+    query and stream cases constrain query vectors, not the matrix.  When
     ``monotone`` is not given it defaults to the matrix's own declaration.
     """
     if monotone is None:
-        monotone = matrix.monotone
+        monotone = getattr(matrix, "monotone", None)
     if problem not in PROBLEMS:
         return Violation(None, None, f"unknown problem {problem!r}")
     if problem == "bmmp" and monotone not in MONOTONE_CASES:
         return Violation(None, None, f"bmmp requires a monotone case, got {monotone!r}")
     if problem != "bmmp" and monotone is not None:
         return Violation(None, None, "monotone case only applies to bmmp")
-    n = matrix.n
+    rows = matrix.rows if isinstance(matrix, Matrix) else matrix
+    n = len(rows)
     if n == 0:
         return Violation(None, None, "matrix dimension must be positive")
-    for i, row in enumerate(matrix.rows):
+    for i, row in enumerate(rows):
         if len(row) != n:
             return Violation(i + 1, None, f"row has length {len(row)}, expected {n}")
-        for k, v in enumerate(row):
-            reason = _entry_violation(v, problem, n, bound_constant)
-            if reason is not None:
-                return Violation(i + 1, k + 1, reason)
+    values = _values_array(rows)
+    found = _first_entry_violation(values, problem, n, bound_constant)
+    if found is not None:
+        index, reason = found
+        return Violation(index // n + 1, index % n + 1, reason)
     if problem == "bmmp" and monotone == "rows":
-        for i, row in enumerate(matrix.rows):
-            for k in range(n - 1):
-                if row[k] > row[k + 1]:
-                    return Violation(i + 1, k + 2, "row not nondecreasing")
+        drops = (values[:, :-1] > values[:, 1:]).ravel()
+        if drops.any():
+            index = int(drops.argmax())
+            return Violation(index // (n - 1) + 1, index % (n - 1) + 2, "row not nondecreasing")
     if problem == "bmmp" and monotone == "cols":
-        for i in range(n - 1):
-            for k in range(n):
-                if matrix.rows[i][k] > matrix.rows[i + 1][k]:
-                    return Violation(i + 2, k + 1, "column not nondecreasing")
+        drops = (values[:-1] > values[1:]).ravel()
+        if drops.any():
+            index = int(drops.argmax())
+            return Violation(index // n + 2, index % n + 1, "column not nondecreasing")
     return None
 
 
 def validate_query(
-    vector: Vector,
+    vector: Vector | np.ndarray,
     problem: str,
     n: int,
     monotone: Optional[str] = None,
@@ -204,14 +254,15 @@ def validate_query(
     """Check one query vector against a problem kind (and the query case)."""
     if len(vector) != n:
         return Violation(None, None, f"query length {len(vector)}, expected {n}")
-    for k, v in enumerate(vector):
-        reason = _entry_violation(v, problem, n, bound_constant)
-        if reason is not None:
-            return Violation(None, k + 1, reason)
+    values = _values_array(vector.entries if isinstance(vector, Vector) else vector)
+    found = _first_entry_violation(values, problem, n, bound_constant)
+    if found is not None:
+        index, reason = found
+        return Violation(None, index + 1, reason)
     if problem == "bmmp" and monotone == "query":
-        for k in range(n - 1):
-            if vector[k] > vector[k + 1]:
-                return Violation(None, k + 2, "query vector not nondecreasing")
+        drops = values[:-1] > values[1:]
+        if drops.any():
+            return Violation(None, int(drops.argmax()) + 2, "query vector not nondecreasing")
     return None
 
 
@@ -307,6 +358,13 @@ class CounterLedger:
         self.inner_queries += amount
         self.per_inner[label] = self.per_inner.get(label, 0) + amount
 
+    def count_each(self, labels: list[str]) -> None:
+        """Count one inner query under each of ``labels``."""
+        self.inner_queries += len(labels)
+        per_inner = self.per_inner
+        for label in labels:
+            per_inner[label] = per_inner.get(label, 0) + 1
+
     def snapshot(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in _COUNTER_FIELDS}
 
@@ -317,18 +375,21 @@ class CounterLedger:
 class OnlineSolver:
     """Base class implementing the online query contract.
 
-    Subclasses preprocess in __init__ and implement _answer().  query()
-    checks dimensions, delegates, and advances query_index, which is
-    1-based and equals j while the j-th query is being answered (the
-    boolean-to-min-plus encoding needs it).  A solver must never look at
-    any vector other than the current one; the harness's adaptive sessions
-    exist to catch violations.
+    Subclasses preprocess in __init__ and implement _answer(), which maps
+    one query array to one answer array.  query() is the single entry
+    point, for outer callers and for links asking their inner solvers
+    alike: it checks dimensions, converts a Vector to a float64 array and
+    the answer back (an ndarray passes through unconverted), and advances
+    query_index, which is 1-based and equals j while the j-th query is
+    being answered (the boolean-to-min-plus encoding needs it).  A solver
+    must never look at any vector other than the current one; the
+    harness's adaptive sessions exist to catch violations.
     """
 
     problem: str = ""
 
-    def __init__(self, matrix: Matrix, config: Optional[ReductionConfig] = None):
-        self.matrix = matrix
+    def __init__(self, matrix: Matrix | np.ndarray, config: Optional[ReductionConfig] = None):
+        self.n = matrix.n if isinstance(matrix, Matrix) else len(matrix)
         self.config = config if config is not None else ReductionConfig()
         self.counters = CounterLedger()
         self._query_index = 1
@@ -337,23 +398,27 @@ class OnlineSolver:
     def query_index(self) -> int:
         return self._query_index
 
-    def query(self, vector: Vector) -> Vector:
-        if len(vector) != self.matrix.n:
+    def query(self, vector: Vector | np.ndarray) -> Vector | np.ndarray:
+        if len(vector) != self.n:
             raise DimensionMismatch(
-                f"query length {len(vector)} against {self.matrix.n}x{self.matrix.n} matrix"
+                f"query length {len(vector)} against {self.n}x{self.n} matrix"
             )
-        answer = self._answer(vector)
+        if isinstance(vector, np.ndarray):
+            answer = self._answer(vector)
+        else:
+            answer = to_vector(self._answer(np.array(vector.entries, dtype=np.float64)))
         self._query_index += 1
         return answer
 
-    def _answer(self, vector: Vector) -> Vector:
+    def _answer(self, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
-#: Builds an inner solver for ``problem`` on ``matrix``; reductions receive
-#: one of these so that chains compose without the modules knowing each
-#: other.
-SolverFactory = Callable[[str, Matrix, ReductionConfig], OnlineSolver]
+#: Builds an inner solver for ``problem`` on ``matrix`` (an ndarray, or a
+#: Matrix where a bmmp instance must carry its monotonicity case);
+#: reductions receive one of these so that chains compose without the
+#: modules knowing each other.
+SolverFactory = Callable[[str, Matrix | np.ndarray, ReductionConfig], OnlineSolver]
 
 
 def inner_factory(config: ReductionConfig) -> SolverFactory:
@@ -372,7 +437,7 @@ def inner_factory(config: ReductionConfig) -> SolverFactory:
         else list(config.inner)
     )
 
-    def build(problem: str, matrix: Matrix, cfg: ReductionConfig) -> OnlineSolver:
+    def build(problem: str, matrix: Matrix | np.ndarray, cfg: ReductionConfig) -> OnlineSolver:
         return chains.build_solver(names, problem, matrix, cfg)
 
     return build

@@ -5,9 +5,9 @@ boolean slice matrices: slice l marks the positions holding the column's
 l-th most frequent value.  A query coordinate matching a frequent value is
 caught by the corresponding boolean inner product; every other value that
 appears in a column is "rare" (at most ceil(n/t) occurrences) and is kept
-in a per-column dictionary mapping the value to the rows holding it, which
-the query phase scans directly.  The output is exact: a 1 is emitted iff
-some coordinate of the query equals the matrix entry above it.
+in a sorted index of rare entries, which the query phase scans directly.
+The output is exact: a 1 is emitted iff some coordinate of the query equals
+the matrix entry above it.
 
 Per query this issues exactly t inner boolean queries (slices that are
 entirely zero are skipped and counted as issued-with-shortcut) and scans
@@ -16,18 +16,44 @@ at most n * ceil(n/t) rare entries.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Optional
+
+import numpy as np
 
 from .core import (
     Matrix,
     OnlineSolver,
     ReductionConfig,
     SolverFactory,
-    Value,
-    Vector,
+    as_array,
     inner_factory,
 )
+
+
+def _top_values(matrix: np.ndarray, t: int) -> np.ndarray:
+    """[t, n] table of each column's t most frequent values.
+
+    Column k of the table lists column k's values most frequent first,
+    frequency ties broken by smaller value; a column with fewer than t
+    distinct values is padded with NaN, which equals nothing (absent slots
+    yield all-zero slice columns rather than invented filler values).
+    """
+    n = matrix.shape[0]
+    columns = np.sort(matrix.T, axis=1).ravel()
+    starts = np.ones(n * n, dtype=bool)
+    starts[1:] = columns[1:] != columns[:-1]
+    starts[::n] = True  # every column opens a run of its own
+    first = np.flatnonzero(starts)
+    counts = np.diff(np.append(first, n * n))
+    values = columns[first]
+    col = first // n
+    order = np.lexsort((values, -counts, col))
+    col = col[order]
+    rank = np.arange(len(col)) - np.searchsorted(col, col)
+    keep = rank < t
+    table = np.full((t, n), np.nan)
+    table[rank[keep], col[keep]] = values[order][keep]
+    return table
 
 
 class EqFromBoolSolver(OnlineSolver):
@@ -38,97 +64,88 @@ class EqFromBoolSolver(OnlineSolver):
 
     def __init__(
         self,
-        matrix: Matrix,
+        matrix: Matrix | np.ndarray,
         config: Optional[ReductionConfig] = None,
         make_inner: Optional[SolverFactory] = None,
     ):
         super().__init__(matrix, config)
         make_inner = make_inner if make_inner is not None else inner_factory(self.config)
-        n = matrix.n
-        self.t = self.config.resolve_t(n)
+        m = as_array(matrix)
+        self.t = self.config.resolve_t(self.n)
+        self.top_values = _top_values(m, self.t)
 
-        # top_values[k]: the t most frequent values of column k, most
-        # frequent first, ties broken by smaller value; may be shorter than
-        # t when the column has fewer distinct values (absent slots yield
-        # all-zero slice columns rather than invented filler values).
-        self.top_values: list[list[Value]] = []
-        self.rare_rows: list[dict[Value, list[int]]] = []
-        for k in range(n):
-            column = matrix.column(k)
-            counts = Counter(column)
-            ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-            frequent = [value for value, _ in ranked[: self.t]]
-            self.top_values.append(frequent)
-            frequent_set = set(frequent)
-            rare: dict[Value, list[int]] = {}
-            for i, value in enumerate(column):
-                if value not in frequent_set:
-                    rare.setdefault(value, []).append(i)
-            self.rare_rows.append(rare)
-
-        self._slices: list[Optional[OnlineSolver]] = []
-        self._slice_rows: list[list[list[int]]] = []
-        self.shortcut_queries = 0
+        frequent = np.zeros(m.shape, dtype=bool)
+        # (level, inner solver) of the slices that are not all zero
+        self._slices: list[tuple[int, OnlineSolver]] = []
         for level in range(self.t):
-            rows = [
-                [
-                    1
-                    if level < len(self.top_values[k])
-                    and matrix.rows[i][k] == self.top_values[k][level]
-                    else 0
-                    for k in range(n)
-                ]
-                for i in range(n)
-            ]
-            if any(any(row) for row in rows):
-                self._slices.append(make_inner("bool", Matrix(rows, tag="boolean"), self.config))
-            else:
-                self._slices.append(None)
-            if self.config.debug:
-                # Keep slice contents so witnesses can be reconstructed.
-                self._slice_rows.append(rows)
+            rows = m == self.top_values[level]
+            frequent |= rows
+            if rows.any():
+                self._slices.append((level, make_inner("bool", rows, self.config)))
+        self._labels = [f"bool[{level}]" for level in range(self.t)]
+        self._empty_slices = self.t - len(self._slices)
+        self.shortcut_queries = 0
+
+        # The rare entries, sorted by the key col * len(rare_values) + the
+        # rank of the value among rare_values (the distinct rare values):
+        # a query looks up its n (column, value) keys with two binary
+        # searches instead of comparing against the whole matrix.
+        rare_rows, rare_cols = np.nonzero(~frequent)
+        values = m[rare_rows, rare_cols]
+        self.rare_values = np.unique(values)
+        keys = rare_cols * len(self.rare_values) + np.searchsorted(self.rare_values, values)
+        order = np.argsort(keys, kind="stable")
+        self.rare_keys = keys[order]
+        self.rare_rows = rare_rows[order].astype(np.int32)
+        self._column_keys = np.arange(self.n) * len(self.rare_values)
+        # rare_values with a NaN after the end, so that the position where a
+        # query value would be inserted can always be read (and never equals it)
+        self._rare_lookup = np.append(self.rare_values, np.nan)
+        # Slice membership per entry, kept only to reconstruct witnesses.
+        self._levels = (
+            np.where(frequent, (m == self.top_values[:, None, :]).argmax(axis=0), -1)
+            if self.config.debug
+            else None
+        )
         self.last_witnesses: Optional[list[int]] = None
 
-    def _answer(self, vector: Vector) -> Vector:
-        n = self.matrix.n
-        out = [0] * n
-        witnesses = [-1] * n if self.config.debug else None
+    def _answer(self, v: np.ndarray) -> np.ndarray:
+        masks = self.top_values == v  # masks[l, k]: v[k] is column k's l-th value
+        out = np.zeros(self.n, dtype=bool)
+        for level, inner in self._slices:
+            out |= inner.query(masks[level])
+        # Every slice counts as asked; the product of an all-zero slice is
+        # all zeros without asking.
+        self.counters.count_each(self._labels)
+        self.shortcut_queries += self._empty_slices
 
-        for level, inner in enumerate(self._slices):
-            label = f"bool[{level}]"
-            if inner is None:
-                # All-zero slice: the product is all zeros without asking.
-                self.counters.count_inner(label)
-                self.shortcut_queries += 1
-                continue
-            masked = [
-                1
-                if level < len(self.top_values[k])
-                and vector[k] == self.top_values[k][level]
-                else 0
-                for k in range(n)
-            ]
-            bits = inner.query(Vector(masked))
-            self.counters.count_inner(label)
-            for i in range(n):
-                if bits[i] and not out[i]:
-                    out[i] = 1
-                    if witnesses is not None:
-                        rows = self._slice_rows[level]
-                        witnesses[i] = next(
-                            k for k in range(n) if masked[k] and rows[i][k]
-                        )
-
-        for k in range(n):
-            hits = self.rare_rows[k].get(vector[k])
-            if hits is None:
-                continue
+        hits = self._rare_hits(v)
+        if len(hits):
             self.counters.scan_length_total += len(hits)
-            for i in hits:
-                if not out[i]:
-                    out[i] = 1
-                    if witnesses is not None:
-                        witnesses[i] = k
+            out[self.rare_rows[hits]] = True
+        if self._levels is not None:
+            self.last_witnesses = self._witnesses(masks, hits, out)
+        return out
 
-        self.last_witnesses = witnesses
-        return Vector(out)
+    def _rare_hits(self, v: np.ndarray) -> np.ndarray:
+        """Positions in rare_keys of the rare entries equal to their query coordinate."""
+        if len(self.rare_keys) == 0:
+            return self.rare_keys
+        rank = np.searchsorted(self.rare_values, v)
+        keys = np.where(self._rare_lookup[rank] == v, self._column_keys + rank, -1)
+        lo = np.searchsorted(self.rare_keys, keys)
+        counts = np.searchsorted(self.rare_keys, keys, side="right") - lo
+        total = int(counts.sum())
+        if total == 0:
+            return self.rare_keys[:0]
+        # the concatenated ranges [lo[k], lo[k] + counts[k])
+        ends = np.cumsum(counts)
+        return np.arange(total) + np.repeat(lo - (ends - counts), counts)
+
+    def _witnesses(self, masks: np.ndarray, rare: np.ndarray, out: np.ndarray) -> list[int]:
+        """One column per output 1 that a slice or the rare scan matched."""
+        cols = np.arange(self.n)
+        levels = self._levels
+        hits = (levels >= 0) & masks[np.maximum(levels, 0), cols]
+        hits[self.rare_rows[rare], self.rare_keys[rare] // len(self.rare_values)] = True
+        return np.where(out, hits.argmax(axis=1), -1).tolist()

@@ -29,8 +29,10 @@ across the stream, which is the monotonicity promise the inner solver gets.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from dataclasses import replace
 from typing import Optional
+
+import numpy as np
 
 from .core import (
     INF,
@@ -38,8 +40,8 @@ from .core import (
     OnlineSolver,
     ReductionConfig,
     SolverFactory,
-    Value,
     Vector,
+    as_array,
     inner_factory,
 )
 
@@ -50,17 +52,19 @@ class RankMap:
     rank() is defined on values that appear in the matrix and starts at 1;
     query_rank() is defined on any value and counts the distinct matrix
     values less-or-equal, starting at 0.  For a matrix value a and any b,
-    a <= b iff rank(a) <= query_rank(b).
+    a <= b iff rank(a) <= query_rank(b).  Both accept a single value or an
+    array of values.
     """
 
-    def __init__(self, matrix: Matrix):
-        self.values: list[Value] = sorted({v for row in matrix.rows for v in row})
+    def __init__(self, matrix: Matrix | np.ndarray):
+        #: The distinct matrix values, ascending.
+        self.values: np.ndarray = np.unique(as_array(matrix))
 
-    def rank(self, value: Value) -> int:
-        return bisect_left(self.values, value) + 1
+    def rank(self, value):
+        return np.searchsorted(self.values, value, side="left") + 1
 
-    def query_rank(self, value: Value) -> int:
-        return bisect_right(self.values, value)
+    def query_rank(self, value):
+        return np.searchsorted(self.values, value, side="right")
 
 
 def rank_bit_count(n: int) -> int:
@@ -73,6 +77,14 @@ def rank_bit_count(n: int) -> int:
     return max((n * n - 1).bit_length() + 1, 2)
 
 
+def _bit_slices(ranks: np.ndarray, bits: int, bit_value: int, sentinel: int) -> np.ndarray:
+    """[bits, *shape] float64: ranks >> (l+1) where bit l equals ``bit_value``,
+    ``sentinel`` elsewhere, for every level l."""
+    levels = np.arange(bits).reshape((bits,) + (1,) * ranks.ndim)
+    high = ranks >> (levels + 1)
+    return np.where((ranks >> levels) & 1 == bit_value, high, sentinel).astype(np.float64)
+
+
 class DomFromEqSolver(OnlineSolver):
     """Online dominance solver asking one equality query per bit slice."""
 
@@ -81,42 +93,28 @@ class DomFromEqSolver(OnlineSolver):
 
     def __init__(
         self,
-        matrix: Matrix,
+        matrix: Matrix | np.ndarray,
         config: Optional[ReductionConfig] = None,
         make_inner: Optional[SolverFactory] = None,
     ):
         super().__init__(matrix, config)
         make_inner = make_inner if make_inner is not None else inner_factory(self.config)
-        n = matrix.n
-        self.rank_map = RankMap(matrix)
-        self.bit_count = rank_bit_count(n)
-        self._slices: list[OnlineSolver] = []
-        for level in range(self.bit_count):
-            rows = []
-            for row in matrix.rows:
-                encoded = []
-                for v in row:
-                    r = self.rank_map.rank(v)
-                    encoded.append(r >> (level + 1) if (r >> level) & 1 == 0 else -1)
-                rows.append(encoded)
-            self._slices.append(
-                make_inner("eq", Matrix(rows, tag="integer"), self.config)
-            )
+        m = as_array(matrix)
+        self.rank_map = RankMap(m)
+        self.bit_count = rank_bit_count(self.n)
+        slices = _bit_slices(self.rank_map.rank(m), self.bit_count, 0, -1)
+        self._slices: list[OnlineSolver] = [
+            make_inner("eq", slices[level], self.config) for level in range(self.bit_count)
+        ]
+        self._labels = [f"eq[{level}]" for level in range(self.bit_count)]
 
-    def _answer(self, vector: Vector) -> Vector:
-        n = self.matrix.n
-        shifted = [self.rank_map.query_rank(v) + 1 for v in vector]
-        out = [0] * n
-        for level, inner in enumerate(self._slices):
-            masked = [
-                b >> (level + 1) if (b >> level) & 1 == 1 else -2 for b in shifted
-            ]
-            bits = inner.query(Vector(masked))
-            self.counters.count_inner(f"eq[{level}]")
-            for i in range(n):
-                if bits[i]:
-                    out[i] = 1
-        return Vector(out)
+    def _answer(self, v: np.ndarray) -> np.ndarray:
+        probes = _bit_slices(self.rank_map.query_rank(v) + 1, self.bit_count, 1, -2)
+        out = np.zeros(self.n, dtype=bool)
+        for inner, probe in zip(self._slices, probes):
+            out |= inner.query(probe)
+        self.counters.count_each(self._labels)
+        return out
 
 
 class MinWitnessFromMinMaxSolver(OnlineSolver):
@@ -127,46 +125,51 @@ class MinWitnessFromMinMaxSolver(OnlineSolver):
 
     def __init__(
         self,
-        matrix: Matrix,
+        matrix: Matrix | np.ndarray,
         config: Optional[ReductionConfig] = None,
         make_inner: Optional[SolverFactory] = None,
     ):
         super().__init__(matrix, config)
         make_inner = make_inner if make_inner is not None else inner_factory(self.config)
-        rows = [
-            [k + 1 if v == 1 else INF for k, v in enumerate(row)]
-            for row in matrix.rows
-        ]
-        self._inner = make_inner("minmax", Matrix(rows, tag="integer"), self.config)
+        self._positions = np.arange(1.0, self.n + 1)
+        self._inner = make_inner("minmax", self._encode(as_array(matrix)), self.config)
 
-    def _answer(self, vector: Vector) -> Vector:
-        n = self.matrix.n
-        encoded = Vector([k + 1 if vector[k] == 1 else INF for k in range(n)])
-        answer = self._inner.query(encoded)
+    def _encode(self, values: np.ndarray) -> np.ndarray:
+        return np.where(values == 1, self._positions, INF)
+
+    def _answer(self, v: np.ndarray) -> np.ndarray:
+        answer = self._inner.query(self._encode(v))
         self.counters.count_inner("minmax")
-        return Vector([a if a <= n else INF for a in answer])
+        return np.where(answer <= self.n, answer, INF)
 
 
-def tilt_matrix(matrix: Matrix) -> Matrix:
+def tilt_matrix(matrix: Matrix | np.ndarray) -> Matrix:
     """Position-tilted boolean matrix for the min-plus route (1-based i, k)."""
-    rows = [
-        [2 * ((i + 1) + (k + 1)) - v for k, v in enumerate(row)]
-        for i, row in enumerate(matrix.rows)
-    ]
-    return Matrix(rows, tag="bounded", monotone="stream")
+    m = as_array(matrix)
+    positions = np.arange(1, len(m) + 1)
+    tilted = 2 * (positions[:, None] + positions[None, :]) - m
+    return Matrix(tilted.astype(np.int64).tolist(), tag="bounded", monotone="stream")
+
+
+def _tilt(v: np.ndarray, j: int, n: int) -> np.ndarray:
+    return 2.0 * (j - np.arange(1, n + 1)) - v + 2 * n
 
 
 def tilt_query(vector: Vector, j: int, n: int) -> Vector:
     """Position-tilted j-th boolean query, shifted by 2n to stay nonnegative."""
-    return Vector([2 * (j - (k + 1)) - vector[k] + 2 * n for k in range(n)])
+    return Vector(_tilt(as_array(vector.entries), j, n).astype(np.int64).tolist())
 
 
 class BoolFromBmmpSolver(OnlineSolver):
     """Online boolean solver asking one bounded monotone min-plus query each.
 
-    The tilt keeps encoded query entries within the inner solver's
-    [0, 4n] bound for streams of up to n queries (the defining stream
-    shape); longer streams are rejected by the inner validation.
+    Encoded entries lie in [1, 4n] for the first n queries of a stream (the
+    defining stream shape), so the inner solver always gets the bound
+    constant 4, whatever the outer one.  Longer streams run in epochs of n
+    queries: each epoch builds a fresh inner solver (with its own seed) and
+    numbers its queries from 1 again, which keeps the encoded stream inside
+    the bound and nondecreasing.  Preprocessing is thereby amortized over
+    the n queries of an epoch.
     """
 
     problem = "bool"
@@ -174,18 +177,26 @@ class BoolFromBmmpSolver(OnlineSolver):
 
     def __init__(
         self,
-        matrix: Matrix,
+        matrix: Matrix | np.ndarray,
         config: Optional[ReductionConfig] = None,
         make_inner: Optional[SolverFactory] = None,
     ):
         super().__init__(matrix, config)
-        make_inner = make_inner if make_inner is not None else inner_factory(self.config)
-        self._inner = make_inner("bmmp", tilt_matrix(matrix), self.config)
+        self._make_inner = make_inner if make_inner is not None else inner_factory(self.config)
+        self._tilted = tilt_matrix(matrix)
+        self._targets = 2.0 * np.arange(1, self.n + 1) - 2 + 2 * self.n
+        self._inner = self._build_inner(epoch=0)
 
-    def _answer(self, vector: Vector) -> Vector:
-        n = self.matrix.n
-        j = self.query_index
-        answer = self._inner.query(tilt_query(vector, j, n))
+    def _build_inner(self, epoch: int) -> OnlineSolver:
+        config = replace(self.config, bound_constant=4, seed=self.config.seed + epoch)
+        return self._make_inner("bmmp", self._tilted, config)
+
+    def _answer(self, v: np.ndarray) -> np.ndarray:
+        epoch, offset = divmod(self.query_index - 1, self.n)
+        if offset == 0 and epoch > 0:
+            self._inner = None  # release the finished epoch before building the next
+            self._inner = self._build_inner(epoch)
+        j = offset + 1
+        answer = self._inner.query(_tilt(v, j, self.n))
         self.counters.count_inner("bmmp")
-        target = [2 * ((i + 1) + j) - 2 + 2 * n for i in range(n)]
-        return Vector([1 if answer[i] == target[i] else 0 for i in range(n)])
+        return answer == self._targets + 2 * j

@@ -30,6 +30,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+import numpy as np
+
 from . import formats
 from .chains import build_solver, validate_chain
 from .core import (
@@ -41,6 +43,7 @@ from .core import (
     Value,
     Vector,
     ceil_div,
+    to_vector,
     validate,
 )
 from .folklore import rank_bit_count
@@ -331,17 +334,18 @@ class BatchingMockSolver(OnlineSolver):
 
     def __init__(self, matrix: Matrix, config=None, problem: str = "bool"):
         super().__init__(matrix, config)
+        self.matrix = matrix
         self.problem = problem
-        self.pending: list[Vector] = []
+        self.pending: list[np.ndarray] = []
 
-    def _answer(self, vector: Vector) -> Vector:
-        self.pending.append(vector)
+    def _answer(self, v: np.ndarray) -> np.ndarray:
+        self.pending.append(v)
         filler: Value = INF if self.problem in ("minwit",) else 0
-        return Vector([filler] * self.matrix.n)
+        return np.full(self.n, filler)
 
     def flush(self) -> list[Vector]:
         solver = NaiveSolver(self.matrix, problem=self.problem)
-        return [solver.query(v) for v in self.pending]
+        return [to_vector(solver.query(v)) for v in self.pending]
 
 
 @dataclass

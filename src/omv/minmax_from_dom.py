@@ -11,7 +11,9 @@ ceil(n/t) consecutive elements.  Bucket l of all rows forms a slice matrix
 holding the negated member values and +inf elsewhere; a dominance query
 against the negated query vector then tells, per row, whether bucket l
 contains an element >= the query coordinate above it.  The first hitting
-bucket is scanned directly for the smallest qualifying element.  For w the
+bucket is scanned directly for the smallest qualifying element (only that
+bucket: the first hitting buckets of all rows are gathered into one
+[n, ceil(n/t)] block).  For w the
 roles flip: the query vector is sorted and bucketed, each bucket becomes a
 masked query against a single dominance solver on the matrix itself, and
 the first hitting bucket is scanned.  Per query this issues exactly 2t
@@ -31,6 +33,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from .core import (
     INF,
     NEG_INF,
@@ -38,15 +42,14 @@ from .core import (
     OnlineSolver,
     ReductionConfig,
     SolverFactory,
-    Value,
-    Vector,
+    as_array,
     ceil_div,
     inner_factory,
-    is_finite,
+    to_vector,
 )
 
 
-def finitize(values: list[Value], w_bound: int, role: str) -> list[Value]:
+def finitize(values, w_bound: int, role: str):
     """Map infinities and out-of-range entries to extreme finite values.
 
     ``w_bound`` is the largest absolute finite value of the matrix the
@@ -55,18 +58,17 @@ def finitize(values: list[Value], w_bound: int, role: str) -> list[Value]:
     become +/-(2W+1).  Every dominance comparison between a legal matrix
     value and a legal query value is unchanged by the mapping, and the
     matrix-side +inf can never be dominated by any mapped query entry.
+    Arrays map to float64 arrays, lists to lists.
     """
+    if isinstance(values, list):
+        return to_vector(finitize(as_array(values), w_bound, role)).entries
     if role == "matrix":
         big = 3 * w_bound + 2
-        return [v if is_finite(v) else (big if v == INF else -big) for v in values]
+        return np.where(values == INF, big, np.where(values == NEG_INF, -big, values))
     if role == "query":
         cap = 2 * w_bound + 1
-        return [cap if v > w_bound else (-cap if v < -w_bound else v) for v in values]
+        return np.where(values > w_bound, cap, np.where(values < -w_bound, -cap, values))
     raise ValueError(f"unknown finitize role {role!r}")
-
-
-def _negate(value: Value) -> Value:
-    return -value
 
 
 class MinMaxFromDomSolver(OnlineSolver):
@@ -77,158 +79,112 @@ class MinMaxFromDomSolver(OnlineSolver):
 
     def __init__(
         self,
-        matrix: Matrix,
+        matrix: Matrix | np.ndarray,
         config: Optional[ReductionConfig] = None,
         make_inner: Optional[SolverFactory] = None,
     ):
         super().__init__(matrix, config)
         make_inner = make_inner if make_inner is not None else inner_factory(self.config)
-        n = matrix.n
+        n = self.n
+        self._m = m = as_array(matrix)
         self.t = self.config.resolve_t(n)
         self.bucket_size = ceil_div(n, self.t)
 
-        finite = [v for row in matrix.rows for v in row if is_finite(v)]
-        self.w_bound = max((abs(v) for v in finite), default=0)
+        finite = np.isfinite(m)
+        self.w_bound = int(np.abs(m[finite]).max()) if finite.any() else 0
 
-        # Sorted rows with (value, column) tie-break; equal values may end
-        # up in different buckets, which the scan step tolerates.
-        self._sorted_rows: list[list[tuple[Value, int]]] = [
-            sorted((row[k], k) for k in range(n)) for row in matrix.rows
-        ]
-        self._buckets: list[list[list[tuple[Value, int]]]] = [
-            [
-                sorted_row[l * self.bucket_size : (l + 1) * self.bucket_size]
-                for l in range(self.t)
-            ]
-            for sorted_row in self._sorted_rows
-        ]
-        self.neginf_cols: list[list[int]] = [
-            [k for k in range(n) if row[k] == NEG_INF] for row in matrix.rows
-        ]
+        # _order[i]: the columns of row i by (value, column); bucket l of
+        # row i is _order[i, l*bucket_size : (l+1)*bucket_size].  Equal
+        # values may end up in different buckets, which the scan tolerates.
+        self._order = np.argsort(m, axis=1, kind="stable")
+        bucket_of = np.empty((n, n), dtype=np.int64)
+        np.put_along_axis(bucket_of, self._order, np.arange(n) // self.bucket_size, axis=1)
+        # -inf entries are recovered by a direct scan (None: there are none).
+        neg = m == NEG_INF
+        self._neginf = neg if neg.any() else None
 
-        self._slice_solvers: list[OnlineSolver] = []
-        for l in range(self.t):
-            member = [
-                {col for _, col in self._buckets[i][l]} for i in range(n)
-            ]
-            rows = [
-                finitize(
-                    [
-                        _negate(matrix.rows[i][k]) if k in member[i] else INF
-                        for k in range(n)
-                    ],
-                    self.w_bound,
-                    "matrix",
-                )
-                for i in range(n)
-            ]
-            self._slice_solvers.append(
-                make_inner("dom", Matrix(rows, tag="integer"), self.config)
+        self._slice_solvers: list[OnlineSolver] = [
+            make_inner(
+                "dom",
+                finitize(np.where(bucket_of == l, -m, INF), self.w_bound, "matrix"),
+                self.config,
             )
-
+            for l in range(self.t)
+        ]
         # The query-side phase asks dominance queries against the matrix
         # itself.  -inf entries are folded onto the never-hit padding value
         # (their query-side contributions come from the direct scan), +inf
         # entries take the standard mapping.
-        matrix_rows = [
-            finitize(
-                [INF if v == NEG_INF else v for v in row], self.w_bound, "matrix"
-            )
-            for row in matrix.rows
-        ]
         self._matrix_solver = make_inner(
-            "dom", Matrix(matrix_rows, tag="integer"), self.config
+            "dom", finitize(np.where(neg, INF, m), self.w_bound, "matrix"), self.config
         )
+        self._bucket_labels = [f"dom[bucket{l}]" for l in range(self.t)]
 
-    def _scan_bucket(
-        self, bucket: list[tuple[Value, int]], qualifies
-    ) -> Optional[Value]:
-        for value, col in bucket:
-            self.counters.scan_length_total += 1
-            if qualifies(col):
-                return value
-        return None
+    def _first_qualifying(
+        self, hits: np.ndarray, order: np.ndarray, qualifies
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Scan each row's first hitting bucket for its first qualifying element.
 
-    def _matrix_side(self, vector: Vector) -> list[Value]:
+        ``hits`` is [t, n]: hits[l, i] when bucket l of row i holds a
+        qualifying element.  ``order`` is [n, n], one bucketed order per
+        row, or [n] when all rows share one; ``qualifies(rows, cols)`` tests
+        elements.  Returns the rows with a hit and, per such row, the
+        qualifying column.
+        """
+        rows = np.flatnonzero(hits.any(axis=0))
+        size = self.bucket_size
+        positions = hits[:, rows].argmax(axis=0)[:, None] * size + np.arange(size)
+        inside = positions < self.n  # the last buckets may be short or empty
+        positions = np.minimum(positions, self.n - 1)
+        block = order[rows[:, None], positions] if order.ndim == 2 else order[positions]
+        ok = inside & qualifies(rows[:, None], block)
+        found = ok.any(axis=1)
+        if not found.all():
+            raise AssertionError("hitting bucket contained no qualifying element")
+        first = ok.argmax(axis=1)
+        self.counters.scan_length_total += int(first.sum()) + len(rows)
+        return rows, block[np.arange(len(rows)), first]
+
+    def _matrix_side(self, v: np.ndarray) -> np.ndarray:
         """u[i] = min matrix entry in row i that is >= its query coordinate."""
-        n = self.matrix.n
-        neg_query = Vector(
-            finitize([_negate(v) for v in vector], self.w_bound, "query")
-        )
-        hit_rows: list[list[int]] = []
+        m = self._m
+        neg_query = finitize(-v, self.w_bound, "query")
+        hits = np.empty((self.t, self.n), dtype=bool)
         for l, solver in enumerate(self._slice_solvers):
-            bits = solver.query(neg_query)
-            self.counters.count_inner(f"dom[bucket{l}]")
-            hit_rows.append(bits.entries)
-
-        rows = self.matrix.rows
-        out: list[Value] = []
-        for i in range(n):
-            best: Value = INF
-            for l in range(self.t):
-                if hit_rows[l][i]:
-                    found = self._scan_bucket(
-                        self._buckets[i][l],
-                        lambda col, i=i: rows[i][col] >= vector[col],
-                    )
-                    if found is None:
-                        raise AssertionError(
-                            "hitting bucket contained no qualifying element"
-                        )
-                    best = found
-                    break
-            if self.neginf_cols[i]:
-                self.counters.scan_length_total += len(self.neginf_cols[i])
-                if any(vector[k] == NEG_INF for k in self.neginf_cols[i]):
-                    best = NEG_INF
-            out.append(best)
+            hits[l] = solver.query(neg_query)
+        self.counters.count_each(self._bucket_labels)
+        rows, cols = self._first_qualifying(
+            hits, self._order, lambda i, k: m[i, k] >= v[k]
+        )
+        out = np.full(self.n, INF)
+        out[rows] = m[rows, cols]
+        if self._neginf is not None:
+            self.counters.scan_length_total += int(np.count_nonzero(self._neginf))
+            out[(self._neginf & (v == NEG_INF)).any(axis=1)] = NEG_INF
         return out
 
-    def _query_side(self, vector: Vector) -> list[Value]:
+    def _query_side(self, v: np.ndarray) -> np.ndarray:
         """w[i] = min query coordinate that is >= its matrix entry in row i."""
-        n = self.matrix.n
-        order = sorted((vector[k], k) for k in range(n))
-        buckets = [
-            order[l * self.bucket_size : (l + 1) * self.bucket_size]
-            for l in range(self.t)
-        ]
-        hit_rows = []
+        m = self._m
+        order = np.argsort(v, kind="stable")
+        bucket_of = np.empty(self.n, dtype=np.int64)
+        bucket_of[order] = np.arange(self.n) // self.bucket_size
+        masked = finitize(
+            np.where(bucket_of == np.arange(self.t)[:, None], v, NEG_INF), self.w_bound, "query"
+        )
+        hits = np.empty((self.t, self.n), dtype=bool)
         for l in range(self.t):
-            member = {col for _, col in buckets[l]}
-            masked = finitize(
-                [vector[k] if k in member else NEG_INF for k in range(n)],
-                self.w_bound,
-                "query",
-            )
-            bits = self._matrix_solver.query(Vector(masked))
-            self.counters.count_inner("dom[matrix]")
-            hit_rows.append(bits.entries)
-
-        rows = self.matrix.rows
-        out: list[Value] = []
-        for i in range(n):
-            best: Value = INF
-            for l in range(self.t):
-                if hit_rows[l][i]:
-                    found = self._scan_bucket(
-                        buckets[l],
-                        lambda col, i=i: vector[col] >= rows[i][col],
-                    )
-                    if found is None:
-                        raise AssertionError(
-                            "hitting bucket contained no qualifying element"
-                        )
-                    best = found
-                    break
-            if self.neginf_cols[i]:
-                self.counters.scan_length_total += len(self.neginf_cols[i])
-                side = min(vector[k] for k in self.neginf_cols[i])
-                if side < best:
-                    best = side
-            out.append(best)
+            hits[l] = self._matrix_solver.query(masked[l])
+        self.counters.count_inner("dom[matrix]", self.t)
+        rows, cols = self._first_qualifying(
+            hits, order, lambda i, k: v[k] >= m[i, k]
+        )
+        out = np.full(self.n, INF)
+        out[rows] = v[cols]
+        if self._neginf is not None:
+            self.counters.scan_length_total += int(np.count_nonzero(self._neginf))
+            out = np.minimum(out, np.where(self._neginf, v, INF).min(axis=1))
         return out
 
-    def _answer(self, vector: Vector) -> Vector:
-        matrix_side = self._matrix_side(vector)
-        query_side = self._query_side(vector)
-        return Vector([min(u, w) for u, w in zip(matrix_side, query_side)])
+    def _answer(self, v: np.ndarray) -> np.ndarray:
+        return np.minimum(self._matrix_side(v), self._query_side(v))

@@ -5,8 +5,8 @@ eq_exists_mv, ...) are definitional enumerations written in plain Python;
 they are the ground truth that every test compares against and they stay
 deliberately dumb.  NaiveSolver wraps the same O(n^2)-per-query semantics
 in numpy so that reduction chains, which issue very many inner queries,
-run at a usable speed.  The two layers are cross-checked against each
-other in the test suite.
+run at a usable speed; it is the leaf of every chain.  The two layers are
+cross-checked against each other in the test suite.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .core import (
     ReductionConfig,
     Value,
     Vector,
+    as_array,
 )
 
 
@@ -144,85 +145,71 @@ def bit_trick_predicate(a: int, b: int, bits: int) -> bool:
     return False
 
 
-def _to_array(values, n: int) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.shape[-1] != n:
-        raise DimensionMismatch(f"expected length {n}, got {arr.shape[-1]}")
-    return arr
-
-
-def as_values(arr: np.ndarray) -> list[Value]:
-    """Convert a float64 answer row back to ints and infinity sentinels."""
-    out: list[Value] = []
-    for x in arr.tolist():
-        if x == INF or x == -INF:
-            out.append(x)
-        else:
-            out.append(int(x))
-    return out
-
-
 class NaiveSolver(OnlineSolver):
     """O(n^2)-per-query solver for any of the six products.
 
-    The matrix is converted once to a float64 array at preprocessing time
-    (floats represent our bounded ints and the infinity sentinels exactly),
-    and each query is one vectorized pass.  With ``config.debug`` set, the
-    equality product records one witness column per output 1 in
-    ``last_witnesses`` (-1 where the output is 0), which the randomized
-    min-plus reduction uses for its soundness checks.
+    Preprocessing keeps one array: for the boolean and min-witness
+    products the 0/1 matrix as bool, stored transposed so that a query
+    ORs together the columns its 1-coordinates select; for the others the
+    float64 matrix (floats represent the bounded ints and the infinity
+    sentinels exactly).  Each query is one vectorized pass.  With
+    ``config.debug`` set, the equality product records one witness column
+    per output 1 in ``last_witnesses`` (-1 where the output is 0), which
+    the randomized min-plus reduction uses for its soundness checks.
     """
 
     def __init__(
         self,
-        matrix: Matrix,
+        matrix: Matrix | np.ndarray,
         config: Optional[ReductionConfig] = None,
         problem: str = "bool",
     ):
         super().__init__(matrix, config)
         self.problem = problem
-        self._m = np.array(matrix.rows, dtype=np.float64)
-        if problem in ("bool", "minwit"):
-            self._mbool = self._m == 1.0
-        self.last_witnesses: Optional[list[int]] = None
         try:
             self._impl = getattr(self, f"_{problem}_answer")
         except AttributeError:
             raise ValueError(f"unknown problem {problem!r}") from None
+        if problem in ("bool", "minwit"):
+            rows = matrix.rows if isinstance(matrix, Matrix) else matrix
+            self._columns = np.ascontiguousarray((np.asarray(rows) == 1).T)
+        else:
+            self._m = as_array(matrix)
+        self.last_witnesses: Optional[list[int]] = None
 
-    def _answer(self, vector: Vector) -> Vector:
-        return self._impl(_to_array(vector.entries, self.matrix.n))
+    def _answer(self, v: np.ndarray) -> np.ndarray:
+        return self._impl(v)
 
-    def _bool_answer(self, v: np.ndarray) -> Vector:
-        hits = self._mbool & (v == 1.0)[None, :]
-        return Vector(hits.any(axis=1).astype(np.int64).tolist())
+    def _bool_answer(self, v: np.ndarray) -> np.ndarray:
+        ones = v if v.dtype == np.bool_ else v == 1
+        return self._columns[ones].any(axis=0)
 
-    def _eq_answer(self, v: np.ndarray) -> Vector:
-        hits = self._m == v[None, :]
+    def _eq_answer(self, v: np.ndarray) -> np.ndarray:
+        hits = self._m == v
         any_hit = hits.any(axis=1)
         if self.config.debug:
-            first = np.argmax(hits, axis=1)
-            self.last_witnesses = [
-                int(f) if h else -1 for f, h in zip(first, any_hit)
-            ]
-        return Vector(any_hit.astype(np.int64).tolist())
+            self.last_witnesses = np.where(any_hit, hits.argmax(axis=1), -1).tolist()
+        return any_hit
 
-    def _dom_answer(self, v: np.ndarray) -> Vector:
-        return Vector((self._m <= v[None, :]).any(axis=1).astype(np.int64).tolist())
+    def _dom_answer(self, v: np.ndarray) -> np.ndarray:
+        return (self._m <= v).any(axis=1)
 
-    def _minwit_answer(self, v: np.ndarray) -> Vector:
-        hits = self._mbool & (v == 1.0)[None, :]
-        first = np.argmax(hits, axis=1)
-        any_hit = hits.any(axis=1)
-        return Vector([int(f) + 1 if h else INF for f, h in zip(first, any_hit)])
+    def _minwit_answer(self, v: np.ndarray) -> np.ndarray:
+        ones = np.flatnonzero(v == 1)
+        if len(ones) == 0:
+            return np.full(self.n, INF)
+        hits = self._columns[ones]
+        return np.where(hits.any(axis=0), ones[hits.argmax(axis=0)] + 1.0, INF)
 
-    def _minmax_answer(self, v: np.ndarray) -> Vector:
-        return Vector(as_values(np.min(np.maximum(self._m, v[None, :]), axis=1)))
+    def _minmax_answer(self, v: np.ndarray) -> np.ndarray:
+        return np.maximum(self._m, v).min(axis=1)
 
-    def _bmmp_answer(self, v: np.ndarray) -> Vector:
-        return Vector(as_values(np.min(self._m + v[None, :], axis=1)))
+    def _bmmp_answer(self, v: np.ndarray) -> np.ndarray:
+        return (self._m + v).min(axis=1)
 
 
-def naive_factory(problem: str, matrix: Matrix, config: ReductionConfig) -> NaiveSolver:
+def naive_factory(
+    problem: str, matrix: Matrix | np.ndarray, config: ReductionConfig
+) -> NaiveSolver:
     """SolverFactory building a NaiveSolver; the terminal link of every chain."""
     return NaiveSolver(matrix, config, problem=problem)

@@ -143,7 +143,7 @@ def test_shifted_matrices_zero_their_own_column():
         make_inner=factory,
     )
     for r, inner in zip(solver.hitting_columns, captured):
-        assert all(inner.rows[i][r] == 0 for i in range(3))
+        assert all(inner[i, r] == 0 for i in range(3))
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -106,7 +106,10 @@ def test_answer_shape_mismatch_is_a_parse_error(tmp_path, capsys):
 
 def test_forced_hit_solve_is_seed_independent(tmp_path, capsys):
     inst = tmp_path / "inst.txt"
-    main(["gen", "bmmp", "8", "--monotone", "query", "--seed", "4", "-o", str(inst)])
+    main(
+        ["gen", "bmmp", "8", "--monotone", "query", "--seed", "4", "--bound-constant", "1",
+         "-o", str(inst)]
+    )
     outs = []
     for seed in ("1", "99"):
         out = tmp_path / f"ans{seed}.txt"
@@ -244,3 +247,21 @@ def test_bench_naive_requires_problem(capsys):
         capsys,
     )
     assert code == 0
+
+
+def test_verify_takes_the_bound_constant(tmp_path, capsys):
+    inst = tmp_path / "inst.txt"
+    ans = tmp_path / "ans.txt"
+    code = main(
+        ["gen", "bmmp", "6", "--monotone", "rows", "--bound-constant", "8", "--seed", "3",
+         "-o", str(inst)]
+    )
+    assert code == 0
+    instance = parse_instance(inst.read_text())
+    assert max(max(row) for row in instance.matrix.rows) > 4 * 6  # beyond the default c
+    assert main(["solve", str(inst), "--bound-constant", "8", "-o", str(ans)]) == 0
+    code, out, _ = run_cli(["verify", str(inst), str(ans), "--bound-constant", "8"], capsys)
+    assert code == 0 and "ok" in out
+    # the default c = 4 rejects the same instance
+    code, _, err = run_cli(["verify", str(inst), str(ans)], capsys)
+    assert code == 3 and "outside [0, 4*n]" in err

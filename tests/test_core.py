@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -40,6 +41,8 @@ def test_compare_is_a_total_order(a, b, c):
 def test_is_finite():
     assert is_finite(0) and is_finite(-(2**40))
     assert not is_finite(INF) and not is_finite(NEG_INF)
+    assert is_finite(3.0) and is_finite(np.float64(-2.0))
+    assert not is_finite(np.float64("inf"))
 
 
 def test_validate_boolean_domain():
@@ -68,6 +71,17 @@ def test_validate_rejects_huge_values():
     m = Matrix([[2**40 + 1]])
     assert validate(m, "eq") is not None
     assert validate(Matrix([[2**40]]), "eq") is None
+
+
+def test_validate_arrays_and_ints_beyond_float_range():
+    assert validate(np.array([[0.0, 1.0], [1.0, 0.0]]), "bool") is None
+    violation = validate(np.array([[0.0, 1.0], [1.0, 2.0]]), "bool")
+    assert (violation.row, violation.col) == (2, 2)
+    violation = validate(Matrix([[1, INF], [0, -(10**400)]]), "dom")
+    assert (violation.row, violation.col) == (2, 2) and "2^40" in violation.reason
+    violation = validate_query(np.array([0.0, 5.0]), "bmmp", 2, bound_constant=1)
+    assert violation.col == 2 and "outside" in violation.reason
+    assert validate_query(Vector([3, 10**400]), "minmax", 2).col == 2
 
 
 def test_validate_eq_rejects_infinities():

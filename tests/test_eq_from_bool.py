@@ -1,8 +1,22 @@
 import random
 
+import numpy as np
+
 from omv.core import Matrix, ReductionConfig, Vector, ceil_div
 from omv.eq_from_bool import EqFromBoolSolver
 from omv.oracle import NaiveSolver, eq_exists_mv
+
+
+def _column_tables(solver, k):
+    """Column k's frequent values (most frequent first) and its rare
+    values mapped to the rows holding them, read off the solver's tables."""
+    top = [value for value in solver.top_values[:, k].tolist() if not np.isnan(value)]
+    rare = {}
+    width = len(solver.rare_values)
+    for key, i in zip(solver.rare_keys.tolist(), solver.rare_rows.tolist()):
+        if key // width == k:
+            rare.setdefault(solver.rare_values[key % width].item(), []).append(i)
+    return top, rare
 
 
 def test_frequency_table_frozen_example():
@@ -11,22 +25,19 @@ def test_frequency_table_frozen_example():
     column = [5, 5, 7, 9]
     matrix = Matrix([[c, 0, 0, 0] for c in column])
     solver = EqFromBoolSolver(matrix, ReductionConfig(t=2))
-    assert solver.top_values[0] == [5, 7]
-    assert solver.rare_rows[0] == {9: [3]}
+    assert _column_tables(solver, 0) == ([5, 7], {9: [3]})
 
 
 def test_all_distinct_column_with_large_t():
     matrix = Matrix([[1, 0], [2, 0]])
     solver = EqFromBoolSolver(matrix, ReductionConfig(t=2))
-    assert solver.top_values[0] == [1, 2]
-    assert solver.rare_rows[0] == {}
+    assert _column_tables(solver, 0) == ([1, 2], {})
 
 
 def test_constant_column_single_slot():
     matrix = Matrix([[4, 4], [4, 4]])
     solver = EqFromBoolSolver(matrix, ReductionConfig(t=1))
-    assert solver.top_values == [[4], [4]]
-    assert all(not rare for rare in solver.rare_rows)
+    assert [_column_tables(solver, k) for k in range(2)] == [([4], {}), ([4], {})]
 
 
 def test_rare_values_respect_frequency_cap():
@@ -39,10 +50,11 @@ def test_rare_values_respect_frequency_cap():
         cap = ceil_div(n, t)
         for k in range(n):
             column = matrix.column(k)
-            for value, rows in solver.rare_rows[k].items():
+            top, rare = _column_tables(solver, k)
+            for value, rows in rare.items():
                 assert rows == sorted(rows)
                 assert column.count(value) == len(rows) <= cap
-            assert len(set(solver.top_values[k])) == len(solver.top_values[k])
+            assert len(set(top)) == len(top)
 
 
 def test_absent_query_value_contributes_nothing():
@@ -111,7 +123,7 @@ def test_composes_with_real_boolean_inner_chain():
 
     def factory(problem, inner_matrix, config):
         assert problem == "bool"
-        calls.append(inner_matrix.n)
+        calls.append(len(inner_matrix))
         return NaiveSolver(inner_matrix, config, problem="bool")
 
     solver = EqFromBoolSolver(matrix, ReductionConfig(t=2), make_inner=factory)

@@ -1,6 +1,8 @@
 import random
 
-from omv.chains import build_solver
+import pytest
+
+from omv.chains import ALT_BOOL_CHAIN, build_solver
 from omv.core import INF, NEG_INF, Matrix, ReductionConfig, Vector
 from omv.folklore import (
     BoolFromBmmpSolver,
@@ -11,13 +13,14 @@ from omv.folklore import (
     tilt_matrix,
     tilt_query,
 )
+from omv.harness import InstanceSpec, gen_instance, run_stream
 from omv.oracle import NaiveSolver, bool_mv, minplus_mv
 
 
 def test_rank_map_frozen_example():
     # matrix values {3, 7, 7, 10}: for 8 the deepest value at most 8 is 7
     rank_map = RankMap(Matrix([[3, 7], [7, 10]]))
-    assert rank_map.values == [3, 7, 10]
+    assert rank_map.values.tolist() == [3, 7, 10]
     assert rank_map.rank(7) == 2
     assert rank_map.query_rank(8) == 2
     assert rank_map.rank(10) == 3
@@ -178,3 +181,27 @@ def test_bool_from_bmmp_through_real_chain():
             got = solver.query(v)
             assert got.entries == reference.query(v).entries
             assert got.entries == bool_mv(matrix, v).entries
+
+
+def test_bool_from_bmmp_sets_its_own_inner_bound():
+    # the tilt needs c = 4 whatever bound the outer config carries
+    rng = random.Random(60)
+    n = 6
+    matrix = Matrix([[rng.randint(0, 1) for _ in range(n)] for _ in range(n)], tag="boolean")
+    for c in (1, 2, 8):
+        solver = build_solver(
+            ALT_BOOL_CHAIN, "bool", matrix, ReductionConfig(bound_constant=c, hitting_set_size="full")
+        )
+        for _ in range(n):
+            v = Vector([rng.randint(0, 1) for _ in range(n)])
+            assert solver.query(v).entries == bool_mv(matrix, v).entries
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_bool_from_bmmp_long_streams(n):
+    # q = 3n queries: three epochs of the inner min-plus solver
+    spec = InstanceSpec(problem="bool", n=n, queries=3 * n, seed=70 + n)
+    matrix, queries = gen_instance(spec)
+    solver = build_solver(ALT_BOOL_CHAIN, "bool", matrix, ReductionConfig(hitting_set_size="full"))
+    assert run_stream(solver, NaiveSolver(matrix, problem="bool"), queries) == []
+    assert solver.counters.per_inner == {"bmmp": 3 * n}

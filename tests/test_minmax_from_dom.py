@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import numpy as np
+
 from omv.core import INF, NEG_INF, Matrix, ReductionConfig, Vector, ceil_div
 from omv.minmax_from_dom import MinMaxFromDomSolver, finitize
 from omv.oracle import NaiveSolver
@@ -30,21 +32,28 @@ def test_finitize_preserves_dominance_exhaustively():
         assert (b <= a) == (fb <= fa), (a, b)
 
 
+def _buckets(solver, matrix, i):
+    """Row i's buckets as (value, column) lists, read off the solver's order."""
+    pairs = [(matrix.rows[i][k], k) for k in solver._order[i].tolist()]
+    size = solver.bucket_size
+    return [pairs[l * size : (l + 1) * size] for l in range(solver.t)]
+
+
 def test_row_bucketing_frozen_example():
     matrix = Matrix([[7, 2, 9, 4], [1, 1, 1, 1], [5, 5, 3, 3], [0, 1, 2, 3]])
     solver = MinMaxFromDomSolver(matrix, ReductionConfig(t=2))
-    assert solver._sorted_rows[0] == [(2, 1), (4, 3), (7, 0), (9, 2)]
-    assert solver._buckets[0][0] == [(2, 1), (4, 3)]
-    assert solver._buckets[0][1] == [(7, 0), (9, 2)]
+    assert sum(_buckets(solver, matrix, 0), []) == [(2, 1), (4, 3), (7, 0), (9, 2)]
+    assert _buckets(solver, matrix, 0)[0] == [(2, 1), (4, 3)]
+    assert _buckets(solver, matrix, 0)[1] == [(7, 0), (9, 2)]
     # equal values are ordered by column and may straddle the boundary
-    assert solver._buckets[2][0] == [(3, 2), (3, 3)]
-    assert solver._buckets[2][1] == [(5, 0), (5, 1)]
+    assert _buckets(solver, matrix, 2)[0] == [(3, 2), (3, 3)]
+    assert _buckets(solver, matrix, 2)[1] == [(5, 0), (5, 1)]
 
 
 def test_single_bucket_when_t_is_one():
     matrix = Matrix([[3, 1], [2, 2]])
     solver = MinMaxFromDomSolver(matrix, ReductionConfig(t=1))
-    assert solver._buckets[0] == [[(1, 1), (3, 0)]]
+    assert _buckets(solver, matrix, 0) == [[(1, 1), (3, 0)]]
 
 
 def test_matrix_side_matches_direct_enumeration():
@@ -55,7 +64,7 @@ def test_matrix_side_matches_direct_enumeration():
         matrix = Matrix(rows)
         solver = MinMaxFromDomSolver(matrix, ReductionConfig(t=rng.choice([1, 2, 3])))
         v = Vector([rng.randint(-8, 8) for _ in range(n)])
-        got = solver._matrix_side(v)
+        got = solver._matrix_side(np.array(v.entries, dtype=np.float64))
         for i in range(n):
             want = min(
                 (rows[i][k] for k in range(n) if rows[i][k] >= v[k]), default=INF
