@@ -52,6 +52,30 @@ class BoolFromMinWitSolver(OnlineSolver):
         return witnesses <= self.n
 
 
+class SliceUnionSolver(OnlineSolver):
+    """Boolean product of an [s, n, n] slice stack, one solver per slice.
+
+    eq<-bool hands its slices to one inner instance as a stack.  The naive
+    leaf takes the stack whole; the links that solve the boolean problem
+    take square matrices only, so a chain that continues with a link
+    answers the [s, n] query block row by row, one slice solver per row,
+    and ORs the answers.  Its own ledger stays empty: eq<-bool already
+    books every slice query.
+    """
+
+    problem = "bool"
+
+    def __init__(self, stack: np.ndarray, config: ReductionConfig, slices: list[OnlineSolver]):
+        super().__init__(stack, config)
+        self._slices = slices
+
+    def _answer(self, block: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.n, dtype=bool)
+        for solver, row in zip(self._slices, block):
+            out |= solver.query(row)
+        return out
+
+
 LINKS: dict[str, type[OnlineSolver]] = {
     "eq<-bool": EqFromBoolSolver,
     "dom<-eq": DomFromEqSolver,
@@ -133,4 +157,7 @@ def build_solver(
     head = names[0]
     if head == "naive":
         return NaiveSolver(matrix, config, problem=problem)
+    if isinstance(matrix, np.ndarray) and matrix.ndim == 3:
+        slices = [LINKS[head](piece, config, make_inner=factory) for piece in matrix]
+        return SliceUnionSolver(matrix, config, slices)
     return LINKS[head](matrix, config, make_inner=factory)

@@ -381,7 +381,10 @@ class OnlineSolver:
     alike: it checks dimensions, converts a Vector to a float64 array and
     the answer back (an ndarray passes through unconverted), and advances
     query_index, which is 1-based and equals j while the j-th query is
-    being answered (the boolean-to-min-plus encoding needs it).  A solver
+    being answered (the boolean-to-min-plus encoding needs it).  Its
+    dimension check reads a query array's last axis, so that a solver built
+    on a stack of s matrices ([s, n, n], as the boolean leaf accepts) takes
+    an [s, n] block of queries, one row per matrix.  A solver
     must never look at any vector other than the current one; the
     harness's adaptive sessions exist to catch violations.
     """
@@ -389,7 +392,7 @@ class OnlineSolver:
     problem: str = ""
 
     def __init__(self, matrix: Matrix | np.ndarray, config: Optional[ReductionConfig] = None):
-        self.n = matrix.n if isinstance(matrix, Matrix) else len(matrix)
+        self.n = matrix.n if isinstance(matrix, Matrix) else np.shape(matrix)[-1]
         self.config = config if config is not None else ReductionConfig()
         self.counters = CounterLedger()
         self._query_index = 1
@@ -399,11 +402,11 @@ class OnlineSolver:
         return self._query_index
 
     def query(self, vector: Vector | np.ndarray) -> Vector | np.ndarray:
-        if len(vector) != self.n:
-            raise DimensionMismatch(
-                f"query length {len(vector)} against {self.n}x{self.n} matrix"
-            )
-        if isinstance(vector, np.ndarray):
+        array = isinstance(vector, np.ndarray)
+        length = vector.shape[-1] if array else len(vector)
+        if length != self.n:
+            raise DimensionMismatch(f"query length {length} against {self.n}x{self.n} matrix")
+        if array:
             answer = self._answer(vector)
         else:
             answer = to_vector(self._answer(np.array(vector.entries, dtype=np.float64)))

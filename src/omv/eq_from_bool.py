@@ -1,17 +1,22 @@
-"""Equality-product solver built from boolean-product inner solvers.
+"""Equality-product solver built from one stacked boolean-product instance.
 
 For each matrix column the t most frequent values are split off into t
 boolean slice matrices: slice l marks the positions holding the column's
 l-th most frequent value.  A query coordinate matching a frequent value is
-caught by the corresponding boolean inner product; every other value that
+caught by the corresponding boolean slice product; every other value that
 appears in a column is "rare" (at most ceil(n/t) occurrences) and is kept
 in a sorted index of rare entries, which the query phase scans directly.
 The output is exact: a 1 is emitted iff some coordinate of the query equals
 the matrix entry above it.
 
-Per query this issues exactly t inner boolean queries (slices that are
-entirely zero are skipped and counted as issued-with-shortcut) and scans
-at most n * ceil(n/t) rare entries.
+The s <= t slices that are not entirely zero are built in one comparison
+as one [s, n, n] bool stack and handed to a single inner boolean instance.
+A query asks that instance once, with the [s, n] block of slice queries,
+and the OR of the s slice products comes back.  The ledger still books the
+t inner queries of the reduction's cost accounting per query, one under
+each label bool[0..t-1] (the product of an all-zero slice is all zeros, so
+the t - s empty slices are never built).  Each query also scans at most
+n * ceil(n/t) rare entries.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ def _top_values(matrix: np.ndarray, t: int) -> np.ndarray:
 
 
 class EqFromBoolSolver(OnlineSolver):
-    """Online equality-product solver over t boolean inner instances."""
+    """Online equality-product solver over one stacked boolean inner instance."""
 
     problem = "eq"
     inner_problem = "bool"
@@ -74,17 +79,12 @@ class EqFromBoolSolver(OnlineSolver):
         self.t = self.config.resolve_t(self.n)
         self.top_values = _top_values(m, self.t)
 
-        frequent = np.zeros(m.shape, dtype=bool)
-        # (level, inner solver) of the slices that are not all zero
-        self._slices: list[tuple[int, OnlineSolver]] = []
-        for level in range(self.t):
-            rows = m == self.top_values[level]
-            frequent |= rows
-            if rows.any():
-                self._slices.append((level, make_inner("bool", rows, self.config)))
+        # Slice l is empty iff no column has an l-th value; the rest are stacked.
+        self._slice_values = self.top_values[~np.isnan(self.top_values).all(axis=1)]
+        stack = m == self._slice_values[:, None, :]  # stack[l, i, k]: M[i, k] is column k's l-th value
+        self._inner = make_inner("bool", stack, self.config)
         self._labels = [f"bool[{level}]" for level in range(self.t)]
-        self._empty_slices = self.t - len(self._slices)
-        self.shortcut_queries = 0
+        frequent = stack.any(axis=0)
 
         # The rare entries, sorted by the key col * len(rare_values) + the
         # rank of the value among rare_values (the distinct rare values):
@@ -102,22 +102,14 @@ class EqFromBoolSolver(OnlineSolver):
         # query value would be inserted can always be read (and never equals it)
         self._rare_lookup = np.append(self.rare_values, np.nan)
         # Slice membership per entry, kept only to reconstruct witnesses.
-        self._levels = (
-            np.where(frequent, (m == self.top_values[:, None, :]).argmax(axis=0), -1)
-            if self.config.debug
-            else None
-        )
+        self._levels = np.where(frequent, stack.argmax(axis=0), -1) if self.config.debug else None
         self.last_witnesses: Optional[list[int]] = None
 
     def _answer(self, v: np.ndarray) -> np.ndarray:
-        masks = self.top_values == v  # masks[l, k]: v[k] is column k's l-th value
-        out = np.zeros(self.n, dtype=bool)
-        for level, inner in self._slices:
-            out |= inner.query(masks[level])
-        # Every slice counts as asked; the product of an all-zero slice is
-        # all zeros without asking.
+        masks = self._slice_values == v  # masks[l, k]: v[k] is column k's l-th value
+        out = self._inner.query(masks)
+        # All t slices count as asked; one call answers the s stacked ones.
         self.counters.count_each(self._labels)
-        self.shortcut_queries += self._empty_slices
 
         hits = self._rare_hits(v)
         if len(hits):
@@ -131,16 +123,18 @@ class EqFromBoolSolver(OnlineSolver):
         """Positions in rare_keys of the rare entries equal to their query coordinate."""
         if len(self.rare_keys) == 0:
             return self.rare_keys
-        rank = np.searchsorted(self.rare_values, v)
+        # ndarray methods rather than the np.* wrappers: this runs once per
+        # equality query, where the wrappers' dispatch cost is measurable.
+        rank = self.rare_values.searchsorted(v)
         keys = np.where(self._rare_lookup[rank] == v, self._column_keys + rank, -1)
-        lo = np.searchsorted(self.rare_keys, keys)
-        counts = np.searchsorted(self.rare_keys, keys, side="right") - lo
+        lo = self.rare_keys.searchsorted(keys)
+        counts = self.rare_keys.searchsorted(keys, side="right") - lo
         total = int(counts.sum())
         if total == 0:
             return self.rare_keys[:0]
         # the concatenated ranges [lo[k], lo[k] + counts[k])
-        ends = np.cumsum(counts)
-        return np.arange(total) + np.repeat(lo - (ends - counts), counts)
+        ends = counts.cumsum()
+        return np.arange(total) + (lo - (ends - counts)).repeat(counts)
 
     def _witnesses(self, masks: np.ndarray, rare: np.ndarray, out: np.ndarray) -> list[int]:
         """One column per output 1 that a slice or the rare scan matched."""

@@ -152,7 +152,12 @@ class NaiveSolver(OnlineSolver):
     products the 0/1 matrix as bool, stored transposed so that a query
     ORs together the columns its 1-coordinates select; for the others the
     float64 matrix (floats represent the bounded ints and the infinity
-    sentinels exactly).  Each query is one vectorized pass.  With
+    sentinels exactly).  Each query is one vectorized pass.
+
+    The boolean product also accepts a stack of s matrices, an [s, n, n]
+    array: it is stored as one transposed [s*n, n] array, a query is an
+    [s, n] block whose row l goes with matrix l, and the answer is the OR
+    of the s products.  A plain matrix is the case s = 1.  With
     ``config.debug`` set, the equality product records one witness column
     per output 1 in ``last_witnesses`` (-1 where the output is 0), which
     the randomized min-plus reduction uses for its soundness checks.
@@ -172,7 +177,9 @@ class NaiveSolver(OnlineSolver):
             raise ValueError(f"unknown problem {problem!r}") from None
         if problem in ("bool", "minwit"):
             rows = matrix.rows if isinstance(matrix, Matrix) else matrix
-            self._columns = np.ascontiguousarray((np.asarray(rows) == 1).T)
+            # row (l, k) of _columns: the rows i with matrix l's (i, k) entry 1
+            ones = np.swapaxes(np.asarray(rows) == 1, -1, -2)
+            self._columns = np.ascontiguousarray(ones).reshape(-1, self.n)
         else:
             self._m = as_array(matrix)
         self.last_witnesses: Optional[list[int]] = None
@@ -182,7 +189,7 @@ class NaiveSolver(OnlineSolver):
 
     def _bool_answer(self, v: np.ndarray) -> np.ndarray:
         ones = v if v.dtype == np.bool_ else v == 1
-        return self._columns[ones].any(axis=0)
+        return self._columns[ones.ravel()].any(axis=0)
 
     def _eq_answer(self, v: np.ndarray) -> np.ndarray:
         hits = self._m == v

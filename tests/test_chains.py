@@ -12,8 +12,19 @@ from omv.chains import (
     parse_chain,
     validate_chain,
 )
+from omv import oracle
 from omv.core import Matrix, ReductionConfig, Vector
+from omv.harness import InstanceSpec, gen_instance
 from omv.oracle import NaiveSolver
+
+DEFINITIONS = {
+    "bool": oracle.bool_mv,
+    "eq": oracle.eq_exists_mv,
+    "dom": oracle.dom_exists_mv,
+    "minwit": oracle.minwitness_mv,
+    "minmax": oracle.minmax_mv,
+    "bmmp": oracle.minplus_mv,
+}
 
 
 def test_parse_chain_appends_naive_terminal():
@@ -100,3 +111,45 @@ def test_config_inner_selector_builds_the_chain():
         assert via_naive.query(v).entries == want
     with pytest.raises(ChainError):
         DomFromEqSolver(matrix, ReductionConfig(inner="dom<-eq"))  # wrong kind
+
+
+LONG_STREAMS = [(problem, None) for problem in FULL_CYCLE if problem != "bmmp"]
+LONG_STREAMS += [("bmmp", case) for case in ("rows", "cols", "query", "stream")]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize(
+    "problem,monotone", LONG_STREAMS, ids=[f"{p}-{m}" if m else p for p, m in LONG_STREAMS]
+)
+def test_full_cycle_long_streams(problem, monotone, n):
+    # q = 3n queries on one solver; bmmp in forced-hit mode, so exact
+    spec = InstanceSpec(
+        problem=problem,
+        n=n,
+        distribution="skewed" if problem in ("eq", "dom", "minmax") else "uniform",
+        inf_prob=0.2 if problem in ("dom", "minmax") else 0.0,
+        monotone=monotone,
+        queries=3 * n,
+        seed=80 + n,
+    )
+    matrix, queries = gen_instance(spec)
+    config = ReductionConfig(hitting_set_size="full", seed=n)
+    solver = build_solver(FULL_CYCLE[problem], problem, matrix, config)
+    for v in queries:
+        assert solver.query(v).entries == DEFINITIONS[problem](matrix, v).entries
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_stacked_slices_through_a_link(n):
+    # eq<-bool above a link: the slice stack is answered one chain per slice
+    chain = parse_chain("eq<-bool,bool<-minwit,minwit<-minmax,minmax<-dom,dom<-eq,eq<-bool,naive")
+    rng = random.Random(90 + n)
+    matrix = Matrix([[rng.randint(0, 2) for _ in range(n)] for _ in range(n)])
+    config = ReductionConfig()
+    solver = build_solver(chain, "eq", matrix, config)
+    queries = 3 * n
+    for _ in range(queries):
+        v = Vector([rng.randint(0, 2) for _ in range(n)])
+        assert solver.query(v).entries == oracle.eq_exists_mv(matrix, v).entries
+    t = config.resolve_t(n)
+    assert solver.counters.per_inner == {f"bool[{level}]": queries for level in range(t)}

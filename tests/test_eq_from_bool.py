@@ -1,10 +1,11 @@
 import random
 
 import numpy as np
+import pytest
 
-from omv.core import Matrix, ReductionConfig, Vector, ceil_div
+from omv.core import DimensionMismatch, Matrix, ReductionConfig, Vector, ceil_div
 from omv.eq_from_bool import EqFromBoolSolver
-from omv.oracle import NaiveSolver, eq_exists_mv
+from omv.oracle import NaiveSolver, bool_mv, eq_exists_mv
 
 
 def _column_tables(solver, k):
@@ -92,12 +93,19 @@ def test_counters_exact_inner_queries_and_scan_cap():
 
 
 def test_all_zero_slices_counted_as_shortcut():
-    # one distinct value per column but three slots: two slices are empty
+    # one distinct value per column but three slots: two slices are empty,
+    # left out of the stack, and still booked as asked
     matrix = Matrix([[4, 4], [4, 4]])
-    solver = EqFromBoolSolver(matrix, ReductionConfig(t=3))
+    stacks = []
+
+    def factory(problem, stack, config):
+        stacks.append(stack.shape)
+        return NaiveSolver(stack, config, problem=problem)
+
+    solver = EqFromBoolSolver(matrix, ReductionConfig(t=3), make_inner=factory)
     solver.query(Vector([4, 0]))
     assert solver.counters.inner_queries == 3
-    assert solver.shortcut_queries == 2
+    assert stacks == [(1, 2, 2)]
 
 
 def test_debug_witnesses_are_sound():
@@ -130,3 +138,25 @@ def test_composes_with_real_boolean_inner_chain():
     v = Vector([rng.randint(0, 2) for _ in range(6)])
     assert solver.query(v).entries == eq_exists_mv(matrix, v).entries
     assert calls  # inner instances were actually created through the factory
+
+
+@pytest.mark.parametrize("s", [1, 3])
+@pytest.mark.parametrize("n", [1, 5])
+def test_stacked_leaf_is_the_or_of_its_slices(s, n):
+    rng = random.Random(100 * s + n)
+    slices = [[[rng.randint(0, 1) for _ in range(n)] for _ in range(n)] for _ in range(s)]
+    leaf = NaiveSolver(np.array(slices, dtype=bool), problem="bool")
+    blocks = [np.zeros((s, n), dtype=bool)]
+    blocks += [np.array([[rng.random() < 0.4 for _ in range(n)] for _ in range(s)]) for _ in range(6)]
+    for block in blocks:
+        want = [0] * n
+        for rows, row in zip(slices, block):
+            product = bool_mv(Matrix(rows, tag="boolean"), Vector(row.astype(int).tolist()))
+            want = [a | b for a, b in zip(want, product.entries)]
+        assert leaf.query(block).astype(int).tolist() == want
+
+
+def test_stacked_leaf_rejects_a_block_of_the_wrong_width():
+    leaf = NaiveSolver(np.ones((3, 4, 4), dtype=bool), problem="bool")
+    with pytest.raises(DimensionMismatch):
+        leaf.query(np.ones((3, 5), dtype=bool))
