@@ -5,104 +5,26 @@ problems (boolean, equality, dominance, min-witness, min-max, and bounded
 monotone min-plus), composable reduction solvers that answer one problem
 through inner instances of another, a differential-testing harness with an
 adaptive online-ness adversary, and a CLI over plain-text instance files.
+The top level exports what a chain needs end to end; the links, the
+oracle's reference functions and the rest of the harness live in their
+modules.
 """
 
-from .bmmp_from_eq import BmmpFromEqSolver, CandidateReport, make_lister
-from .chains import ALT_BOOL_CHAIN, FULL_CYCLE, LINKS, ChainError, build_solver, parse_chain, validate_chain
-from .core import (
-    INF,
-    MONOTONE_CASES,
-    NEG_INF,
-    PROBLEMS,
-    CounterLedger,
-    DimensionMismatch,
-    Matrix,
-    OnlineSolver,
-    ReductionConfig,
-    StreamOrderError,
-    Vector,
-    Violation,
-    compare,
-    is_finite,
-    validate,
-    validate_query,
-)
-from .eq_from_bool import EqFromBoolSolver
-from .folklore import DomFromEqSolver, MinWitnessFromMinMaxSolver, BoolFromBmmpSolver, RankMap
-from .harness import (
-    BatchingMockSolver,
-    InstanceSpec,
-    TrialReport,
-    accounting_check,
-    adaptive_session,
-    differential_check,
-    gen_instance,
-    success_rate_experiment,
-)
-from .minmax_from_dom import MinMaxFromDomSolver, finitize
-from .oracle import (
-    NaiveSolver,
-    bit_trick_predicate,
-    bool_mv,
-    candidate_set_bruteforce,
-    dom_exists_mv,
-    eq_exists_mv,
-    minmax_mv,
-    minplus_mv,
-    minwitness_mv,
-)
+from .chains import build_solver
+from .core import Matrix, ReductionConfig, Vector, validate, validate_query
+from .harness import InstanceSpec, gen_instance
+from .oracle import NaiveSolver
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALT_BOOL_CHAIN",
-    "BatchingMockSolver",
-    "BmmpFromEqSolver",
-    "BoolFromBmmpSolver",
-    "CandidateReport",
-    "ChainError",
-    "CounterLedger",
-    "DimensionMismatch",
-    "DomFromEqSolver",
-    "EqFromBoolSolver",
-    "FULL_CYCLE",
-    "INF",
     "InstanceSpec",
-    "LINKS",
-    "MONOTONE_CASES",
     "Matrix",
-    "MinMaxFromDomSolver",
-    "MinWitnessFromMinMaxSolver",
-    "NEG_INF",
     "NaiveSolver",
-    "OnlineSolver",
-    "PROBLEMS",
-    "RankMap",
     "ReductionConfig",
-    "StreamOrderError",
-    "TrialReport",
     "Vector",
-    "Violation",
-    "accounting_check",
-    "adaptive_session",
-    "bit_trick_predicate",
-    "bool_mv",
     "build_solver",
-    "candidate_set_bruteforce",
-    "compare",
-    "differential_check",
-    "dom_exists_mv",
-    "eq_exists_mv",
-    "finitize",
     "gen_instance",
-    "is_finite",
-    "make_lister",
-    "minmax_mv",
-    "minplus_mv",
-    "minwitness_mv",
-    "parse_chain",
-    "success_rate_experiment",
     "validate",
-    "validate_chain",
     "validate_query",
 ]

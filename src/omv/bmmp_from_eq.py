@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,10 +52,10 @@ from .core import (
     SolverFactory,
     StreamOrderError,
     as_array,
-    inner_factory,
     validate,
     validate_query,
 )
+from .oracle import naive_factory
 from .structures import IndexedMultiset, RangeMinIndex
 
 
@@ -318,29 +317,6 @@ def make_lister(
     return _LISTERS[case](m_hat, cap, ledger)
 
 
-class _HittingState:
-    """One sampled hitting set with its column-shifted equality solvers."""
-
-    def __init__(
-        self,
-        matrix: np.ndarray,
-        config: ReductionConfig,
-        make_inner: SolverFactory,
-        seed: int,
-        size: int | str,
-    ):
-        n = len(matrix)
-        if size == "full":
-            self.columns = list(range(n))
-        else:
-            rng = random.Random(seed)
-            self.columns = [rng.randrange(n) for _ in range(size)]
-        self.solvers = [
-            make_inner("eq", matrix - matrix[:, r : r + 1], config) for r in self.columns
-        ]
-        self.labels = [f"eq[r{position}]" for position in range(len(self.columns))]
-
-
 class BmmpFromEqSolver(OnlineSolver):
     """Online bounded monotone min-plus solver over equality inner solvers.
 
@@ -348,9 +324,11 @@ class BmmpFromEqSolver(OnlineSolver):
     default |R| = ceil(3 * delta * ln n) a whole n-query stream is answered
     without any error with probability at least 1 - 1/n.  Forced-hit mode
     (hitting_set_size="full") uses every column and is deterministic and
-    always exact.  ``repeats`` > 1 runs that many independently sampled
-    hitting sets and takes a per-entry majority vote.  The matrix must be
-    a Matrix: it carries the declared monotonicity case.
+    always exact.  Otherwise R is one sample of hitting_set_size columns,
+    drawn with replacement from ``config.seed``.  A lower error rate costs
+    a larger R: r*|R| columns are distributed like r independent samples
+    of |R| pooled, so they miss a row only when all r samples would.  The
+    matrix must be a Matrix: it carries the declared monotonicity case.
     """
 
     problem = "bmmp"
@@ -360,10 +338,9 @@ class BmmpFromEqSolver(OnlineSolver):
         self,
         matrix: Matrix,
         config: Optional[ReductionConfig] = None,
-        make_inner: Optional[SolverFactory] = None,
+        make_inner: SolverFactory = naive_factory,
     ):
         super().__init__(matrix, config)
-        make_inner = make_inner if make_inner is not None else inner_factory(self.config)
         self.case = getattr(matrix, "monotone", None)
         if self.case is None:
             raise ValueError("bmmp matrix must declare a monotonicity case")
@@ -382,22 +359,17 @@ class BmmpFromEqSolver(OnlineSolver):
             ledger=self.counters,
         )
         self.hitting_size = self.config.resolve_hitting(n, self.delta)
-        self._copies = [
-            _HittingState(
-                m,
-                self.config,
-                make_inner,
-                seed=self.config.seed + 7919 * copy,
-                size=self.hitting_size,
-            )
-            for copy in range(max(1, self.config.repeats))
+        if self.hitting_size == "full":
+            self.hitting_columns = list(range(n))
+        else:
+            rng = random.Random(self.config.seed)
+            self.hitting_columns = [rng.randrange(n) for _ in range(self.hitting_size)]
+        # one equality solver per hitting column r, on the shifted M[i,k] - M[i,r]
+        self._hitting_solvers = [
+            make_inner("eq", m - m[:, r : r + 1], self.config) for r in self.hitting_columns
         ]
+        self._hitting_labels = [f"eq[r{position}]" for position in range(len(self.hitting_columns))]
         self._offsets = np.arange(3 * self.delta - 1)
-        self.last_step2_checks: Optional[int] = None
-
-    @property
-    def hitting_columns(self) -> list[int]:
-        return self._copies[0].columns
 
     def list_candidates(self, vector) -> list[CandidateReport]:
         """Step-one listing for one query (advances state in the stream case)."""
@@ -414,42 +386,23 @@ class BmmpFromEqSolver(OnlineSolver):
             np.minimum.at(best, owner, self._m[owner, cols] + v[cols])
         return best
 
-    def _step2(self, copy: _HittingState, v: np.ndarray) -> np.ndarray:
+    def _step2(self, v: np.ndarray) -> np.ndarray:
         """Minimum over the equality hits of every hitting column and offset."""
         m = self._m
         best = np.full(self.n, INF)
-        checked = 0
         # probes[p, d] asks whether some k has M[i,k] + v[k] = M[i,r] + v[r] - d
         # for the p-th hitting column r and offset d.
-        columns = np.array(copy.columns, dtype=np.int64)
+        columns = np.array(self.hitting_columns, dtype=np.int64)
         shifted = v[columns][:, None] - v[None, :]
         probes = shifted[:, None, :] - self._offsets[None, :, None]
-        for position, r in enumerate(copy.columns):
-            solver = copy.solvers[position]
-            base = m[:, r] + v[r]
+        for position, r in enumerate(self.hitting_columns):
+            solver = self._hitting_solvers[position]
             deepest = np.full(self.n, -1.0)  # per row, the largest offset that hit
             for offset, probe in zip(self._offsets, probes[position]):
-                bits = solver.query(probe)
-                deepest[bits] = offset
-                if self.config.debug:
-                    checked += self._check_witnesses(solver, bits, base - offset, v)
-            self.counters.count_inner(copy.labels[position], len(self._offsets))
-            best = np.minimum(best, np.where(deepest >= 0, base - deepest, INF))
-        self.last_step2_checks = checked if self.config.debug else None
+                deepest[solver.query(probe)] = offset
+            self.counters.count_inner(self._hitting_labels[position], len(self._offsets))
+            best = np.minimum(best, np.where(deepest >= 0, m[:, r] + v[r] - deepest, INF))
         return best
-
-    def _check_witnesses(self, solver, bits, values, v) -> int:
-        """Assert that each witnessed equality hit is a real sum; count them."""
-        witnesses = getattr(solver, "last_witnesses", None)
-        if witnesses is None:
-            return 0
-        witnesses = np.asarray(witnesses)
-        rows = np.flatnonzero(bits & (witnesses >= 0))
-        cols = witnesses[rows]
-        assert np.array_equal(self._m[rows, cols] + v[cols], values[rows]), (
-            "equality hit does not correspond to a real sum"
-        )
-        return len(rows)
 
     def _answer(self, v: np.ndarray) -> np.ndarray:
         violation = validate_query(
@@ -461,13 +414,4 @@ class BmmpFromEqSolver(OnlineSolver):
         )
         if violation is not None:
             raise ValueError(f"invalid bmmp query: {violation}")
-        small = self._step1(v)
-        outcomes = [np.minimum(small, self._step2(copy, v)) for copy in self._copies]
-        if len(outcomes) == 1:
-            return outcomes[0]
-        final = []
-        for votes_row in zip(*(outcome.tolist() for outcome in outcomes)):
-            votes = Counter(votes_row)
-            top = max(votes.values())
-            final.append(min(value for value, count in votes.items() if count == top))
-        return np.array(final)
+        return np.minimum(self._step1(v), self._step2(v))

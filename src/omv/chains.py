@@ -6,7 +6,8 @@ left of its arrow by querying inner instances of the problem on the right;
 "naive" is the polymorphic terminal that answers any problem directly.
 Adjacent links must agree on the problem they hand across, mirroring the
 arrows of the reduction diagram; build_solver() checks this and wires the
-solvers together through inner-solver factories.
+solvers together through inner-solver factories.  It is the only place that
+wires a chain: a link constructed on its own gets naive inner solvers.
 
 The minwit-to-bool step is a one-line projection (a witness exists iff the
 boolean product is 1), implemented here rather than as a module of its own.
@@ -19,11 +20,11 @@ from typing import Optional
 import numpy as np
 
 from .bmmp_from_eq import BmmpFromEqSolver
-from .core import Matrix, OnlineSolver, ReductionConfig, SolverFactory, inner_factory
+from .core import Matrix, OnlineSolver, ReductionConfig, SolverFactory
 from .eq_from_bool import EqFromBoolSolver
 from .folklore import BoolFromBmmpSolver, DomFromEqSolver, MinWitnessFromMinMaxSolver
 from .minmax_from_dom import MinMaxFromDomSolver
-from .oracle import NaiveSolver
+from .oracle import NaiveSolver, naive_factory
 
 
 class ChainError(ValueError):
@@ -40,10 +41,9 @@ class BoolFromMinWitSolver(OnlineSolver):
         self,
         matrix: Matrix | np.ndarray,
         config: Optional[ReductionConfig] = None,
-        make_inner: Optional[SolverFactory] = None,
+        make_inner: SolverFactory = naive_factory,
     ):
         super().__init__(matrix, config)
-        make_inner = make_inner if make_inner is not None else inner_factory(self.config)
         self._inner = make_inner("minwit", matrix, self.config)
 
     def _answer(self, v: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ import time
 from typing import Optional
 
 from . import formats
-from .chains import ChainError, build_solver, parse_chain, validate_chain
+from .chains import LINKS, ChainError, build_solver, parse_chain, validate_chain
 from .core import (
     MONOTONE_CASES,
     PROBLEMS,
@@ -78,7 +78,6 @@ def _config_from_args(args) -> ReductionConfig:
         hitting_set_size=hitting,
         seed=getattr(args, "seed", 0),
         bound_constant=args.bound_constant,
-        repeats=getattr(args, "repeats", 1),
     )
 
 
@@ -219,8 +218,6 @@ def cmd_bench(args) -> int:
         head = chain[0]
         if head == "naive":
             raise ValidationFailure("chain 'naive' needs an explicit --problem")
-        from .chains import LINKS
-
         problem = LINKS[head].problem
     validate_chain(chain, problem)
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
@@ -310,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--hitting", default=None, help="hitting set size or 'full'")
         p.add_argument("--seed", type=int, default=0)
         add_bound_flag(p)
-        p.add_argument("--repeats", type=int, default=1)
 
     solve = sub.add_parser("solve", help="answer an instance with a reduction chain")
     solve.add_argument("instance")

@@ -35,6 +35,7 @@ reports, min-witness answers, file formats) is 1-based.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -63,15 +64,6 @@ Value = int | float
 def is_finite(value: Value) -> bool:
     """False for the two infinity sentinels, True for any other number."""
     return value != INF and value != NEG_INF
-
-
-def compare(a: Value, b: Value) -> int:
-    """Three-way comparison under the total order -inf < ints < +inf."""
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
 
 
 class DimensionMismatch(ValueError):
@@ -133,9 +125,6 @@ class Matrix:
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    def row(self, i: int) -> list[Value]:
-        return self.rows[i]
 
     def column(self, k: int) -> list[Value]:
         return [row[k] for row in self.rows]
@@ -294,15 +283,11 @@ class ReductionConfig:
     matrix.  ``hitting_set_size`` may also be the string "full", which
     replaces random sampling with every column (forced-hit mode, making the
     randomized min-plus reduction deterministic).  ``bound_constant`` is
-    the c in the [0, c*n] value bound accepted by the bmmp solver.
-    ``repeats`` runs that many independent copies of the randomized step
-    and takes a per-entry majority vote.  ``debug`` enables witness
-    recording for soundness checks in tests.
-
-    ``inner`` selects how a reduction builds its inner solvers when no
-    factory is passed explicitly: None for the naive solver, or a chain
-    (list of link names, or the comma-separated string the CLI accepts)
-    applied recursively.
+    the c in the [0, c*n] value bound accepted by the bmmp solver, and
+    ``seed`` seeds the bmmp solver's hitting set.  How a reduction builds
+    its inner solvers is not a setting: each link takes a ``make_inner``
+    factory (the naive solver when built alone), and chains.build_solver
+    is the one place that wires deeper chains.
     """
 
     t: Optional[int] = None
@@ -310,9 +295,6 @@ class ReductionConfig:
     hitting_set_size: Optional[int | str] = None
     seed: int = 0
     bound_constant: int = 4
-    repeats: int = 1
-    debug: bool = False
-    inner: Optional[list[str] | str] = None
 
     def resolve_t(self, n: int) -> int:
         return self.t if self.t is not None else ceil_sqrt(n)
@@ -352,18 +334,16 @@ class CounterLedger:
     multiset_updates: int = 0
     candidates_enumerated: int = 0
     rmq_queries: int = 0
-    per_inner: dict[str, int] = field(default_factory=dict)
+    per_inner: Counter[str] = field(default_factory=Counter)
 
     def count_inner(self, label: str, amount: int = 1) -> None:
         self.inner_queries += amount
-        self.per_inner[label] = self.per_inner.get(label, 0) + amount
+        self.per_inner[label] += amount
 
     def count_each(self, labels: list[str]) -> None:
         """Count one inner query under each of ``labels``."""
         self.inner_queries += len(labels)
-        per_inner = self.per_inner
-        for label in labels:
-            per_inner[label] = per_inner.get(label, 0) + 1
+        self.per_inner.update(labels)
 
     def snapshot(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in _COUNTER_FIELDS}
@@ -420,27 +400,6 @@ class OnlineSolver:
 #: Builds an inner solver for ``problem`` on ``matrix`` (an ndarray, or a
 #: Matrix where a bmmp instance must carry its monotonicity case);
 #: reductions receive one of these so that chains compose without the
-#: modules knowing each other.
+#: modules knowing each other (oracle.naive_factory is the default).
 SolverFactory = Callable[[str, Matrix | np.ndarray, ReductionConfig], OnlineSolver]
 
-
-def inner_factory(config: ReductionConfig) -> SolverFactory:
-    """Resolve a config's ``inner`` selector into a solver factory.
-
-    Imports happen at call time: this is the one place the shared types
-    need to reach the chain builder and the naive solver.
-    """
-    from . import chains, oracle
-
-    if config.inner is None:
-        return oracle.naive_factory
-    names = (
-        chains.parse_chain(config.inner)
-        if isinstance(config.inner, str)
-        else list(config.inner)
-    )
-
-    def build(problem: str, matrix: Matrix | np.ndarray, cfg: ReductionConfig) -> OnlineSolver:
-        return chains.build_solver(names, problem, matrix, cfg)
-
-    return build

@@ -25,14 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (
-    Matrix,
-    OnlineSolver,
-    ReductionConfig,
-    SolverFactory,
-    as_array,
-    inner_factory,
-)
+from .core import Matrix, OnlineSolver, ReductionConfig, SolverFactory, as_array
+from .oracle import naive_factory
 
 
 def _top_values(matrix: np.ndarray, t: int) -> np.ndarray:
@@ -71,10 +65,9 @@ class EqFromBoolSolver(OnlineSolver):
         self,
         matrix: Matrix | np.ndarray,
         config: Optional[ReductionConfig] = None,
-        make_inner: Optional[SolverFactory] = None,
+        make_inner: SolverFactory = naive_factory,
     ):
         super().__init__(matrix, config)
-        make_inner = make_inner if make_inner is not None else inner_factory(self.config)
         m = as_array(matrix)
         self.t = self.config.resolve_t(self.n)
         self.top_values = _top_values(m, self.t)
@@ -101,9 +94,6 @@ class EqFromBoolSolver(OnlineSolver):
         # rare_values with a NaN after the end, so that the position where a
         # query value would be inserted can always be read (and never equals it)
         self._rare_lookup = np.append(self.rare_values, np.nan)
-        # Slice membership per entry, kept only to reconstruct witnesses.
-        self._levels = np.where(frequent, stack.argmax(axis=0), -1) if self.config.debug else None
-        self.last_witnesses: Optional[list[int]] = None
 
     def _answer(self, v: np.ndarray) -> np.ndarray:
         masks = self._slice_values == v  # masks[l, k]: v[k] is column k's l-th value
@@ -115,8 +105,6 @@ class EqFromBoolSolver(OnlineSolver):
         if len(hits):
             self.counters.scan_length_total += len(hits)
             out[self.rare_rows[hits]] = True
-        if self._levels is not None:
-            self.last_witnesses = self._witnesses(masks, hits, out)
         return out
 
     def _rare_hits(self, v: np.ndarray) -> np.ndarray:
@@ -135,11 +123,3 @@ class EqFromBoolSolver(OnlineSolver):
         # the concatenated ranges [lo[k], lo[k] + counts[k])
         ends = counts.cumsum()
         return np.arange(total) + (lo - (ends - counts)).repeat(counts)
-
-    def _witnesses(self, masks: np.ndarray, rare: np.ndarray, out: np.ndarray) -> list[int]:
-        """One column per output 1 that a slice or the rare scan matched."""
-        cols = np.arange(self.n)
-        levels = self._levels
-        hits = (levels >= 0) & masks[np.maximum(levels, 0), cols]
-        hits[self.rare_rows[rare], self.rare_keys[rare] // len(self.rare_values)] = True
-        return np.where(out, hits.argmax(axis=1), -1).tolist()

@@ -42,8 +42,8 @@ from .core import (
     SolverFactory,
     Vector,
     as_array,
-    inner_factory,
 )
+from .oracle import naive_factory
 
 
 class RankMap:
@@ -95,10 +95,9 @@ class DomFromEqSolver(OnlineSolver):
         self,
         matrix: Matrix | np.ndarray,
         config: Optional[ReductionConfig] = None,
-        make_inner: Optional[SolverFactory] = None,
+        make_inner: SolverFactory = naive_factory,
     ):
         super().__init__(matrix, config)
-        make_inner = make_inner if make_inner is not None else inner_factory(self.config)
         m = as_array(matrix)
         self.rank_map = RankMap(m)
         self.bit_count = rank_bit_count(self.n)
@@ -127,10 +126,9 @@ class MinWitnessFromMinMaxSolver(OnlineSolver):
         self,
         matrix: Matrix | np.ndarray,
         config: Optional[ReductionConfig] = None,
-        make_inner: Optional[SolverFactory] = None,
+        make_inner: SolverFactory = naive_factory,
     ):
         super().__init__(matrix, config)
-        make_inner = make_inner if make_inner is not None else inner_factory(self.config)
         self._positions = np.arange(1.0, self.n + 1)
         self._inner = make_inner("minmax", self._encode(as_array(matrix)), self.config)
 
@@ -179,10 +177,10 @@ class BoolFromBmmpSolver(OnlineSolver):
         self,
         matrix: Matrix | np.ndarray,
         config: Optional[ReductionConfig] = None,
-        make_inner: Optional[SolverFactory] = None,
+        make_inner: SolverFactory = naive_factory,
     ):
         super().__init__(matrix, config)
-        self._make_inner = make_inner if make_inner is not None else inner_factory(self.config)
+        self._make_inner = make_inner
         self._tilted = tilt_matrix(matrix)
         self._targets = 2.0 * np.arange(1, self.n + 1) - 2 + 2 * self.n
         self._inner = self._build_inner(epoch=0)

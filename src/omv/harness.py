@@ -161,37 +161,6 @@ class TrialReport:
     def success(self) -> bool:
         return not self.mismatches
 
-    def to_line(self) -> str:
-        spots = ",".join(f"{j}:{i}" for j, i in self.mismatches) or "-"
-        stats = ";".join(f"{k}={v}" for k, v in sorted(self.counters.items()))
-        return (
-            f"trial seed={self.seed} hash={self.instance_hash} "
-            f"success={int(self.success)} mismatches={spots} counters={stats}"
-        )
-
-    @classmethod
-    def from_line(cls, line: str) -> "TrialReport":
-        parts = dict(
-            token.split("=", 1) for token in line.split() if "=" in token
-        )
-        mismatches = []
-        if parts.get("mismatches", "-") != "-":
-            for chunk in parts["mismatches"].split(","):
-                j, i = chunk.split(":")
-                mismatches.append((int(j), int(i)))
-        counters = {}
-        if parts.get("counters"):
-            for chunk in parts["counters"].split(";"):
-                if chunk:
-                    key, value = chunk.split("=")
-                    counters[key] = int(value)
-        return cls(
-            instance_hash=parts["hash"],
-            seed=int(parts["seed"]),
-            mismatches=mismatches,
-            counters=counters,
-        )
-
 
 def _instance_hash(matrix: Matrix, problem: str, queries: list[Vector]) -> str:
     text = formats.print_instance(formats.Instance(problem, matrix, queries))

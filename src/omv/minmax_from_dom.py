@@ -44,9 +44,9 @@ from .core import (
     SolverFactory,
     as_array,
     ceil_div,
-    inner_factory,
     to_vector,
 )
+from .oracle import naive_factory
 
 
 def finitize(values, w_bound: int, role: str):
@@ -81,10 +81,9 @@ class MinMaxFromDomSolver(OnlineSolver):
         self,
         matrix: Matrix | np.ndarray,
         config: Optional[ReductionConfig] = None,
-        make_inner: Optional[SolverFactory] = None,
+        make_inner: SolverFactory = naive_factory,
     ):
         super().__init__(matrix, config)
-        make_inner = make_inner if make_inner is not None else inner_factory(self.config)
         n = self.n
         self._m = m = as_array(matrix)
         self.t = self.config.resolve_t(n)

@@ -157,10 +157,8 @@ class NaiveSolver(OnlineSolver):
     The boolean product also accepts a stack of s matrices, an [s, n, n]
     array: it is stored as one transposed [s*n, n] array, a query is an
     [s, n] block whose row l goes with matrix l, and the answer is the OR
-    of the s products.  A plain matrix is the case s = 1.  With
-    ``config.debug`` set, the equality product records one witness column
-    per output 1 in ``last_witnesses`` (-1 where the output is 0), which
-    the randomized min-plus reduction uses for its soundness checks.
+    of the s products.  A plain matrix is the case s = 1.  Through
+    naive_factory it is the inner solver of every link built on its own.
     """
 
     def __init__(
@@ -182,7 +180,6 @@ class NaiveSolver(OnlineSolver):
             self._columns = np.ascontiguousarray(ones).reshape(-1, self.n)
         else:
             self._m = as_array(matrix)
-        self.last_witnesses: Optional[list[int]] = None
 
     def _answer(self, v: np.ndarray) -> np.ndarray:
         return self._impl(v)
@@ -192,11 +189,7 @@ class NaiveSolver(OnlineSolver):
         return self._columns[ones.ravel()].any(axis=0)
 
     def _eq_answer(self, v: np.ndarray) -> np.ndarray:
-        hits = self._m == v
-        any_hit = hits.any(axis=1)
-        if self.config.debug:
-            self.last_witnesses = np.where(any_hit, hits.argmax(axis=1), -1).tolist()
-        return any_hit
+        return (self._m == v).any(axis=1)
 
     def _dom_answer(self, v: np.ndarray) -> np.ndarray:
         return (self._m <= v).any(axis=1)

@@ -95,24 +95,6 @@ def test_build_solver_rejects_wrong_problem():
         build_solver(["eq<-bool", "naive"], "bool", Matrix([[1]]), ReductionConfig())
 
 
-def test_config_inner_selector_builds_the_chain():
-    # directly constructed solvers honor config.inner for their inner side
-    from omv.folklore import DomFromEqSolver
-
-    rng = random.Random(67)
-    matrix = Matrix([[rng.randint(0, 4) for _ in range(5)] for _ in range(5)])
-    via_chain = DomFromEqSolver(matrix, ReductionConfig(inner="eq<-bool"))
-    via_naive = DomFromEqSolver(matrix, ReductionConfig())
-    reference = NaiveSolver(matrix, problem="dom")
-    for _ in range(5):
-        v = Vector([rng.randint(0, 4) for _ in range(5)])
-        want = reference.query(v).entries
-        assert via_chain.query(v).entries == want
-        assert via_naive.query(v).entries == want
-    with pytest.raises(ChainError):
-        DomFromEqSolver(matrix, ReductionConfig(inner="dom<-eq"))  # wrong kind
-
-
 LONG_STREAMS = [(problem, None) for problem in FULL_CYCLE if problem != "bmmp"]
 LONG_STREAMS += [("bmmp", case) for case in ("rows", "cols", "query", "stream")]
 

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from omv.core import (
     INF,
@@ -15,27 +13,10 @@ from omv.core import (
     ceil_cbrt,
     ceil_div,
     ceil_sqrt,
-    compare,
     is_finite,
     validate,
     validate_query,
 )
-
-values = st.one_of(st.integers(-10**6, 10**6), st.just(INF), st.just(NEG_INF))
-
-
-def test_compare_sentinels():
-    assert compare(NEG_INF, 0) == -1
-    assert compare(INF, INF) == 0
-    assert compare(5, 3) == 1
-    assert compare(NEG_INF, INF) == -1
-
-
-@given(values, values, values)
-def test_compare_is_a_total_order(a, b, c):
-    assert compare(a, b) == -compare(b, a)
-    if compare(a, b) <= 0 and compare(b, c) <= 0:
-        assert compare(a, c) <= 0
 
 
 def test_is_finite():

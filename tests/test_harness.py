@@ -7,7 +7,6 @@ from omv.eq_from_bool import EqFromBoolSolver
 from omv.harness import (
     BatchingMockSolver,
     InstanceSpec,
-    TrialReport,
     accounting_check,
     adaptive_session,
     differential_check,
@@ -110,19 +109,6 @@ def test_differential_check_reports_success():
     assert all(r.counters["inner_queries"] > 0 for r in reports)
     # distinct trials get distinct seeds and hashes
     assert len({r.instance_hash for r in reports}) > 1
-
-
-def test_trial_report_line_round_trip():
-    report = TrialReport(
-        instance_hash="abcd1234",
-        seed=42,
-        mismatches=[(1, 3), (2, 7)],
-        counters={"inner_queries": 9, "scan_length_total": 4},
-    )
-    back = TrialReport.from_line(report.to_line())
-    assert back == report
-    clean = TrialReport(instance_hash="ff00", seed=1)
-    assert TrialReport.from_line(clean.to_line()) == clean
 
 
 def test_adaptive_session_accepts_correct_solvers():

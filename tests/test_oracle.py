@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from omv.core import INF, NEG_INF, DimensionMismatch, Matrix, ReductionConfig, Vector
+from omv.core import INF, NEG_INF, DimensionMismatch, Matrix, Vector
 from omv.oracle import (
     NaiveSolver,
     bit_trick_predicate,
@@ -176,13 +176,3 @@ def test_naive_solver_query_index_advances():
     solver.query(Vector([1, 1]))
     solver.query(Vector([0, 0]))
     assert solver.query_index == 3
-
-
-def test_naive_eq_debug_witnesses():
-    solver = NaiveSolver(
-        Matrix([[1, 2], [3, 4]]), ReductionConfig(debug=True), problem="eq"
-    )
-    solver.query(Vector([1, 4]))
-    assert solver.last_witnesses == [0, 1]
-    solver.query(Vector([2, 3]))
-    assert solver.last_witnesses == [-1, -1]
