@@ -364,6 +364,7 @@ class BmmpFromEqSolver(OnlineSolver):
         else:
             rng = random.Random(self.config.seed)
             self.hitting_columns = [rng.randrange(n) for _ in range(self.hitting_size)]
+        self._columns = np.array(self.hitting_columns, dtype=np.int64)
         # one equality solver per hitting column r, on the shifted M[i,k] - M[i,r]
         self._hitting_solvers = [
             make_inner("eq", m - m[:, r : r + 1], self.config) for r in self.hitting_columns
@@ -388,21 +389,20 @@ class BmmpFromEqSolver(OnlineSolver):
 
     def _step2(self, v: np.ndarray) -> np.ndarray:
         """Minimum over the equality hits of every hitting column and offset."""
-        m = self._m
-        best = np.full(self.n, INF)
+        columns = self._columns
         # probes[p, d] asks whether some k has M[i,k] + v[k] = M[i,r] + v[r] - d
         # for the p-th hitting column r and offset d.
-        columns = np.array(self.hitting_columns, dtype=np.int64)
         shifted = v[columns][:, None] - v[None, :]
         probes = shifted[:, None, :] - self._offsets[None, :, None]
-        for position, r in enumerate(self.hitting_columns):
-            solver = self._hitting_solvers[position]
-            deepest = np.full(self.n, -1.0)  # per row, the largest offset that hit
-            for offset, probe in zip(self._offsets, probes[position]):
-                deepest[solver.query(probe)] = offset
+        # deepest[p, i]: the largest offset that hit row i through column p
+        deepest = np.full((len(columns), self.n), -1.0)
+        for position, solver in enumerate(self._hitting_solvers):
+            row = deepest[position]
+            for offset, probe in enumerate(probes[position]):
+                row[solver.query(probe)] = offset
             self.counters.count_inner(self._hitting_labels[position], len(self._offsets))
-            best = np.minimum(best, np.where(deepest >= 0, m[:, r] + v[r] - deepest, INF))
-        return best
+        sums = self._m[:, columns].T + v[columns][:, None]  # sums[p, i] = M[i,r] + v[r]
+        return np.where(deepest >= 0, sums - deepest, INF).min(axis=0, initial=INF)
 
     def _answer(self, v: np.ndarray) -> np.ndarray:
         violation = validate_query(

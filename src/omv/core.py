@@ -323,9 +323,11 @@ class CounterLedger:
 
     inner_queries counts queries issued to inner solver instances (with a
     per-instance breakdown in ``per_inner``); scan_length_total counts
-    elements examined in rare-value and bucket scans; multiset_updates
-    counts ordered-multiset repositionings; candidates_enumerated and
-    rmq_queries count candidate-listing work.  Counters only grow; create
+    the rare entries of eq<-bool that matched their query coordinate (not
+    the cells compared) and the elements examined in minmax<-dom's bucket
+    and -inf scans; multiset_updates counts ordered-multiset
+    repositionings; candidates_enumerated and rmq_queries count
+    candidate-listing work.  Counters only grow; create
     a fresh solver to reset them.
     """
 

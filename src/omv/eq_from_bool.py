@@ -4,8 +4,11 @@ For each matrix column the t most frequent values are split off into t
 boolean slice matrices: slice l marks the positions holding the column's
 l-th most frequent value.  A query coordinate matching a frequent value is
 caught by the corresponding boolean slice product; every other value that
-appears in a column is "rare" (at most ceil(n/t) occurrences) and is kept
-in a sorted index of rare entries, which the query phase scans directly.
+appears in a column is "rare" (at most ceil(n/t) occurrences).  The rare
+entries are kept in a padded [W, n] table, column k's rare values down
+column k with NaN (which equals nothing) after the last, W the largest
+number of rare entries in any column; a query compares the whole table
+with the query vector once, n * W cells, and sets the rows of the matches.
 The output is exact: a 1 is emitted iff some coordinate of the query equals
 the matrix entry above it.
 
@@ -15,8 +18,9 @@ A query asks that instance once, with the [s, n] block of slice queries,
 and the OR of the s slice products comes back.  The ledger still books the
 t inner queries of the reduction's cost accounting per query, one under
 each label bool[0..t-1] (the product of an all-zero slice is all zeros, so
-the t - s empty slices are never built).  Each query also scans at most
-n * ceil(n/t) rare entries.
+the t - s empty slices are never built).  The ledger's scan_length_total
+grows by the number of rare entries that match, at most n * ceil(n/t)
+per query.
 """
 
 from __future__ import annotations
@@ -79,21 +83,19 @@ class EqFromBoolSolver(OnlineSolver):
         self._labels = [f"bool[{level}]" for level in range(self.t)]
         frequent = stack.any(axis=0)
 
-        # The rare entries, sorted by the key col * len(rare_values) + the
-        # rank of the value among rare_values (the distinct rare values):
-        # a query looks up its n (column, value) keys with two binary
-        # searches instead of comparing against the whole matrix.
-        rare_rows, rare_cols = np.nonzero(~frequent)
-        values = m[rare_rows, rare_cols]
-        self.rare_values = np.unique(values)
-        keys = rare_cols * len(self.rare_values) + np.searchsorted(self.rare_values, values)
-        order = np.argsort(keys, kind="stable")
-        self.rare_keys = keys[order]
-        self.rare_rows = rare_rows[order].astype(np.int32)
-        self._column_keys = np.arange(self.n) * len(self.rare_values)
-        # rare_values with a NaN after the end, so that the position where a
-        # query value would be inserted can always be read (and never equals it)
-        self._rare_lookup = np.append(self.rare_values, np.nan)
+        # _rare_values[w, k]: the w-th rare entry of column k, top to bottom
+        # (NaN past the column's last one); _rare_rows[w, k]: its row.  Built
+        # from the nonzeros of the column-major rare mask, so that no n x n
+        # index array (an argsort, say) outlives the build.
+        rare_cols, rare_rows = np.nonzero(~frequent.T)
+        counts = np.bincount(rare_cols, minlength=self.n)
+        # slot: each rare entry's position among its column's rare entries
+        slot = np.arange(len(rare_cols)) - (counts.cumsum() - counts)[rare_cols]
+        width = int(counts.max(initial=0))
+        self._rare_values = np.full((width, self.n), np.nan)
+        self._rare_values[slot, rare_cols] = m[rare_rows, rare_cols]
+        self._rare_rows = np.zeros((width, self.n), dtype=np.int32)
+        self._rare_rows[slot, rare_cols] = rare_rows
 
     def _answer(self, v: np.ndarray) -> np.ndarray:
         masks = self._slice_values == v  # masks[l, k]: v[k] is column k's l-th value
@@ -101,25 +103,9 @@ class EqFromBoolSolver(OnlineSolver):
         # All t slices count as asked; one call answers the s stacked ones.
         self.counters.count_each(self._labels)
 
-        hits = self._rare_hits(v)
-        if len(hits):
-            self.counters.scan_length_total += len(hits)
-            out[self.rare_rows[hits]] = True
+        if len(self._rare_values):
+            # the rows of the rare entries equal to their query coordinate
+            rows = self._rare_rows[self._rare_values == v]
+            out[rows] = True
+            self.counters.scan_length_total += len(rows)
         return out
-
-    def _rare_hits(self, v: np.ndarray) -> np.ndarray:
-        """Positions in rare_keys of the rare entries equal to their query coordinate."""
-        if len(self.rare_keys) == 0:
-            return self.rare_keys
-        # ndarray methods rather than the np.* wrappers: this runs once per
-        # equality query, where the wrappers' dispatch cost is measurable.
-        rank = self.rare_values.searchsorted(v)
-        keys = np.where(self._rare_lookup[rank] == v, self._column_keys + rank, -1)
-        lo = self.rare_keys.searchsorted(keys)
-        counts = self.rare_keys.searchsorted(keys, side="right") - lo
-        total = int(counts.sum())
-        if total == 0:
-            return self.rare_keys[:0]
-        # the concatenated ranges [lo[k], lo[k] + counts[k])
-        ends = counts.cumsum()
-        return np.arange(total) + (lo - (ends - counts)).repeat(counts)

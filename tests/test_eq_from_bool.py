@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omv.core import DimensionMismatch, Matrix, ReductionConfig, Vector, ceil_div
 from omv.eq_from_bool import EqFromBoolSolver
@@ -13,10 +15,9 @@ def _column_tables(solver, k):
     values mapped to the rows holding them, read off the solver's tables."""
     top = [value for value in solver.top_values[:, k].tolist() if not np.isnan(value)]
     rare = {}
-    width = len(solver.rare_values)
-    for key, i in zip(solver.rare_keys.tolist(), solver.rare_rows.tolist()):
-        if key // width == k:
-            rare.setdefault(solver.rare_values[key % width].item(), []).append(i)
+    for value, i in zip(solver._rare_values[:, k].tolist(), solver._rare_rows[:, k].tolist()):
+        if not np.isnan(value):
+            rare.setdefault(value, []).append(i)
     return top, rare
 
 
@@ -56,6 +57,19 @@ def test_rare_values_respect_frequency_cap():
                 assert rows == sorted(rows)
                 assert column.count(value) == len(rows) <= cap
             assert len(set(top)) == len(top)
+
+
+def test_rare_table_owns_its_memory():
+    # all-distinct columns at t = 1: every column has n - 1 rare entries
+    n = 40
+    matrix = np.arange(n * n, dtype=np.float64).reshape(n, n)
+    solver = EqFromBoolSolver(matrix, ReductionConfig(t=1))
+    width = len(solver._rare_values)
+    assert width == n - 1
+    tables = (solver._rare_values, solver._rare_rows)
+    # no table is a view that keeps a larger build-time array alive
+    assert all(table.base is None for table in tables)
+    assert sum(table.nbytes for table in tables) <= (8 + 4) * n * width
 
 
 def test_absent_query_value_contributes_nothing():
@@ -158,3 +172,52 @@ def test_stacked_leaf_rejects_a_block_of_the_wrong_width():
     leaf = NaiveSolver(np.ones((3, 4, 4), dtype=bool), problem="bool")
     with pytest.raises(DimensionMismatch):
         leaf.query(np.ones((3, 5), dtype=bool))
+
+
+_POOL = [0, 1, 2, 3, 2**40, -(2**40)]
+
+
+@st.composite
+def _eq_streams(draw):
+    """A duplicate-heavy matrix, a t in [1, n] and queries partly drawn from
+    the matrix's own entries, so that rare values get hit."""
+    n = draw(st.integers(1, 12))
+    t = draw(st.integers(1, n))
+    row = st.lists(st.sampled_from(_POOL), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    # a coordinate is either some row's entry in its column or a pool value
+    coordinate = st.one_of(
+        st.integers(0, n - 1).map(lambda i: ("row", i)),
+        st.sampled_from(_POOL + [7]).map(lambda x: ("value", x)),
+    )
+    picks = draw(st.lists(st.lists(coordinate, min_size=n, max_size=n), min_size=1, max_size=4))
+    queries = [[rows[x][k] if kind == "row" else x for k, (kind, x) in enumerate(p)] for p in picks]
+    return rows, t, queries
+
+
+def _rare_entries(rows, t):
+    """(i, k) of every entry outside its column's t most frequent values,
+    frequency ties broken by smaller value."""
+    n = len(rows)
+    rare = set()
+    for k in range(n):
+        column = [rows[i][k] for i in range(n)]
+        ranked = sorted(set(column), key=lambda value: (-column.count(value), value))
+        frequent = set(ranked[:t])
+        rare.update((i, k) for i in range(n) if column[i] not in frequent)
+    return rare
+
+
+@settings(max_examples=150, deadline=None)
+@given(_eq_streams())
+def test_hypothesis_differential_and_scan_count(stream):
+    rows, t, queries = stream
+    matrix = Matrix(rows)
+    solver = EqFromBoolSolver(matrix, ReductionConfig(t=t))
+    rare = _rare_entries(rows, t)
+    for q in queries:
+        v = Vector(q)
+        before = solver.counters.scan_length_total
+        assert solver.query(v).entries == eq_exists_mv(matrix, v).entries
+        hits = sum(1 for i, k in rare if rows[i][k] == q[k])
+        assert solver.counters.scan_length_total - before == hits

@@ -88,7 +88,7 @@ def test_skewed_distribution_loads_frequency_tables():
     # with two heavy values over most entries, rare dictionaries stay small
     for k in range(8):
         assert np.count_nonzero(~np.isnan(solver.top_values[:, k])) >= 1
-        total_rare = np.count_nonzero(solver.rare_keys // len(solver.rare_values) == k)
+        total_rare = np.count_nonzero(~np.isnan(solver._rare_values[:, k]))
         assert total_rare <= 4
 
 
