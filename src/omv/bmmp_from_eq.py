@@ -9,10 +9,9 @@ the rounded minimum, so the candidate set
 
 always contains every minimizer.  Step one lists C_i exactly for every i
 whose candidate set is small (at most cap = floor(c*n/delta) elements,
-with c the value-bound constant) by exploiting the declared monotonicity
-direction, and takes the true minimum over the listed columns.  Step two
-covers the large candidate sets by randomness: a hitting set R of columns
-is sampled with replacement, each r in R carries an equality solver on the
+with c the value-bound constant) and takes the true minimum over the
+listed columns.  Step two covers the large candidate sets by randomness:
+a hitting set R of columns is sampled with replacement, each r in R carries an equality solver on the
 column-shifted matrix M[i,k] - M[i,r], and for every offset d in
 {0, ..., 3*delta - 2} the query  v[r] - v[k] - d  asks whether some k has
 M[i,k] + v[k] = M[i,r] + v[r] - d.  Every equality hit contributes a
@@ -21,23 +20,29 @@ can only overshoot when some large C_i escapes R entirely, which with
 |R| = ceil(3 * delta * ln n) happens for any fixed query with probability
 at most 1/n^2 over all rows combined.
 
-Candidate listing per monotonicity direction:
+Candidate listing runs the same code in every monotonicity direction: one
+[n, n] key table MH + vh, its row minima, and the columns within one of
+them, kept for the rows with at most cap of them.  That is O(n^2) array
+work per query.  The paper lists the same sets with ordered multisets and
+range-minimum indexes that exploit the declared direction, and the ledger
+books the operations those structures would perform:
 
-    cols    one ordered multiset of (MH[i,k] + vh[k], k) swept down the
-            rows, repositioning keys only where a column of MH increases;
-    stream  one persistent multiset per output row, repositioned when a
-            coordinate of vh grows from one query to the next;
-    rows    each MH row splits into maximal constant blocks; a range-min
-            index over vh plus per-value position lists of vh (both built
-            per query) yield the block minima and the candidate positions;
-    query   mirror of rows: vh splits into blocks, range-min indexes and
-            position lists over the MH rows are built once at preprocess.
+    cols    multiset_updates += the entries of MH that grow from one row to
+            the next (one multiset swept down the rows);
+    stream  multiset_updates += n per coordinate of vh that grew since the
+            last query (one persistent multiset per output row);
+    rows    rmq_queries += the maximal constant blocks of the MH rows (one
+            range minimum over vh per block);
+    query   rmq_queries += n per maximal constant block of vh.
+
+candidates_enumerated counts the listed columns in every direction.  Per-row
+count tables would still pay n for each listed row, so their worst case is
+O(n^2) as well; the dense pass keeps one code path instead of four.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,22 +50,19 @@ import numpy as np
 
 from .core import (
     INF,
+    MONOTONE_CASES,
     CounterLedger,
     Matrix,
     OnlineSolver,
     ReductionConfig,
     SolverFactory,
     StreamOrderError,
+    Vector,
     as_array,
     validate,
     validate_query,
 )
 from .oracle import naive_factory
-from .structures import IndexedMultiset, RangeMinIndex
-
-
-def round_down(values, delta: int) -> list[int]:
-    return [v // delta for v in values]
 
 
 @dataclass(frozen=True)
@@ -76,219 +78,70 @@ class CandidateReport:
     candidates: Optional[list[int]]
 
 
-class _MultisetLister:
-    """Shared report logic for the two multiset-driven cases."""
-
-    def __init__(self, cap: int, ledger: CounterLedger):
-        self.cap = cap
-        self.ledger = ledger
-
-    def _report(self, multiset: IndexedMultiset) -> CandidateReport:
-        lo = multiset.min()
-        if multiset.count_le(lo + 1) > self.cap:
-            return CandidateReport(lo, None)
-        found = multiset.enumerate_le(lo + 1, self.cap)
-        self.ledger.candidates_enumerated += len(found)
-        return CandidateReport(lo, sorted(found))
+def _runs(values: np.ndarray) -> int:
+    """Number of maximal constant runs along the last axis, summed over rows."""
+    return values[..., :1].size + int(np.count_nonzero(np.diff(values)))
 
 
-class ColumnsLister(_MultisetLister):
-    """Candidate listing when matrix columns are nondecreasing."""
+class CandidateLister:
+    """Candidate listing for every monotonicity case, over one key table.
 
-    def __init__(self, m_hat: list[list[int]], max_key: int, cap: int, ledger: CounterLedger):
-        super().__init__(cap, ledger)
-        self.m_hat = m_hat
-        self.max_key = max_key
-        n = len(m_hat)
-        # increases[i] = rounded entries that grow when stepping to row i
-        self.increases: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for k in range(n):
-            for i in range(1, n):
-                if m_hat[i][k] > m_hat[i - 1][k]:
-                    self.increases[i].append((k, m_hat[i][k]))
-
-    def reports(self, vector, delta: int) -> list[CandidateReport]:
-        v_hat = round_down(vector, delta)
-        n = len(self.m_hat)
-        multiset = IndexedMultiset(self.max_key)
-        key = [self.m_hat[0][k] + v_hat[k] for k in range(n)]
-        for k in range(n):
-            multiset.insert(key[k], k)
-        out = []
-        for i in range(n):
-            if i:
-                for k, grown in self.increases[i]:
-                    multiset.remove(key[k], k)
-                    key[k] = grown + v_hat[k]
-                    multiset.insert(key[k], k)
-                    self.ledger.multiset_updates += 1
-            out.append(self._report(multiset))
-        return out
-
-
-class StreamLister(_MultisetLister):
-    """Candidate listing when every coordinate grows along the query stream.
-
-    Holds one multiset per output row across the whole stream, seeded with
-    an implicit all-zero previous query (entries are nonnegative).
+    Each query forms keys = MH + vh, takes each row's minimum, and lists
+    the columns within one of it for every row that has at most ``cap``
+    of them.  The case picks which of the paper's structural counts the
+    ledger books, and the stream case also rejects a query whose rounded
+    coordinates fall below the last accepted one.
     """
 
-    def __init__(self, m_hat: list[list[int]], max_key: int, cap: int, ledger: CounterLedger):
-        super().__init__(cap, ledger)
+    def __init__(self, m_hat: np.ndarray, case: str, cap: int, ledger: CounterLedger):
         self.m_hat = m_hat
-        n = len(m_hat)
-        self.prev_v_hat = [0] * n
-        self.multisets = [IndexedMultiset(max_key) for _ in range(n)]
-        for i in range(n):
-            for k in range(n):
-                self.multisets[i].insert(m_hat[i][k], k)
+        self.case = case
+        self.cap = cap
+        self.ledger = ledger
+        # rows and cols book a count fixed by MH: the constant blocks of its
+        # rows, or the rounded entries that grow from one row to the next
+        if case == "rows":
+            self._fixed = _runs(m_hat)
+        elif case == "cols":
+            self._fixed = int(np.count_nonzero(m_hat[1:] > m_hat[:-1]))
+        # the stream starts from an implicit all-zero query (entries are >= 0)
+        self._previous = np.zeros(len(m_hat), dtype=np.int64)
 
-    def reports(self, vector, delta: int) -> list[CandidateReport]:
-        v_hat = round_down(vector, delta)
-        n = len(self.m_hat)
-        for k in range(n):
-            if v_hat[k] < self.prev_v_hat[k]:
+    def _book(self, v_hat: np.ndarray) -> None:
+        n = len(v_hat)
+        if self.case == "stream":
+            fell = np.flatnonzero(v_hat < self._previous)
+            if fell.size:
+                k = fell[0]
                 raise StreamOrderError(
-                    f"rounded coordinate {k + 1} fell from "
-                    f"{self.prev_v_hat[k]} to {v_hat[k]}"
+                    f"rounded coordinate {k + 1} fell from {self._previous[k]} to {v_hat[k]}"
                 )
-            if v_hat[k] > self.prev_v_hat[k]:
-                for i in range(n):
-                    multiset = self.multisets[i]
-                    multiset.remove(self.m_hat[i][k] + self.prev_v_hat[k], k)
-                    multiset.insert(self.m_hat[i][k] + v_hat[k], k)
-                    self.ledger.multiset_updates += 1
-                self.prev_v_hat[k] = v_hat[k]
-        return [self._report(self.multisets[i]) for i in range(len(self.m_hat))]
-
-
-def _constant_runs(values: list[int]) -> list[tuple[int, int, int]]:
-    """Maximal runs of equal values as (value, lo, hi) with hi inclusive."""
-    runs = []
-    lo = 0
-    for k in range(1, len(values) + 1):
-        if k == len(values) or values[k] != values[lo]:
-            runs.append((values[lo], lo, k - 1))
-            lo = k
-    return runs
-
-
-def _positions_by_value(values: list[int]) -> dict[int, list[int]]:
-    positions: dict[int, list[int]] = {}
-    for k, v in enumerate(values):
-        positions.setdefault(v, []).append(k)
-    return positions
-
-
-class _BlockLister:
-    """Shared block-and-range-min logic for the rows and query cases.
-
-    One side of the rounded sum is cut into maximal constant blocks, the
-    other side answers range minima and positional value lookups inside
-    each block.  A block whose (block value + range minimum) achieves the
-    rounded minimum contributes the positions of the minimum and minimum+1
-    inside it; a block achieving rounded minimum + 1 contributes the
-    positions of its minimum only.
-    """
-
-    def __init__(self, cap: int, ledger: CounterLedger):
-        self.cap = cap
-        self.ledger = ledger
-
-    def _count_in(self, positions: dict[int, list[int]], value: int, lo: int, hi: int) -> int:
-        bucket = positions.get(value)
-        if not bucket:
-            return 0
-        return bisect_right(bucket, hi) - bisect_left(bucket, lo)
-
-    def _collect_in(self, positions: dict[int, list[int]], value: int, lo: int, hi: int) -> list[int]:
-        bucket = positions.get(value)
-        if not bucket:
-            return []
-        return bucket[bisect_left(bucket, lo) : bisect_right(bucket, hi)]
-
-    def _report_from_blocks(
-        self,
-        blocks: list[tuple[int, int, int]],
-        rmq: RangeMinIndex,
-        positions: dict[int, list[int]],
-    ) -> CandidateReport:
-        minima = []
-        best = None
-        for value, lo, hi in blocks:
-            inner_min, _ = rmq.range_min(lo, hi + 1)
-            self.ledger.rmq_queries += 1
-            minima.append(inner_min)
-            total = value + inner_min
-            if best is None or total < best:
-                best = total
-
-        wanted: list[tuple[int, int, int]] = []  # (target value, lo, hi)
-        count = 0
-        for (value, lo, hi), inner_min in zip(blocks, minima):
-            total = value + inner_min
-            if total == best:
-                targets = (inner_min, inner_min + 1)
-            elif total == best + 1:
-                targets = (inner_min,)
-            else:
-                continue
-            for target in targets:
-                c = self._count_in(positions, target, lo, hi)
-                if c:
-                    count += c
-                    wanted.append((target, lo, hi))
-            if count > self.cap:
-                return CandidateReport(best, None)
-
-        candidates: list[int] = []
-        for target, lo, hi in wanted:
-            candidates.extend(self._collect_in(positions, target, lo, hi))
-        candidates.sort()
-        self.ledger.candidates_enumerated += len(candidates)
-        return CandidateReport(best, candidates)
-
-
-class RowsLister(_BlockLister):
-    """Candidate listing when matrix rows are nondecreasing."""
-
-    def __init__(self, m_hat: list[list[int]], cap: int, ledger: CounterLedger):
-        super().__init__(cap, ledger)
-        self.row_blocks = [_constant_runs(row) for row in m_hat]
+            self.ledger.multiset_updates += n * int(np.count_nonzero(v_hat > self._previous))
+            self._previous = v_hat
+        elif self.case == "cols":
+            self.ledger.multiset_updates += self._fixed
+        elif self.case == "rows":
+            self.ledger.rmq_queries += self._fixed
+        else:
+            self.ledger.rmq_queries += n * _runs(v_hat)
 
     def reports(self, vector, delta: int) -> list[CandidateReport]:
-        v_hat = round_down(vector, delta)
-        rmq = RangeMinIndex(v_hat)
-        positions = _positions_by_value(v_hat)
+        values = vector.entries if isinstance(vector, Vector) else vector
+        v_hat = (np.asarray(values, dtype=np.float64) // delta).astype(np.int64)
+        self._book(v_hat)
+        keys = self.m_hat + v_hat
+        lows = keys.min(axis=1)
+        near = keys <= lows[:, None] + 1
+        sizes = near.sum(axis=1)
+        small = sizes <= self.cap
+        columns = np.nonzero(near & small[:, None])[1]
+        self.ledger.candidates_enumerated += len(columns)
+        ends = np.cumsum(np.where(small, sizes, 0)).tolist()
+        columns = columns.tolist()
         return [
-            self._report_from_blocks(blocks, rmq, positions)
-            for blocks in self.row_blocks
+            CandidateReport(low, columns[start:end] if listed else None)
+            for low, listed, start, end in zip(lows.tolist(), small.tolist(), [0, *ends], ends)
         ]
-
-
-class QueryLister(_BlockLister):
-    """Candidate listing when every query vector is nondecreasing."""
-
-    def __init__(self, m_hat: list[list[int]], cap: int, ledger: CounterLedger):
-        super().__init__(cap, ledger)
-        self.row_rmq = [RangeMinIndex(row) for row in m_hat]
-        self.row_positions = [_positions_by_value(row) for row in m_hat]
-
-    def reports(self, vector, delta: int) -> list[CandidateReport]:
-        v_hat = round_down(vector, delta)
-        blocks = _constant_runs(v_hat)
-        return [
-            self._report_from_blocks(blocks, rmq, positions)
-            for rmq, positions in zip(self.row_rmq, self.row_positions)
-        ]
-
-
-_LISTERS = {
-    "cols": ColumnsLister,
-    "stream": StreamLister,
-    "rows": RowsLister,
-    "query": QueryLister,
-}
 
 
 def make_lister(
@@ -297,24 +150,19 @@ def make_lister(
     case: str,
     bound_constant: int = 4,
     ledger: Optional[CounterLedger] = None,
-):
-    """Build the candidate-listing engine for a monotonicity direction.
+) -> CandidateLister:
+    """Build the candidate lister for a monotonicity case.
 
-    The engine's reports(vector, delta) lists, per output row, the exact
-    candidate set when it has at most floor(c*n/delta) elements and flags
-    it as oversize otherwise.  The stream engine keeps state across calls
-    and must see the queries in stream order.
+    Its reports(vector, delta) lists, per output row, the exact candidate
+    set when it has at most floor(c*n/delta) elements and flags it as
+    oversize otherwise.  The stream lister keeps state across calls and
+    must see the queries in stream order.
     """
-    if case not in _LISTERS:
+    if case not in MONOTONE_CASES:
         raise ValueError(f"unknown monotonicity case {case!r}")
-    m_hat = (as_array(matrix) // delta).astype(np.int64).tolist()
-    n = len(m_hat)
-    ledger = ledger if ledger is not None else CounterLedger()
-    cap = (bound_constant * n) // delta
-    if case in ("cols", "stream"):
-        max_key = 2 * ((bound_constant * n) // delta)
-        return _LISTERS[case](m_hat, max_key, cap, ledger)
-    return _LISTERS[case](m_hat, cap, ledger)
+    m_hat = (as_array(matrix) // delta).astype(np.int64)
+    cap = (bound_constant * len(m_hat)) // delta
+    return CandidateLister(m_hat, case, cap, ledger if ledger is not None else CounterLedger())
 
 
 class BmmpFromEqSolver(OnlineSolver):
@@ -378,7 +226,7 @@ class BmmpFromEqSolver(OnlineSolver):
 
     def _step1(self, v: np.ndarray) -> np.ndarray:
         """True minimum over each small candidate set; inf for oversize rows."""
-        reports = self.list_candidates(v.astype(np.int64).tolist())
+        reports = self.list_candidates(v)
         rows = [i for i, report in enumerate(reports) if report.candidates]
         best = np.full(self.n, INF)
         if rows:

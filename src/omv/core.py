@@ -325,9 +325,11 @@ class CounterLedger:
     per-instance breakdown in ``per_inner``); scan_length_total counts
     the rare entries of eq<-bool that matched their query coordinate (not
     the cells compared) and the elements examined in minmax<-dom's bucket
-    and -inf scans; multiset_updates counts ordered-multiset
-    repositionings; candidates_enumerated and rmq_queries count
-    candidate-listing work.  Counters only grow; create
+    and -inf scans; candidates_enumerated counts the columns bmmp<-eq
+    lists.  multiset_updates and rmq_queries book the ordered-multiset
+    repositionings and range-minimum queries of the paper's candidate
+    listing (see omv.bmmp_from_eq), which the package replaces by one
+    dense key table per query.  Counters only grow; create
     a fresh solver to reset them.
     """
 

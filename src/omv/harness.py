@@ -7,8 +7,8 @@ distributions, optional infinity sprinkling where the problem permits, and
 the four query-stream shapes the bounded monotone min-plus problem
 declares.
 
-differential_check() runs a reduction chain and the naive solver over
-identical streams and reports mismatches.  adaptive_session() enforces
+run_stream() runs a solver and a reference over one stream and reports
+the mismatches.  adaptive_session() enforces
 online behavior: each next query is derived from a hash of the previous
 answer, so the stream does not exist ahead of time and any solver that
 peeks ahead or defers its answers diverges from the oracle run on the
@@ -33,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import formats
-from .chains import build_solver, validate_chain
+from .chains import build_solver
 from .core import (
     INF,
     NEG_INF,
@@ -179,34 +179,6 @@ def run_stream(
             if got[i] != want[i]:
                 mismatches.append((j, i + 1))
     return mismatches
-
-
-def differential_check(
-    chain: list[str],
-    spec: InstanceSpec,
-    trials: int,
-    config: Optional[ReductionConfig] = None,
-) -> list[TrialReport]:
-    """Run chain and oracle over identical streams for several seeded trials."""
-    validate_chain(chain, spec.problem)
-    reports = []
-    for trial in range(trials):
-        trial_spec = InstanceSpec(**{**spec.__dict__, "seed": spec.seed + trial})
-        matrix, queries = gen_instance(trial_spec)
-        trial_config = config if config is not None else ReductionConfig()
-        trial_config = ReductionConfig(**{**trial_config.__dict__, "seed": trial_config.seed + trial})
-        solver = build_solver(chain, spec.problem, matrix, trial_config)
-        reference = NaiveSolver(matrix, problem=spec.problem)
-        mismatches = run_stream(solver, reference, queries)
-        reports.append(
-            TrialReport(
-                instance_hash=_instance_hash(matrix, spec.problem, queries),
-                seed=trial_spec.seed,
-                mismatches=mismatches,
-                counters=solver.counters.snapshot(),
-            )
-        )
-    return reports
 
 
 def _hash_ints(material: str, count: int, modulus: int) -> list[int]:

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from omv.bmmp_from_eq import BmmpFromEqSolver, make_lister, round_down
+from omv.bmmp_from_eq import BmmpFromEqSolver, make_lister
 from omv.chains import build_solver
 from omv.core import (
     INF,
@@ -17,11 +17,6 @@ from omv.core import (
 )
 from omv.harness import InstanceSpec, gen_instance, run_stream
 from omv.oracle import NaiveSolver, candidate_set_bruteforce
-
-
-def test_round_down_floors_toward_minus_infinity():
-    assert round_down([4, 5, 9], 2) == [2, 2, 4]
-    assert round_down([0, 1, 2, 3], 3) == [0, 0, 0, 1]
 
 
 def test_rounding_stays_within_two_deltas():
@@ -83,28 +78,57 @@ def _case_instance(rng, n, case, bound_constant=1):
     return gen_instance(spec)
 
 
+def _runs(values) -> int:
+    return sum(1 for k in range(len(values)) if k == 0 or values[k] != values[k - 1])
+
+
+def _booked_counts(case, m_hat, v_hat, previous):
+    """The paper's structural cost of one listing: (multiset_updates, rmq_queries)."""
+    n = len(m_hat)
+    if case == "cols":
+        grown = sum(m_hat[i][k] > m_hat[i - 1][k] for i in range(1, n) for k in range(n))
+        return grown, 0
+    if case == "stream":
+        return n * sum(v_hat[k] > previous[k] for k in range(n)), 0
+    if case == "rows":
+        return 0, sum(_runs(row) for row in m_hat)
+    return 0, n * _runs(v_hat)
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_listers_match_bruteforce(case):
     rng = random.Random(hash(case) & 0xFFFF)
     rows_checked = 0
     while rows_checked < 300:
-        n = rng.randint(2, 16)
+        n = rng.randint(1, 16)
         delta = rng.choice([1, 2, 3])
-        matrix, queries = _case_instance(rng, n, case)
-        cap = n // delta
-        lister = make_lister(matrix, delta, case, bound_constant=1)
+        bound_constant = rng.choice([1, 4])
+        matrix, queries = _case_instance(rng, n, case, bound_constant)
+        cap = bound_constant * n // delta
+        m_hat = [[x // delta for x in row] for row in matrix.rows]
+        ledger = CounterLedger()
+        lister = make_lister(matrix, delta, case, bound_constant=bound_constant, ledger=ledger)
+        previous = [0] * n
         for v in queries:
+            snap = ledger.snapshot()
             reports = lister.reports(v, delta)
+            listed = 0
             for i, report in enumerate(reports):
                 want = candidate_set_bruteforce(matrix, v, delta, i)
-                want_min = min(
-                    matrix.rows[i][k] // delta + v[k] // delta for k in range(n)
-                )
+                want_min = min(m_hat[i][k] + v[k] // delta for k in range(n))
                 assert report.rounded_min == want_min
                 if len(want) > cap:
                     assert report.candidates is None
                 else:
                     assert report.candidates == sorted(want)
+                    listed += len(want)
+            v_hat = [x // delta for x in v]
+            updates, rmq = _booked_counts(case, m_hat, v_hat, previous)
+            previous = v_hat
+            booked = ledger.since(snap)
+            assert booked["multiset_updates"] == updates
+            assert booked["rmq_queries"] == rmq
+            assert booked["candidates_enumerated"] == listed
             rows_checked += n
 
 
@@ -114,6 +138,24 @@ def test_stream_lister_rejects_regression():
     lister.reports(Vector([2, 2]), 1)
     with pytest.raises(StreamOrderError):
         lister.reports(Vector([1, 2]), 1)
+
+
+def test_rejected_stream_query_leaves_the_lister_as_it_was():
+    # [3, 0, 1] grows coordinate 1 before coordinate 2 falls; the rejection
+    # must not move the lister off the last accepted query [1, 1, 1]
+    matrix = Matrix([[0, 1, 2], [1, 1, 1], [2, 0, 0]], monotone="stream")
+    ledger = CounterLedger()
+    lister = make_lister(matrix, 1, "stream", bound_constant=1, ledger=ledger)
+    lister.reports(Vector([1, 1, 1]), 1)
+    with pytest.raises(StreamOrderError):
+        lister.reports(Vector([3, 0, 1]), 1)
+    got = lister.reports(Vector([2, 1, 1]), 1)
+
+    fresh_ledger = CounterLedger()
+    fresh = make_lister(matrix, 1, "stream", bound_constant=1, ledger=fresh_ledger)
+    fresh.reports(Vector([1, 1, 1]), 1)
+    assert got == fresh.reports(Vector([2, 1, 1]), 1)
+    assert ledger.snapshot() == fresh_ledger.snapshot()
 
 
 def test_default_hitting_set_size():

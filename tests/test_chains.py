@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omv.chains import (
     ALT_BOOL_CHAIN,
@@ -119,6 +121,53 @@ def test_full_cycle_long_streams(problem, monotone, n):
     solver = build_solver(FULL_CYCLE[problem], problem, matrix, config)
     for v in queries:
         assert solver.query(v).entries == DEFINITIONS[problem](matrix, v).entries
+
+
+@st.composite
+def bmmp_streams(draw):
+    """A monotone bmmp instance, its stream and its value bound c.
+
+    Values are either uniform over [0, c*n] or drawn from a pool of at most
+    three values that always holds c*n, so ties (and oversize rows) are
+    common; some columns are one value top to bottom.  The declared
+    direction is imposed by sorting along its axis, or by a running
+    maximum down the stream.
+    """
+    case = draw(st.sampled_from(("rows", "cols", "query", "stream")))
+    n = draw(st.integers(1, 12))
+    c = draw(st.sampled_from((1, 2, 4)))
+    top = c * n
+    if draw(st.booleans()):
+        pool = draw(st.lists(st.integers(0, top), min_size=0, max_size=2)) + [top]
+        value = st.sampled_from(pool)
+    else:
+        value = st.integers(0, top)
+    rows = [draw(st.lists(value, min_size=n, max_size=n)) for _ in range(n)]
+    for k in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        level = draw(value)
+        for row in rows:
+            row[k] = level
+    queries = [draw(st.lists(value, min_size=n, max_size=n)) for _ in range(draw(st.integers(1, 4)))]
+    if case == "rows":
+        rows = [sorted(row) for row in rows]
+    elif case == "cols":
+        rows = [list(row) for row in zip(*(sorted(column) for column in zip(*rows)))]
+    elif case == "query":
+        queries = [sorted(v) for v in queries]
+    else:
+        for previous, v in zip(queries, queries[1:]):
+            v[:] = map(max, previous, v)
+    return Matrix(rows, tag="bounded", monotone=case), [Vector(v) for v in queries], c
+
+
+@settings(max_examples=80, deadline=None)
+@given(bmmp_streams(), st.sampled_from((None, 1, 2, 3)))
+def test_bmmp_chain_fuzz_matches_minplus(instance, delta):
+    matrix, queries, c = instance
+    config = ReductionConfig(hitting_set_size="full", delta=delta, bound_constant=c)
+    solver = build_solver(FULL_CYCLE["bmmp"], "bmmp", matrix, config)
+    for v in queries:
+        assert solver.query(v).entries == oracle.minplus_mv(matrix, v).entries
 
 
 @pytest.mark.parametrize("n", [1, 4])

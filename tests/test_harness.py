@@ -9,7 +9,6 @@ from omv.harness import (
     InstanceSpec,
     accounting_check,
     adaptive_session,
-    differential_check,
     gen_instance,
     run_stream,
     success_rate_experiment,
@@ -99,16 +98,6 @@ def test_unsatisfiable_specs_raise():
         gen_instance(InstanceSpec(problem="bmmp", n=4))  # missing case
     with pytest.raises(ValueError):
         gen_instance(InstanceSpec(problem="nope", n=4))
-
-
-def test_differential_check_reports_success():
-    spec = InstanceSpec(problem="eq", n=6, seed=11)
-    reports = differential_check(["eq<-bool", "naive"], spec, trials=5)
-    assert len(reports) == 5
-    assert all(r.success for r in reports)
-    assert all(r.counters["inner_queries"] > 0 for r in reports)
-    # distinct trials get distinct seeds and hashes
-    assert len({r.instance_hash for r in reports}) > 1
 
 
 def test_adaptive_session_accepts_correct_solvers():
