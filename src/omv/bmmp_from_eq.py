@@ -87,16 +87,16 @@ class CandidateLister:
     """Candidate listing for every monotonicity case, over one key table.
 
     Each query forms keys = MH + vh, takes each row's minimum, and lists
-    the columns within one of it for every row that has at most ``cap``
+    the columns within one of it for every row that has at most ``row_cap``
     of them.  The case picks which of the paper's structural counts the
-    ledger books, and the stream case also rejects a query whose rounded
-    coordinates fall below the last accepted one.
+    ledger books, and the stream case also rejects a query with a
+    coordinate below the last accepted query's.
     """
 
-    def __init__(self, m_hat: np.ndarray, case: str, cap: int, ledger: CounterLedger):
+    def __init__(self, m_hat: np.ndarray, case: str, row_cap: int, ledger: CounterLedger):
         self.m_hat = m_hat
         self.case = case
-        self.cap = cap
+        self.row_cap = row_cap
         self.ledger = ledger
         # rows and cols book a count fixed by MH: the constant blocks of its
         # rows, or the rounded entries that grow from one row to the next
@@ -104,20 +104,22 @@ class CandidateLister:
             self._fixed = _runs(m_hat)
         elif case == "cols":
             self._fixed = int(np.count_nonzero(m_hat[1:] > m_hat[:-1]))
-        # the stream starts from an implicit all-zero query (entries are >= 0)
-        self._previous = np.zeros(len(m_hat), dtype=np.int64)
+        # the stream starts from an implicit all-zero query (entries are >= 0);
+        # the order check reads the raw coordinates, the ledger the rounded ones
+        self._previous = np.zeros(len(m_hat))
+        self._previous_hat = np.zeros(len(m_hat), dtype=np.int64)
 
-    def _book(self, v_hat: np.ndarray) -> None:
+    def _book(self, values: np.ndarray, v_hat: np.ndarray) -> None:
         n = len(v_hat)
         if self.case == "stream":
-            fell = np.flatnonzero(v_hat < self._previous)
+            fell = np.flatnonzero(values < self._previous)
             if fell.size:
                 k = fell[0]
                 raise StreamOrderError(
-                    f"rounded coordinate {k + 1} fell from {self._previous[k]} to {v_hat[k]}"
+                    f"coordinate {k + 1} fell from {self._previous[k]:.0f} to {values[k]:.0f}"
                 )
-            self.ledger.multiset_updates += n * int(np.count_nonzero(v_hat > self._previous))
-            self._previous = v_hat
+            self.ledger.multiset_updates += n * int(np.count_nonzero(v_hat > self._previous_hat))
+            self._previous, self._previous_hat = values, v_hat
         elif self.case == "cols":
             self.ledger.multiset_updates += self._fixed
         elif self.case == "rows":
@@ -127,13 +129,14 @@ class CandidateLister:
 
     def reports(self, vector, delta: int) -> list[CandidateReport]:
         values = vector.entries if isinstance(vector, Vector) else vector
-        v_hat = (np.asarray(values, dtype=np.float64) // delta).astype(np.int64)
-        self._book(v_hat)
+        values = np.array(values, dtype=np.float64)  # a copy: the stream case keeps it
+        v_hat = (values // delta).astype(np.int64)
+        self._book(values, v_hat)
         keys = self.m_hat + v_hat
         lows = keys.min(axis=1)
         near = keys <= lows[:, None] + 1
         sizes = near.sum(axis=1)
-        small = sizes <= self.cap
+        small = sizes <= self.row_cap
         columns = np.nonzero(near & small[:, None])[1]
         self.ledger.candidates_enumerated += len(columns)
         ends = np.cumsum(np.where(small, sizes, 0)).tolist()
@@ -198,7 +201,6 @@ class BmmpFromEqSolver(OnlineSolver):
             raise ValueError(f"invalid bmmp instance: {violation}")
         n = self.n
         self.delta = self.config.resolve_delta(n)
-        self.cap = (self.config.bound_constant * n) // self.delta
         self.lister = make_lister(
             m,
             self.delta,
@@ -206,12 +208,12 @@ class BmmpFromEqSolver(OnlineSolver):
             bound_constant=self.config.bound_constant,
             ledger=self.counters,
         )
-        self.hitting_size = self.config.resolve_hitting(n, self.delta)
-        if self.hitting_size == "full":
+        hitting_size = self.config.resolve_hitting(n, self.delta)
+        if hitting_size == "full":
             self.hitting_columns = list(range(n))
         else:
             rng = random.Random(self.config.seed)
-            self.hitting_columns = [rng.randrange(n) for _ in range(self.hitting_size)]
+            self.hitting_columns = [rng.randrange(n) for _ in range(hitting_size)]
         self._columns = np.array(self.hitting_columns, dtype=np.int64)
         # one equality solver per hitting column r, on the shifted M[i,k] - M[i,r]
         self._hitting_solvers = [

@@ -6,7 +6,6 @@ Subcommands:
     solve      answer an instance file with a reduction chain
     verify     recompute an answer file with the naive solver and compare
     protocol   stdio session: matrix first, then one answer line per query line
-    bench      per-query counter and wall-time table across sizes and trials
 
 Exit codes: 0 success, 1 verification mismatch, 2 parse error, 3 validation
 error (bad instance values, incompatible chain, unsatisfiable generator
@@ -18,11 +17,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from typing import Optional
 
 from . import formats
-from .chains import LINKS, ChainError, build_solver, parse_chain, validate_chain
+from .chains import ChainError, build_solver, parse_chain, validate_chain
 from .core import (
     MONOTONE_CASES,
     PROBLEMS,
@@ -32,7 +30,7 @@ from .core import (
     validate,
     validate_query,
 )
-from .harness import InstanceSpec, gen_instance
+from .harness import DISTRIBUTIONS, InstanceSpec, gen_instance
 from .oracle import NaiveSolver
 
 EXIT_OK = 0
@@ -69,14 +67,14 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 
 def _config_from_args(args) -> ReductionConfig:
-    hitting: Optional[int | str] = None
-    if getattr(args, "hitting", None) is not None:
-        hitting = args.hitting if args.hitting == "full" else int(args.hitting)
+    hitting = args.hitting
+    if hitting not in (None, "full"):
+        hitting = int(hitting)
     return ReductionConfig(
-        t=getattr(args, "t", None),
-        delta=getattr(args, "delta", None),
+        t=args.t,
+        delta=args.delta,
         hitting_set_size=hitting,
-        seed=getattr(args, "seed", 0),
+        seed=args.seed,
         bound_constant=args.bound_constant,
     )
 
@@ -211,68 +209,10 @@ def cmd_protocol(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    chain = parse_chain(args.chain)
-    problem = args.problem
-    if problem is None:
-        head = chain[0]
-        if head == "naive":
-            raise ValidationFailure("chain 'naive' needs an explicit --problem")
-        problem = LINKS[head].problem
-    validate_chain(chain, problem)
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    columns = (
-        "chain",
-        "problem",
-        "n",
-        "trial",
-        "queries",
-        "inner_queries",
-        "scan_length_total",
-        "multiset_updates",
-        "candidates_enumerated",
-        "rmq_queries",
-        "elapsed_ms",
-    )
-    print("\t".join(columns))
-    for n in sizes:
-        for trial in range(args.trials):
-            spec = InstanceSpec(
-                problem=problem,
-                n=n,
-                monotone=args.monotone if problem == "bmmp" else None,
-                bound_constant=args.bound_constant if problem == "bmmp" else 1,
-                seed=args.seed + trial,
-            )
-            matrix, queries = gen_instance(spec)
-            config = _config_from_args(args)
-            solver = build_solver(chain, problem, matrix, config)
-            start = time.perf_counter()
-            for query in queries:
-                solver.query(query)
-            elapsed_ms = (time.perf_counter() - start) * 1000.0
-            snap = solver.counters.snapshot()
-            row = (
-                ",".join(chain),
-                problem,
-                str(n),
-                str(trial),
-                str(len(queries)),
-                str(snap["inner_queries"]),
-                str(snap["scan_length_total"]),
-                str(snap["multiset_updates"]),
-                str(snap["candidates_enumerated"]),
-                str(snap["rmq_queries"]),
-                f"{elapsed_ms:.3f}",
-            )
-            print("\t".join(row))
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="omv",
-        description="Online matrix-vector product variants: generate, solve, verify, benchmark.",
+        description="Online matrix-vector product variants: generate, solve, verify, serve a stdio session.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -288,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a random instance file")
     gen.add_argument("problem", choices=PROBLEMS)
     gen.add_argument("n", type=int)
-    gen.add_argument("--dist", choices=("uniform", "skewed", "boolean"), default="uniform")
+    gen.add_argument("--dist", choices=DISTRIBUTIONS, default="uniform")
     gen.add_argument("--lo", type=int, default=0)
     gen.add_argument("--hi", type=int, default=None)
     gen.add_argument("--density", type=float, default=0.5)
@@ -323,14 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     protocol = sub.add_parser("protocol", help="interactive stdio query session")
     add_solver_flags(protocol)
     protocol.set_defaults(func=cmd_protocol)
-
-    bench = sub.add_parser("bench", help="counter and timing table")
-    add_solver_flags(bench)
-    bench.add_argument("--problem", choices=PROBLEMS, default=None)
-    bench.add_argument("--sizes", default="8,16,32")
-    bench.add_argument("--trials", type=int, default=3)
-    bench.add_argument("--monotone", choices=MONOTONE_CASES, default="rows")
-    bench.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -61,11 +61,6 @@ MONOTONE_CASES = ("rows", "cols", "query", "stream")
 Value = int | float
 
 
-def is_finite(value: Value) -> bool:
-    """False for the two infinity sentinels, True for any other number."""
-    return value != INF and value != NEG_INF
-
-
 class DimensionMismatch(ValueError):
     """Query vector length does not match the solver's matrix dimension."""
 
@@ -125,9 +120,6 @@ class Matrix:
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    def column(self, k: int) -> list[Value]:
-        return [row[k] for row in self.rows]
 
 
 def as_array(matrix: Matrix | np.ndarray) -> np.ndarray:

@@ -1,11 +1,10 @@
 """Instance generation, differential testing, and online-ness enforcement.
 
 Generators produce (matrix, query stream) pairs for every problem kind
-from a seed, with uniform, skewed (two heavy values at 80/20 relative mass
-over most entries, uniform tail elsewhere) and boolean value
-distributions, optional infinity sprinkling where the problem permits, and
-the four query-stream shapes the bounded monotone min-plus problem
-declares.
+from a seed, with uniform or skewed (two heavy values at 80/20 relative
+mass over most entries, uniform tail elsewhere) integer values, optional
+infinity sprinkling where the problem permits, and the four query-stream
+shapes the bounded monotone min-plus problem declares.
 
 run_stream() runs a solver and a reference over one stream and reports
 the mismatches.  adaptive_session() enforces
@@ -32,7 +31,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import formats
 from .chains import build_solver
 from .core import (
     INF,
@@ -50,13 +48,16 @@ from .folklore import rank_bit_count
 from .oracle import NaiveSolver
 
 
+DISTRIBUTIONS = ("uniform", "skewed")
+
+
 @dataclass
 class InstanceSpec:
     """Recipe for one reproducible random instance."""
 
     problem: str
     n: int
-    distribution: str = "uniform"  # "uniform" | "skewed" | "boolean"
+    distribution: str = "uniform"  # "uniform" | "skewed"
     lo: int = 0
     hi: Optional[int] = None  # default n
     density: float = 0.5  # 1-probability for boolean entries
@@ -89,6 +90,8 @@ def gen_instance(spec: InstanceSpec) -> tuple[Matrix, list[Vector]]:
     n = spec.n
     if n < 1:
         raise ValueError("instance dimension must be positive")
+    if spec.distribution not in DISTRIBUTIONS:
+        raise ValueError(f"unknown distribution {spec.distribution!r}")
     q = spec.queries if spec.queries is not None else n
     hi = spec.hi if spec.hi is not None else n
 
@@ -152,19 +155,12 @@ def gen_instance(spec: InstanceSpec) -> tuple[Matrix, list[Vector]]:
 class TrialReport:
     """Outcome of one solver-versus-oracle run."""
 
-    instance_hash: str
-    seed: int
     mismatches: list[tuple[int, int]] = field(default_factory=list)  # 1-based (j, i)
     counters: dict[str, int] = field(default_factory=dict)
 
     @property
     def success(self) -> bool:
         return not self.mismatches
-
-
-def _instance_hash(matrix: Matrix, problem: str, queries: list[Vector]) -> str:
-    text = formats.print_instance(formats.Instance(problem, matrix, queries))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def run_stream(
@@ -257,12 +253,7 @@ def adaptive_session(
                 mismatches.append((j, i + 1))
         previous_answer = answer
         previous_query = query
-    return TrialReport(
-        instance_hash=_instance_hash(matrix, spec.problem, []),
-        seed=spec.seed,
-        mismatches=mismatches,
-        counters=solver.counters.snapshot(),
-    )
+    return TrialReport(mismatches=mismatches, counters=solver.counters.snapshot())
 
 
 class BatchingMockSolver(OnlineSolver):

@@ -44,12 +44,11 @@ from .core import (
     SolverFactory,
     as_array,
     ceil_div,
-    to_vector,
 )
 from .oracle import naive_factory
 
 
-def finitize(values, w_bound: int, role: str):
+def finitize(values: np.ndarray, w_bound: int, role: str) -> np.ndarray:
     """Map infinities and out-of-range entries to extreme finite values.
 
     ``w_bound`` is the largest absolute finite value of the matrix the
@@ -58,10 +57,7 @@ def finitize(values, w_bound: int, role: str):
     become +/-(2W+1).  Every dominance comparison between a legal matrix
     value and a legal query value is unchanged by the mapping, and the
     matrix-side +inf can never be dominated by any mapped query entry.
-    Arrays map to float64 arrays, lists to lists.
     """
-    if isinstance(values, list):
-        return to_vector(finitize(as_array(values), w_bound, role)).entries
     if role == "matrix":
         big = 3 * w_bound + 2
         return np.where(values == INF, big, np.where(values == NEG_INF, -big, values))

@@ -134,10 +134,12 @@ def test_listers_match_bruteforce(case):
 
 def test_stream_lister_rejects_regression():
     matrix = Matrix([[1, 2], [2, 2]], monotone="stream")
-    lister = make_lister(matrix, 1, "stream", bound_constant=1)
-    lister.reports(Vector([2, 2]), 1)
-    with pytest.raises(StreamOrderError):
-        lister.reports(Vector([1, 2]), 1)
+    # at delta = 2, 5 and 4 round alike: the raw coordinate still falls
+    for delta, accepted, falling in [(1, [2, 2], [1, 2]), (2, [5, 1], [4, 1])]:
+        lister = make_lister(matrix, delta, "stream", bound_constant=4)
+        lister.reports(Vector(accepted), delta)
+        with pytest.raises(StreamOrderError):
+            lister.reports(Vector(falling), delta)
 
 
 def test_rejected_stream_query_leaves_the_lister_as_it_was():

@@ -15,7 +15,7 @@ from omv.chains import (
     validate_chain,
 )
 from omv import oracle
-from omv.core import Matrix, ReductionConfig, Vector
+from omv.core import INF, NEG_INF, VALUE_LIMIT, Matrix, ReductionConfig, Vector, validate
 from omv.harness import InstanceSpec, gen_instance
 from omv.oracle import NaiveSolver
 
@@ -129,9 +129,8 @@ def bmmp_streams(draw):
 
     Values are either uniform over [0, c*n] or drawn from a pool of at most
     three values that always holds c*n, so ties (and oversize rows) are
-    common; some columns are one value top to bottom.  The declared
-    direction is imposed by sorting along its axis, or by a running
-    maximum down the stream.
+    common; some columns are one value top to bottom.  bmmp_instance
+    imposes the declared direction.
     """
     case = draw(st.sampled_from(("rows", "cols", "query", "stream")))
     n = draw(st.integers(1, 12))
@@ -148,16 +147,26 @@ def bmmp_streams(draw):
         for row in rows:
             row[k] = level
     queries = [draw(st.lists(value, min_size=n, max_size=n)) for _ in range(draw(st.integers(1, 4)))]
+    return bmmp_instance(case, rows, queries), [Vector(v) for v in queries], c
+
+
+def bmmp_instance(case: str, rows: list[list[int]], queries: list[list[int]]) -> Matrix:
+    """Impose a monotone case on drawn rows and queries (the queries in place).
+
+    The direction is imposed by sorting along its axis, or by a running
+    maximum down the stream.
+    """
     if case == "rows":
         rows = [sorted(row) for row in rows]
     elif case == "cols":
         rows = [list(row) for row in zip(*(sorted(column) for column in zip(*rows)))]
     elif case == "query":
-        queries = [sorted(v) for v in queries]
+        for v in queries:
+            v.sort()
     else:
         for previous, v in zip(queries, queries[1:]):
             v[:] = map(max, previous, v)
-    return Matrix(rows, tag="bounded", monotone=case), [Vector(v) for v in queries], c
+    return Matrix(rows, tag="bounded", monotone=case)
 
 
 @settings(max_examples=80, deadline=None)
@@ -168,6 +177,67 @@ def test_bmmp_chain_fuzz_matches_minplus(instance, delta):
     solver = build_solver(FULL_CYCLE["bmmp"], "bmmp", matrix, config)
     for v in queries:
         assert solver.query(v).entries == oracle.minplus_mv(matrix, v).entries
+
+
+BIG = VALUE_LIMIT  # 2^40
+CHAINS = [(problem, chain) for problem, chain in FULL_CYCLE.items()] + [("bool", ALT_BOOL_CHAIN)]
+
+
+@st.composite
+def chain_instances(draw, problem):
+    """A valid instance of ``problem``, a stream on it and its value bound c.
+
+    n runs from 1 to 6, and finite values include the +/-2^40 limit (for
+    bmmp, c is chosen so that 2^40 lies inside [0, c*n]).  Some columns are
+    one value top to bottom.  For dom and minmax a drawn density of the
+    entries becomes +/-inf, and some matrix rows become -inf throughout,
+    which minmax<-dom answers by its direct scan.  bmmp gets a drawn
+    monotone case.
+    """
+    n = draw(st.integers(1, 6))
+    c = 4
+    if problem in ("bool", "minwit"):
+        value = st.integers(0, 1)
+    elif problem == "bmmp":
+        c = -(-BIG // n)
+        value = st.sampled_from([0, 1, 2, BIG - 1, BIG])
+    else:
+        value = st.sampled_from([-BIG, BIG]) | st.integers(-3, 3)
+    rows = [draw(st.lists(value, min_size=n, max_size=n)) for _ in range(n)]
+    queries = [draw(st.lists(value, min_size=n, max_size=n)) for _ in range(draw(st.integers(1, 4)))]
+    if problem in ("dom", "minmax"):
+        density = draw(st.sampled_from((0.0, 0.1, 0.5, 0.9, 1.0)))
+        rng = draw(st.randoms(use_true_random=False))
+        for vector in rows + queries:
+            for k in range(n):
+                if rng.random() < density:
+                    vector[k] = rng.choice((INF, NEG_INF))
+    for k in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        level = draw(value)
+        for row in rows:
+            row[k] = level
+    if problem in ("dom", "minmax"):
+        for i in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+            rows[i] = [NEG_INF] * n
+    if problem != "bmmp":
+        tag = "boolean" if problem in ("bool", "minwit") else "integer"
+        return Matrix(rows, tag=tag), [Vector(v) for v in queries], c
+    case = draw(st.sampled_from(("rows", "cols", "query", "stream")))
+    return bmmp_instance(case, rows, queries), [Vector(v) for v in queries], c
+
+
+@pytest.mark.parametrize(
+    "problem,chain", CHAINS, ids=[",".join(chain) for _, chain in CHAINS]
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_chain_fuzz_matches_definition(problem, chain, data):
+    matrix, queries, c = data.draw(chain_instances(problem))
+    assert validate(matrix, problem, bound_constant=c) is None
+    config = ReductionConfig(hitting_set_size="full", bound_constant=c)
+    solver = build_solver(chain, problem, matrix, config)
+    for v in queries:
+        assert solver.query(v).entries == DEFINITIONS[problem](matrix, v).entries
 
 
 @pytest.mark.parametrize("n", [1, 4])

@@ -192,61 +192,13 @@ def test_protocol_wrong_length_is_protocol_error():
     assert "error" in result.stderr
 
 
-def test_bench_table_shape(capsys):
-    code, out, _ = run_cli(
-        ["bench", "--chain", "eq<-bool", "--sizes", "4,6", "--trials", "2", "--seed", "1"],
-        capsys,
-    )
-    assert code == 0
-    lines = out.strip().splitlines()
-    header = lines[0].split("\t")
-    assert header[0] == "chain" and "inner_queries" in header
-    assert len(lines) == 1 + 2 * 2
-    for line in lines[1:]:
-        cells = line.split("\t")
-        assert len(cells) == len(header)
-        n = int(cells[2])
-        queries = int(cells[4])
-        inner = int(cells[5])
-        # t defaults to ceil(sqrt(n)); one inner query per slice per query
-        t = {4: 2, 6: 3}[n]
-        assert inner == queries * t
-
-
-def test_bench_bmmp_counter_column(capsys):
-    code, out, _ = run_cli(
-        [
-            "bench",
-            "--chain",
-            "bmmp<-eq",
-            "--sizes",
-            "8",
-            "--trials",
-            "1",
-            "--delta",
-            "2",
-            "--bound-constant",
-            "1",
-            "--seed",
-            "3",
-        ],
-        capsys,
-    )
-    assert code == 0
-    cells = out.strip().splitlines()[1].split("\t")
-    queries, inner = int(cells[4]), int(cells[5])
-    # |R| = ceil(6 ln 8) = 13 columns, 5 offsets each
-    assert inner == queries * 13 * 5
-
-
-def test_bench_naive_requires_problem(capsys):
-    code, _, _ = run_cli(["bench", "--chain", "naive", "--sizes", "4"], capsys)
-    assert code == 3
-    code, out, _ = run_cli(
-        ["bench", "--chain", "naive", "--problem", "bool", "--sizes", "4", "--trials", "1"],
-        capsys,
-    )
-    assert code == 0
+def test_protocol_falling_stream_coordinate_is_protocol_error():
+    # with delta = 2, 5 and 4 round to the same value; the raw fall still counts
+    text = "OMV 1\nproblem bmmp\nn 2\nmonotone stream\n0 1\n2 3\n5 1\n4 1\n"
+    result = _protocol(text, "--chain", "bmmp<-eq,naive", "--delta", "2", "--hitting", "full")
+    assert result.returncode == 4
+    assert result.stdout.splitlines() == ["2 4"]
+    assert "coordinate 1 fell from 5 to 4" in result.stderr
 
 
 def test_verify_takes_the_bound_constant(tmp_path, capsys):

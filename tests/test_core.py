@@ -13,17 +13,9 @@ from omv.core import (
     ceil_cbrt,
     ceil_div,
     ceil_sqrt,
-    is_finite,
     validate,
     validate_query,
 )
-
-
-def test_is_finite():
-    assert is_finite(0) and is_finite(-(2**40))
-    assert not is_finite(INF) and not is_finite(NEG_INF)
-    assert is_finite(3.0) and is_finite(np.float64(-2.0))
-    assert not is_finite(np.float64("inf"))
 
 
 def test_validate_boolean_domain():

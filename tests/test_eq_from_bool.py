@@ -51,7 +51,7 @@ def test_rare_values_respect_frequency_cap():
         solver = EqFromBoolSolver(matrix, ReductionConfig(t=t))
         cap = ceil_div(n, t)
         for k in range(n):
-            column = matrix.column(k)
+            column = [row[k] for row in matrix.rows]
             top, rare = _column_tables(solver, k)
             for value, rows in rare.items():
                 assert rows == sorted(rows)

@@ -1,7 +1,9 @@
 """Import layering: the shared types know no solver, and links know no chain.
 
 Imports are read from the source with an AST scan, so an import inside a
-function body counts as much as one at the top of a module.
+function body counts as much as one at the top of a module.  The same kind
+of scan checks that every public function and class of the package has a
+caller in the package or in the benchmark, not only in the tests.
 """
 
 import ast
@@ -13,6 +15,25 @@ import omv
 from omv.chains import LINKS
 
 PACKAGE = Path(omv.__file__).parent
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
+
+#: Public definitions that only the tests call, on purpose: the pure-Python
+#: definitions the solvers are checked against, and the harness entry
+#: points the README documents.
+TEST_ONLY = {
+    "folklore.tilt_query",
+    "harness.accounting_check",
+    "harness.adaptive_session",
+    "harness.success_rate_experiment",
+    "oracle.bit_trick_predicate",
+    "oracle.bool_mv",
+    "oracle.candidate_set_bruteforce",
+    "oracle.dom_exists_mv",
+    "oracle.eq_exists_mv",
+    "oracle.minmax_mv",
+    "oracle.minplus_mv",
+    "oracle.minwitness_mv",
+}
 
 LINK_MODULES = sorted({cls.__module__ for cls in LINKS.values()} - {"omv.chains"})
 
@@ -48,3 +69,50 @@ def test_core_imports_no_omv_module():
 @pytest.mark.parametrize("module", LINK_MODULES)
 def test_link_modules_do_not_import_chains(module):
     assert "omv.chains" not in module_imports(module)
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names, attributes and imported names used in ``source``.
+
+    A top-level function's or class's uses of its own name (recursion, a
+    classmethod building its own class) do not count.
+    """
+    found = set()
+    for statement in ast.parse(source).body:
+        own = getattr(statement, "name", None)
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.add(node.name.rpartition(".")[2])
+        found.discard(own)
+    return found
+
+
+def public_definitions(source: str) -> list[str]:
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+
+
+def test_reference_scan_skips_a_definitions_own_name():
+    source = "from .core import Matrix\n\ndef f(n):\n    return f(n - 1) + g.h\n"
+    assert referenced_names(source) == {"Matrix", "n", "g", "h"}
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    modules = sorted(PACKAGE.glob("*.py"))
+    used = set().union(
+        *(referenced_names(path.read_text()) for path in modules + sorted(PERFBENCH.glob("*.py")))
+    )
+    unused = {
+        f"{path.stem}.{name}"
+        for path in modules
+        for name in public_definitions(path.read_text())
+        if name not in used
+    }
+    assert unused == TEST_ONLY

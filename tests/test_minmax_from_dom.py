@@ -9,13 +9,16 @@ from omv.oracle import NaiveSolver
 
 
 def test_finitize_frozen_values():
-    assert finitize([INF], 9, "matrix") == [29]
-    assert finitize([NEG_INF], 9, "matrix") == [-29]
-    assert finitize([15], 9, "query") == [19]
-    assert finitize([-15], 9, "query") == [-19]
-    assert finitize([INF, NEG_INF], 9, "query") == [19, -19]
-    assert finitize([7, -9, 0], 9, "matrix") == [7, -9, 0]
-    assert finitize([9, -9, 0], 9, "query") == [9, -9, 0]
+    def mapped(values, role):
+        return finitize(np.array(values), 9, role).tolist()
+
+    assert mapped([INF], "matrix") == [29]
+    assert mapped([NEG_INF], "matrix") == [-29]
+    assert mapped([15], "query") == [19]
+    assert mapped([-15], "query") == [-19]
+    assert mapped([INF, NEG_INF], "query") == [19, -19]
+    assert mapped([7, -9, 0], "matrix") == [7, -9, 0]
+    assert mapped([9, -9, 0], "query") == [9, -9, 0]
 
 
 def test_finitize_preserves_dominance_exhaustively():
@@ -26,8 +29,8 @@ def test_finitize_preserves_dominance_exhaustively():
     matrix_side = list(range(-w, w + 1)) + [INF, NEG_INF]
     query_side = list(range(-3 * w - 3, 3 * w + 4))
     for a, b in itertools.product(matrix_side, query_side):
-        fa = finitize([a], w, "matrix")[0]
-        fb = finitize([b], w, "query")[0]
+        fa = finitize(np.array([a]), w, "matrix")[0]
+        fb = finitize(np.array([b]), w, "query")[0]
         assert (a <= b) == (fa <= fb), (a, b)
         assert (b <= a) == (fb <= fa), (a, b)
 
