@@ -86,18 +86,31 @@ def _runs(values: np.ndarray) -> int:
 class CandidateLister:
     """Candidate listing for every monotonicity case, over one key table.
 
+    The lister rounds the matrix by ``delta`` once: MH = floor(M/delta).
     Each query forms keys = MH + vh, takes each row's minimum, and lists
-    the columns within one of it for every row that has at most ``row_cap``
-    of them.  The case picks which of the paper's structural counts the
+    the columns within one of it for every row that has at most
+    ``row_cap`` = floor(c*n/delta) of them; larger sets are flagged as
+    oversize.  The case picks which of the paper's structural counts the
     ledger books, and the stream case also rejects a query with a
-    coordinate below the last accepted query's.
+    coordinate below the last accepted query's, so the stream lister must
+    see the queries in stream order.
     """
 
-    def __init__(self, m_hat: np.ndarray, case: str, row_cap: int, ledger: CounterLedger):
-        self.m_hat = m_hat
+    def __init__(
+        self,
+        matrix: Matrix | np.ndarray,
+        delta: int,
+        case: str,
+        bound_constant: int = 4,
+        ledger: Optional[CounterLedger] = None,
+    ):
+        if case not in MONOTONE_CASES:
+            raise ValueError(f"unknown monotonicity case {case!r}")
+        self.m_hat = m_hat = (as_array(matrix) // delta).astype(np.int64)
+        self.delta = delta
         self.case = case
-        self.row_cap = row_cap
-        self.ledger = ledger
+        self.row_cap = (bound_constant * len(m_hat)) // delta
+        self.ledger = ledger if ledger is not None else CounterLedger()
         # rows and cols book a count fixed by MH: the constant blocks of its
         # rows, or the rounded entries that grow from one row to the next
         if case == "rows":
@@ -127,10 +140,10 @@ class CandidateLister:
         else:
             self.ledger.rmq_queries += n * _runs(v_hat)
 
-    def reports(self, vector, delta: int) -> list[CandidateReport]:
+    def reports(self, vector) -> list[CandidateReport]:
         values = vector.entries if isinstance(vector, Vector) else vector
         values = np.array(values, dtype=np.float64)  # a copy: the stream case keeps it
-        v_hat = (values // delta).astype(np.int64)
+        v_hat = (values // self.delta).astype(np.int64)
         self._book(values, v_hat)
         keys = self.m_hat + v_hat
         lows = keys.min(axis=1)
@@ -145,27 +158,6 @@ class CandidateLister:
             CandidateReport(low, columns[start:end] if listed else None)
             for low, listed, start, end in zip(lows.tolist(), small.tolist(), [0, *ends], ends)
         ]
-
-
-def make_lister(
-    matrix: Matrix | np.ndarray,
-    delta: int,
-    case: str,
-    bound_constant: int = 4,
-    ledger: Optional[CounterLedger] = None,
-) -> CandidateLister:
-    """Build the candidate lister for a monotonicity case.
-
-    Its reports(vector, delta) lists, per output row, the exact candidate
-    set when it has at most floor(c*n/delta) elements and flags it as
-    oversize otherwise.  The stream lister keeps state across calls and
-    must see the queries in stream order.
-    """
-    if case not in MONOTONE_CASES:
-        raise ValueError(f"unknown monotonicity case {case!r}")
-    m_hat = (as_array(matrix) // delta).astype(np.int64)
-    cap = (bound_constant * len(m_hat)) // delta
-    return CandidateLister(m_hat, case, cap, ledger if ledger is not None else CounterLedger())
 
 
 class BmmpFromEqSolver(OnlineSolver):
@@ -201,7 +193,7 @@ class BmmpFromEqSolver(OnlineSolver):
             raise ValueError(f"invalid bmmp instance: {violation}")
         n = self.n
         self.delta = self.config.resolve_delta(n)
-        self.lister = make_lister(
+        self.lister = CandidateLister(
             m,
             self.delta,
             self.case,
@@ -219,12 +211,11 @@ class BmmpFromEqSolver(OnlineSolver):
         self._hitting_solvers = [
             make_inner("eq", m - m[:, r : r + 1], self.config) for r in self.hitting_columns
         ]
-        self._hitting_labels = [f"eq[r{position}]" for position in range(len(self.hitting_columns))]
         self._offsets = np.arange(3 * self.delta - 1)
 
     def list_candidates(self, vector) -> list[CandidateReport]:
         """Step-one listing for one query (advances state in the stream case)."""
-        return self.lister.reports(vector, self.delta)
+        return self.lister.reports(vector)
 
     def _step1(self, v: np.ndarray) -> np.ndarray:
         """True minimum over each small candidate set; inf for oversize rows."""
@@ -250,7 +241,7 @@ class BmmpFromEqSolver(OnlineSolver):
             row = deepest[position]
             for offset, probe in enumerate(probes[position]):
                 row[solver.query(probe)] = offset
-            self.counters.count_inner(self._hitting_labels[position], len(self._offsets))
+        self.counters.inner_queries += len(columns) * len(self._offsets)
         sums = self._m[:, columns].T + v[columns][:, None]  # sums[p, i] = M[i,r] + v[r]
         return np.where(deepest >= 0, sums - deepest, INF).min(axis=0, initial=INF)
 

@@ -48,7 +48,7 @@ class BoolFromMinWitSolver(OnlineSolver):
 
     def _answer(self, v: np.ndarray) -> np.ndarray:
         witnesses = self._inner.query(v)
-        self.counters.count_inner("minwit")
+        self.counters.inner_queries += 1
         return witnesses <= self.n
 
 

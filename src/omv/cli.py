@@ -20,7 +20,7 @@ import sys
 from typing import Optional
 
 from . import formats
-from .chains import ChainError, build_solver, parse_chain, validate_chain
+from .chains import ChainError, build_solver, parse_chain
 from .core import (
     MONOTONE_CASES,
     PROBLEMS,
@@ -120,19 +120,16 @@ def _load_instance(path: str, bound: int) -> formats.Instance:
     return instance
 
 
-def _print_counters(solver, stream=None) -> None:
-    stream = stream if stream is not None else sys.stderr
+def _print_counters(solver) -> None:
     snap = solver.counters.snapshot()
     summary = " ".join(f"{key}={value}" for key, value in snap.items())
-    print(f"counters: {summary}", file=stream)
+    print(f"counters: {summary}", file=sys.stderr)
 
 
 def cmd_solve(args) -> int:
     instance = _load_instance(args.instance, bound=args.bound_constant)
     chain = parse_chain(args.chain)
-    validate_chain(chain, instance.problem)
-    config = _config_from_args(args)
-    solver = build_solver(chain, instance.problem, instance.matrix, config)
+    solver = build_solver(chain, instance.problem, instance.matrix, _config_from_args(args))
     answers = []
     for query in instance.queries:
         answers.append(solver.query(query))
@@ -173,7 +170,6 @@ def cmd_protocol(args) -> int:
     if violation is not None:
         raise ValidationFailure(f"invalid matrix: {violation}")
     chain = parse_chain(args.chain)
-    validate_chain(chain, problem)
     solver = build_solver(chain, problem, matrix, _config_from_args(args))
     may_skip_count = True  # piped instance files carry a "queries <q>" line
     while True:

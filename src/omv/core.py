@@ -35,8 +35,7 @@ reports, min-witness answers, file formats) is 1-based.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -300,29 +299,22 @@ class ReductionConfig:
         return self.hitting_set_size
 
 
-_COUNTER_FIELDS = (
-    "inner_queries",
-    "scan_length_total",
-    "multiset_updates",
-    "candidates_enumerated",
-    "rmq_queries",
-)
-
-
 @dataclass
 class CounterLedger:
     """Operation counts mirroring each reduction's cost accounting.
 
-    inner_queries counts queries issued to inner solver instances (with a
-    per-instance breakdown in ``per_inner``); scan_length_total counts
-    the rare entries of eq<-bool that matched their query coordinate (not
-    the cells compared) and the elements examined in minmax<-dom's bucket
-    and -inf scans; candidates_enumerated counts the columns bmmp<-eq
-    lists.  multiset_updates and rmq_queries book the ordered-multiset
-    repositionings and range-minimum queries of the paper's candidate
-    listing (see omv.bmmp_from_eq), which the package replaces by one
-    dense key table per query.  Counters only grow; create
-    a fresh solver to reset them.
+    Five integers.  inner_queries counts the inner queries a link's cost
+    accounting charges per query, however many calls answer them (eq<-bool
+    books t and asks its one stacked instance once); scan_length_total
+    counts the rare entries of eq<-bool that matched their query
+    coordinate (not the cells compared) and the elements examined in
+    minmax<-dom's bucket and -inf scans; candidates_enumerated counts the
+    columns bmmp<-eq lists.  multiset_updates and rmq_queries book the
+    ordered-multiset repositionings and range-minimum queries of the
+    paper's candidate listing (see omv.bmmp_from_eq), which the package
+    replaces by one dense key table per query.  Each solver of a chain
+    keeps its own ledger.  Counters only grow; create a fresh solver to
+    reset them.
     """
 
     inner_queries: int = 0
@@ -330,22 +322,12 @@ class CounterLedger:
     multiset_updates: int = 0
     candidates_enumerated: int = 0
     rmq_queries: int = 0
-    per_inner: Counter[str] = field(default_factory=Counter)
-
-    def count_inner(self, label: str, amount: int = 1) -> None:
-        self.inner_queries += amount
-        self.per_inner[label] += amount
-
-    def count_each(self, labels: list[str]) -> None:
-        """Count one inner query under each of ``labels``."""
-        self.inner_queries += len(labels)
-        self.per_inner.update(labels)
 
     def snapshot(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in _COUNTER_FIELDS}
+        return asdict(self)
 
     def since(self, snap: dict[str, int]) -> dict[str, int]:
-        return {name: getattr(self, name) - snap[name] for name in _COUNTER_FIELDS}
+        return {name: value - snap[name] for name, value in asdict(self).items()}
 
 
 class OnlineSolver:

@@ -16,11 +16,10 @@ The s <= t slices that are not entirely zero are built in one comparison
 as one [s, n, n] bool stack and handed to a single inner boolean instance.
 A query asks that instance once, with the [s, n] block of slice queries,
 and the OR of the s slice products comes back.  The ledger still books the
-t inner queries of the reduction's cost accounting per query, one under
-each label bool[0..t-1] (the product of an all-zero slice is all zeros, so
-the t - s empty slices are never built).  The ledger's scan_length_total
-grows by the number of rare entries that match, at most n * ceil(n/t)
-per query.
+t inner queries of the reduction's cost accounting per query (the product
+of an all-zero slice is all zeros, so the t - s empty slices are never
+built).  The ledger's scan_length_total grows by the number of rare
+entries that match, at most n * ceil(n/t) per query.
 """
 
 from __future__ import annotations
@@ -80,7 +79,6 @@ class EqFromBoolSolver(OnlineSolver):
         self._slice_values = self.top_values[~np.isnan(self.top_values).all(axis=1)]
         stack = m == self._slice_values[:, None, :]  # stack[l, i, k]: M[i, k] is column k's l-th value
         self._inner = make_inner("bool", stack, self.config)
-        self._labels = [f"bool[{level}]" for level in range(self.t)]
         frequent = stack.any(axis=0)
 
         # _rare_values[w, k]: the w-th rare entry of column k, top to bottom
@@ -101,7 +99,7 @@ class EqFromBoolSolver(OnlineSolver):
         masks = self._slice_values == v  # masks[l, k]: v[k] is column k's l-th value
         out = self._inner.query(masks)
         # All t slices count as asked; one call answers the s stacked ones.
-        self.counters.count_each(self._labels)
+        self.counters.inner_queries += self.t
 
         if len(self._rare_values):
             # the rows of the rare entries equal to their query coordinate

@@ -105,14 +105,13 @@ class DomFromEqSolver(OnlineSolver):
         self._slices: list[OnlineSolver] = [
             make_inner("eq", slices[level], self.config) for level in range(self.bit_count)
         ]
-        self._labels = [f"eq[{level}]" for level in range(self.bit_count)]
 
     def _answer(self, v: np.ndarray) -> np.ndarray:
         probes = _bit_slices(self.rank_map.query_rank(v) + 1, self.bit_count, 1, -2)
         out = np.zeros(self.n, dtype=bool)
         for inner, probe in zip(self._slices, probes):
             out |= inner.query(probe)
-        self.counters.count_each(self._labels)
+        self.counters.inner_queries += self.bit_count
         return out
 
 
@@ -137,7 +136,7 @@ class MinWitnessFromMinMaxSolver(OnlineSolver):
 
     def _answer(self, v: np.ndarray) -> np.ndarray:
         answer = self._inner.query(self._encode(v))
-        self.counters.count_inner("minmax")
+        self.counters.inner_queries += 1
         return np.where(answer <= self.n, answer, INF)
 
 
@@ -196,5 +195,5 @@ class BoolFromBmmpSolver(OnlineSolver):
             self._inner = self._build_inner(epoch)
         j = offset + 1
         answer = self._inner.query(_tilt(v, j, self.n))
-        self.counters.count_inner("bmmp")
+        self.counters.inner_queries += 1
         return answer == self._targets + 2 * j

@@ -158,10 +158,6 @@ class TrialReport:
     mismatches: list[tuple[int, int]] = field(default_factory=list)  # 1-based (j, i)
     counters: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def success(self) -> bool:
-        return not self.mismatches
-
 
 def run_stream(
     solver: OnlineSolver, reference: OnlineSolver, queries: list[Vector]
@@ -284,10 +280,6 @@ class BatchingMockSolver(OnlineSolver):
 class AccountingResult:
     checks: dict[str, bool]
     details: dict[str, object]
-
-    @property
-    def passed(self) -> bool:
-        return all(self.checks.values())
 
 
 def accounting_check(

@@ -24,9 +24,10 @@ Inner dominance solvers only see finite values: finitize() replaces the
 infinities by extreme finite stand-ins (matrix side wider than query side)
 chosen so that no legal comparison changes and the +inf padding can never
 produce a hit.  Genuine -inf matrix entries cannot survive that mapping --
-negation folds them onto the padding value -- so their contributions are
-recovered by a direct per-row scan over the precomputed positions holding
-them; matrices without -inf entries take the bucketed path exclusively.
+negation folds them onto the padding value -- so both phases skip them.
+Since max(-inf, v[k]) = v[k], the query side recovers their contributions
+by a direct per-row scan over the precomputed positions holding them;
+matrices without -inf entries take the bucketed path exclusively.
 """
 
 from __future__ import annotations
@@ -94,7 +95,8 @@ class MinMaxFromDomSolver(OnlineSolver):
         self._order = np.argsort(m, axis=1, kind="stable")
         bucket_of = np.empty((n, n), dtype=np.int64)
         np.put_along_axis(bucket_of, self._order, np.arange(n) // self.bucket_size, axis=1)
-        # -inf entries are recovered by a direct scan (None: there are none).
+        # -inf entries are recovered by the query side's direct scan (None:
+        # there are none).
         neg = m == NEG_INF
         self._neginf = neg if neg.any() else None
 
@@ -108,12 +110,11 @@ class MinMaxFromDomSolver(OnlineSolver):
         ]
         # The query-side phase asks dominance queries against the matrix
         # itself.  -inf entries are folded onto the never-hit padding value
-        # (their query-side contributions come from the direct scan), +inf
-        # entries take the standard mapping.
+        # (their contributions come from the direct scan), +inf entries take
+        # the standard mapping.
         self._matrix_solver = make_inner(
             "dom", finitize(np.where(neg, INF, m), self.w_bound, "matrix"), self.config
         )
-        self._bucket_labels = [f"dom[bucket{l}]" for l in range(self.t)]
 
     def _first_qualifying(
         self, hits: np.ndarray, order: np.ndarray, qualifies
@@ -141,21 +142,21 @@ class MinMaxFromDomSolver(OnlineSolver):
         return rows, block[np.arange(len(rows)), first]
 
     def _matrix_side(self, v: np.ndarray) -> np.ndarray:
-        """u[i] = min matrix entry in row i that is >= its query coordinate."""
+        """u[i] = min matrix entry in row i that is >= its query coordinate.
+
+        The slices never hit a -inf entry, so their contributions may be
+        missing here; _query_side's direct scan supplies them."""
         m = self._m
         neg_query = finitize(-v, self.w_bound, "query")
         hits = np.empty((self.t, self.n), dtype=bool)
         for l, solver in enumerate(self._slice_solvers):
             hits[l] = solver.query(neg_query)
-        self.counters.count_each(self._bucket_labels)
+        self.counters.inner_queries += self.t
         rows, cols = self._first_qualifying(
             hits, self._order, lambda i, k: m[i, k] >= v[k]
         )
         out = np.full(self.n, INF)
         out[rows] = m[rows, cols]
-        if self._neginf is not None:
-            self.counters.scan_length_total += int(np.count_nonzero(self._neginf))
-            out[(self._neginf & (v == NEG_INF)).any(axis=1)] = NEG_INF
         return out
 
     def _query_side(self, v: np.ndarray) -> np.ndarray:
@@ -170,7 +171,7 @@ class MinMaxFromDomSolver(OnlineSolver):
         hits = np.empty((self.t, self.n), dtype=bool)
         for l in range(self.t):
             hits[l] = self._matrix_solver.query(masked[l])
-        self.counters.count_inner("dom[matrix]", self.t)
+        self.counters.inner_queries += self.t
         rows, cols = self._first_qualifying(
             hits, order, lambda i, k: v[k] >= m[i, k]
         )

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from omv.bmmp_from_eq import BmmpFromEqSolver, make_lister
+from omv.bmmp_from_eq import BmmpFromEqSolver, CandidateLister
 from omv.chains import build_solver
 from omv.core import (
     INF,
@@ -30,8 +30,8 @@ def test_rounding_stays_within_two_deltas():
 
 
 def _reports_for(matrix, v, delta, case, bound_constant=1, ledger=None):
-    lister = make_lister(matrix, delta, case, bound_constant=bound_constant, ledger=ledger)
-    return lister.reports(v, delta)
+    lister = CandidateLister(matrix, delta, case, bound_constant=bound_constant, ledger=ledger)
+    return lister.reports(v)
 
 
 def test_rows_case_frozen_example():
@@ -107,11 +107,11 @@ def test_listers_match_bruteforce(case):
         cap = bound_constant * n // delta
         m_hat = [[x // delta for x in row] for row in matrix.rows]
         ledger = CounterLedger()
-        lister = make_lister(matrix, delta, case, bound_constant=bound_constant, ledger=ledger)
+        lister = CandidateLister(matrix, delta, case, bound_constant=bound_constant, ledger=ledger)
         previous = [0] * n
         for v in queries:
             snap = ledger.snapshot()
-            reports = lister.reports(v, delta)
+            reports = lister.reports(v)
             listed = 0
             for i, report in enumerate(reports):
                 want = candidate_set_bruteforce(matrix, v, delta, i)
@@ -136,10 +136,10 @@ def test_stream_lister_rejects_regression():
     matrix = Matrix([[1, 2], [2, 2]], monotone="stream")
     # at delta = 2, 5 and 4 round alike: the raw coordinate still falls
     for delta, accepted, falling in [(1, [2, 2], [1, 2]), (2, [5, 1], [4, 1])]:
-        lister = make_lister(matrix, delta, "stream", bound_constant=4)
-        lister.reports(Vector(accepted), delta)
+        lister = CandidateLister(matrix, delta, "stream", bound_constant=4)
+        lister.reports(Vector(accepted))
         with pytest.raises(StreamOrderError):
-            lister.reports(Vector(falling), delta)
+            lister.reports(Vector(falling))
 
 
 def test_rejected_stream_query_leaves_the_lister_as_it_was():
@@ -147,16 +147,16 @@ def test_rejected_stream_query_leaves_the_lister_as_it_was():
     # must not move the lister off the last accepted query [1, 1, 1]
     matrix = Matrix([[0, 1, 2], [1, 1, 1], [2, 0, 0]], monotone="stream")
     ledger = CounterLedger()
-    lister = make_lister(matrix, 1, "stream", bound_constant=1, ledger=ledger)
-    lister.reports(Vector([1, 1, 1]), 1)
+    lister = CandidateLister(matrix, 1, "stream", bound_constant=1, ledger=ledger)
+    lister.reports(Vector([1, 1, 1]))
     with pytest.raises(StreamOrderError):
-        lister.reports(Vector([3, 0, 1]), 1)
-    got = lister.reports(Vector([2, 1, 1]), 1)
+        lister.reports(Vector([3, 0, 1]))
+    got = lister.reports(Vector([2, 1, 1]))
 
     fresh_ledger = CounterLedger()
-    fresh = make_lister(matrix, 1, "stream", bound_constant=1, ledger=fresh_ledger)
-    fresh.reports(Vector([1, 1, 1]), 1)
-    assert got == fresh.reports(Vector([2, 1, 1]), 1)
+    fresh = CandidateLister(matrix, 1, "stream", bound_constant=1, ledger=fresh_ledger)
+    fresh.reports(Vector([1, 1, 1]))
+    assert got == fresh.reports(Vector([2, 1, 1]))
     assert ledger.snapshot() == fresh_ledger.snapshot()
 
 
@@ -359,7 +359,7 @@ def test_zero_hitting_set_with_oversize_candidates_fails_openly():
 def test_lister_counters_flow_into_ledger():
     ledger = CounterLedger()
     matrix = Matrix([[0, 1, 2, 3]] * 4, monotone="rows")
-    lister = make_lister(matrix, 1, "rows", bound_constant=1, ledger=ledger)
-    lister.reports(Vector([0, 0, 0, 0]), 1)
+    lister = CandidateLister(matrix, 1, "rows", bound_constant=1, ledger=ledger)
+    lister.reports(Vector([0, 0, 0, 0]))
     assert ledger.rmq_queries > 0
     assert ledger.candidates_enumerated > 0

@@ -252,5 +252,4 @@ def test_stacked_slices_through_a_link(n):
     for _ in range(queries):
         v = Vector([rng.randint(0, 2) for _ in range(n)])
         assert solver.query(v).entries == oracle.eq_exists_mv(matrix, v).entries
-    t = config.resolve_t(n)
-    assert solver.counters.per_inner == {f"bool[{level}]": queries for level in range(t)}
+    assert solver.counters.inner_queries == config.resolve_t(n) * queries

@@ -104,13 +104,18 @@ def test_ceil_helpers():
 
 def test_counters_snapshot_and_delta():
     ledger = CounterLedger()
-    ledger.count_inner("bool[0]")
-    ledger.count_inner("bool[0]", 2)
+    ledger.inner_queries += 3
     ledger.scan_length_total += 5
     snap = ledger.snapshot()
-    ledger.count_inner("bool[1]")
-    assert ledger.since(snap)["inner_queries"] == 1
-    assert ledger.per_inner == {"bool[0]": 3, "bool[1]": 1}
+    ledger.inner_queries += 1
+    assert snap == {
+        "inner_queries": 3,
+        "scan_length_total": 5,
+        "multiset_updates": 0,
+        "candidates_enumerated": 0,
+        "rmq_queries": 0,
+    }
+    assert ledger.since(snap) == {**dict.fromkeys(snap, 0), "inner_queries": 1}
 
 
 class _Echo(OnlineSolver):

@@ -204,4 +204,4 @@ def test_bool_from_bmmp_long_streams(n):
     matrix, queries = gen_instance(spec)
     solver = build_solver(ALT_BOOL_CHAIN, "bool", matrix, ReductionConfig(hitting_set_size="full"))
     assert run_stream(solver, NaiveSolver(matrix, problem="bool"), queries) == []
-    assert solver.counters.per_inner == {"bmmp": 3 * n}
+    assert solver.counters.inner_queries == 3 * n

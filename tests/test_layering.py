@@ -2,8 +2,9 @@
 
 Imports are read from the source with an AST scan, so an import inside a
 function body counts as much as one at the top of a module.  The same kind
-of scan checks that every public function and class of the package has a
-caller in the package or in the benchmark, not only in the tests.
+of scan checks that every public function, class, method and property of
+the package has a caller in the package or in the benchmark, not only in
+the tests.
 """
 
 import ast
@@ -18,10 +19,13 @@ PACKAGE = Path(omv.__file__).parent
 PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
 #: Public definitions that only the tests call, on purpose: the pure-Python
-#: definitions the solvers are checked against, and the harness entry
-#: points the README documents.
+#: definitions the solvers are checked against, the harness entry points
+#: the README documents, and the negative control's flush, whose answers
+#: the tests compare with the oracle's to show that the mock only defers
+#: its work.
 TEST_ONLY = {
     "folklore.tilt_query",
+    "harness.BatchingMockSolver.flush",
     "harness.accounting_check",
     "harness.adaptive_session",
     "harness.success_rate_experiment",
@@ -71,37 +75,66 @@ def test_link_modules_do_not_import_chains(module):
     assert "omv.chains" not in module_imports(module)
 
 
+DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
+
+
 def referenced_names(source: str) -> set[str]:
     """Names, attributes and imported names used in ``source``.
 
-    A top-level function's or class's uses of its own name (recursion, a
-    classmethod building its own class) do not count.
+    A function's, method's or class's uses of its own name inside its own
+    body (recursion, a classmethod building its own class) do not count.
     """
     found = set()
-    for statement in ast.parse(source).body:
-        own = getattr(statement, "name", None)
-        for node in ast.walk(statement):
-            if isinstance(node, ast.Name):
-                found.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                found.add(node.attr)
-            elif isinstance(node, ast.alias):
-                found.add(node.name.rpartition(".")[2])
-        found.discard(own)
+
+    def visit(node: ast.AST, enclosing: frozenset[str]) -> None:
+        if isinstance(node, DEFINITIONS):
+            enclosing = enclosing | {node.name}
+        name = None
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.rpartition(".")[2]
+        if name is not None and name not in enclosing:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(ast.parse(source), frozenset())
     return found
 
 
 def public_definitions(source: str) -> list[str]:
-    return [
-        node.name
-        for node in ast.parse(source).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-    ]
+    """Public top-level functions and classes, and the public methods and
+    properties of those classes as ``Class.method``."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
+            found.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                found.extend(
+                    f"{node.name}.{member.name}"
+                    for member in node.body
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+                )
+    return found
 
 
 def test_reference_scan_skips_a_definitions_own_name():
     source = "from .core import Matrix\n\ndef f(n):\n    return f(n - 1) + g.h\n"
     assert referenced_names(source) == {"Matrix", "n", "g", "h"}
+    source = "class C:\n    def m(self):\n        return self.m() + self.k()\n"
+    assert referenced_names(source) == {"self", "k"}
+
+
+def test_definition_scan_lists_public_methods_and_properties():
+    source = (
+        "class C:\n    @property\n    def p(self):\n        pass\n"
+        "    def m(self):\n        pass\n    def _h(self):\n        pass\n"
+        "def f():\n    pass\n"
+    )
+    assert public_definitions(source) == ["C", "C.p", "C.m", "f"]
 
 
 def test_every_public_definition_has_a_caller_outside_the_tests():
@@ -113,6 +146,6 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
         f"{path.stem}.{name}"
         for path in modules
         for name in public_definitions(path.read_text())
-        if name not in used
+        if name.rpartition(".")[2] not in used
     }
     assert unused == TEST_ONLY

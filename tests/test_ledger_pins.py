@@ -2,9 +2,10 @@
 
 Every FULL_CYCLE chain and the short boolean route runs on one seeded
 instance at n = 9 and one at n = 1.  The head link's counter snapshot and
-per-inner breakdown are hard-coded: a change to how a link computes its
-answers must not change how many inner queries it asks, how far it scans,
-or under which label it books them.  Answers are checked against the
+the number of queries each of its direct inner solvers answered are
+hard-coded: a change to how a link computes its answers must not change
+how many inner queries it books, how far it scans, or how it spreads its
+inner calls over its inner solvers.  Answers are checked against the
 pure-Python definitions in ``omv.oracle``.
 
 The instances carry the extreme values the package promises to keep
@@ -67,58 +68,57 @@ def _zeros(**counts):
     return snap
 
 
-def _labels(prefix: str, count: int, each: int) -> dict[str, int]:
-    return {f"{prefix}{level}]": each for level in range(count)}
-
-
-# (chain name, n) -> (queries, head snapshot, head per_inner, per-link totals).
-# Per-link totals sum the counter snapshots of every solver of that link in
-# the built tree, in the order (inner_queries, scan_length_total,
-# multiset_updates, candidates_enumerated, rmq_queries).  The n = 1 short
+# (chain name, n) -> (queries, head snapshot, child calls, per-link totals).
+# Child calls are the sorted query counts of the head's direct inner
+# solvers: a stacked boolean leaf answers all of eq<-bool's slices in one
+# call, and the short boolean route builds a fresh min-plus solver for
+# every epoch of n queries.  Per-link totals sum the counter snapshots of
+# every solver of that link in the built tree, in the order (inner_queries,
+# scan_length_total, multiset_updates, candidates_enumerated, rmq_queries).  The n = 1 short
 # boolean route stops at two queries and its tree totals are not pinned:
 # its inner min-plus solver restarts every n queries.
 PINS = {
-    ("eq", 9): (5, _zeros(inner_queries=15, scan_length_total=17), _labels("bool[", 3, 5), {
+    ("eq", 9): (5, _zeros(inner_queries=15, scan_length_total=17), [5], {
         "eq<-bool": (15, 17, 0, 0, 0),
     }),
-    ("eq", 1): (5, _zeros(inner_queries=5), _labels("bool[", 1, 5), {
+    ("eq", 1): (5, _zeros(inner_queries=5), [5], {
         "eq<-bool": (5, 0, 0, 0, 0),
     }),
-    ("dom", 9): (5, _zeros(inner_queries=40), _labels("eq[", 8, 5), {
+    ("dom", 9): (5, _zeros(inner_queries=40), [5] * 8, {
         "eq<-bool": (120, 9, 0, 0, 0),
         "dom<-eq": (40, 0, 0, 0, 0),
     }),
-    ("dom", 1): (5, _zeros(inner_queries=10), _labels("eq[", 2, 5), {
+    ("dom", 1): (5, _zeros(inner_queries=10), [5, 5], {
         "eq<-bool": (10, 0, 0, 0, 0),
         "dom<-eq": (10, 0, 0, 0, 0),
     }),
     ("minmax", 9): (
         5,
-        _zeros(inner_queries=30, scan_length_total=312),
-        {**_labels("dom[bucket", 3, 5), "dom[matrix]": 15},
+        _zeros(inner_queries=30, scan_length_total=242),
+        [5, 5, 5, 15],
         {
             "eq<-bool": (720, 2, 0, 0, 0),
             "dom<-eq": (240, 0, 0, 0, 0),
-            "minmax<-dom": (30, 312, 0, 0, 0),
+            "minmax<-dom": (30, 242, 0, 0, 0),
         },
     ),
     ("minmax", 1): (
         5,
         _zeros(inner_queries=10, scan_length_total=5),
-        {"dom[bucket0]": 5, "dom[matrix]": 5},
+        [5, 5],
         {
             "eq<-bool": (20, 0, 0, 0, 0),
             "dom<-eq": (20, 0, 0, 0, 0),
             "minmax<-dom": (10, 5, 0, 0, 0),
         },
     ),
-    ("minwit", 9): (5, _zeros(inner_queries=5), {"minmax": 5}, {
+    ("minwit", 9): (5, _zeros(inner_queries=5), [5], {
         "eq<-bool": (720, 0, 0, 0, 0),
         "dom<-eq": (240, 0, 0, 0, 0),
         "minmax<-dom": (30, 137, 0, 0, 0),
         "minwit<-minmax": (5, 0, 0, 0, 0),
     }),
-    ("minwit", 1): (5, _zeros(inner_queries=5), {"minmax": 5}, {
+    ("minwit", 1): (5, _zeros(inner_queries=5), [5], {
         "eq<-bool": (20, 0, 0, 0, 0),
         "dom<-eq": (20, 0, 0, 0, 0),
         "minmax<-dom": (10, 9, 0, 0, 0),
@@ -127,35 +127,35 @@ PINS = {
     ("bmmp", 9): (
         5,
         _zeros(inner_queries=800, candidates_enumerated=164, rmq_queries=160),
-        _labels("eq[r", 20, 40),
+        [40] * 20,
         {
             "eq<-bool": (2400, 415, 0, 0, 0),
             "bmmp<-eq": (800, 0, 0, 164, 160),
         },
     ),
-    ("bmmp", 1): (5, _zeros(candidates_enumerated=5, rmq_queries=5), {}, {
+    ("bmmp", 1): (5, _zeros(candidates_enumerated=5, rmq_queries=5), [], {
         "bmmp<-eq": (0, 0, 0, 5, 5),
     }),
-    ("bool", 9): (5, _zeros(inner_queries=5), {"minwit": 5}, {
+    ("bool", 9): (5, _zeros(inner_queries=5), [5], {
         "eq<-bool": (720, 0, 0, 0, 0),
         "dom<-eq": (240, 0, 0, 0, 0),
         "minmax<-dom": (30, 144, 0, 0, 0),
         "minwit<-minmax": (5, 0, 0, 0, 0),
         "bool<-minwit": (5, 0, 0, 0, 0),
     }),
-    ("bool", 1): (5, _zeros(inner_queries=5), {"minwit": 5}, {
+    ("bool", 1): (5, _zeros(inner_queries=5), [5], {
         "eq<-bool": (20, 0, 0, 0, 0),
         "dom<-eq": (20, 0, 0, 0, 0),
         "minmax<-dom": (10, 5, 0, 0, 0),
         "minwit<-minmax": (5, 0, 0, 0, 0),
         "bool<-minwit": (5, 0, 0, 0, 0),
     }),
-    ("bool-alt", 9): (5, _zeros(inner_queries=5), {"bmmp": 5}, {
+    ("bool-alt", 9): (5, _zeros(inner_queries=5), [5], {
         "eq<-bool": (2400, 0, 0, 0, 0),
         "bmmp<-eq": (800, 0, 279, 402, 0),
         "bool<-bmmp": (5, 0, 0, 0, 0),
     }),
-    ("bool-alt", 1): (2, _zeros(inner_queries=2), {"bmmp": 2}, None),
+    ("bool-alt", 1): (2, _zeros(inner_queries=2), [1, 1], None),
 }
 
 CHAINS = [(problem, problem, chain) for problem, chain in FULL_CYCLE.items()]
@@ -165,17 +165,18 @@ CHAINS.append(("bool-alt", "bool", ALT_BOOL_CHAIN))
 @pytest.mark.parametrize("n", [9, 1])
 @pytest.mark.parametrize("name,problem,chain", CHAINS, ids=[c[0] for c in CHAINS])
 def test_head_ledger_and_answers_are_pinned(name, problem, chain, n):
-    queries, snapshot, per_inner, link_totals = PINS[(name, n)]
+    queries, snapshot, child_calls, link_totals = PINS[(name, n)]
     matrix, stream, config = _instance(problem, n, queries)
-    built: list[tuple[str, OnlineSolver]] = []
+    built: list[tuple[str, int, OnlineSolver]] = []
     solver = _build_recording(chain, problem, matrix, config, built)
     for v in stream:
         assert solver.query(v).entries == DEFINITIONS[problem](matrix, v).entries
     assert solver.counters.snapshot() == snapshot
-    assert solver.counters.per_inner == per_inner
+    children = [node for _, depth, node in built if depth == 1]
+    assert sorted(node.query_index - 1 for node in children) == child_calls
     if link_totals is not None:
         totals: dict[str, list[int]] = {}
-        for link, node in built:
+        for link, _, node in built:
             if link != "naive":
                 row = totals.setdefault(link, [0] * 5)
                 for index, value in enumerate(node.counters.snapshot().values()):
@@ -183,14 +184,15 @@ def test_head_ledger_and_answers_are_pinned(name, problem, chain, n):
         assert {link: tuple(row) for link, row in totals.items()} == link_totals
 
 
-def _build_recording(names, problem, matrix, config, built):
-    """build_solver's wiring, keeping every solver of the tree in ``built``."""
+def _build_recording(names, problem, matrix, config, built, depth=0):
+    """build_solver's wiring, keeping every solver of the tree in ``built``
+    as (link, depth below the head, solver)."""
     if names[0] == "naive":
         solver = NaiveSolver(matrix, config, problem=problem)
     else:
         def factory(inner_problem, inner_matrix, cfg):
-            return _build_recording(names[1:], inner_problem, inner_matrix, cfg, built)
+            return _build_recording(names[1:], inner_problem, inner_matrix, cfg, built, depth + 1)
 
         solver = LINKS[names[0]](matrix, config, make_inner=factory)
-    built.append((names[0], solver))
+    built.append((names[0], depth, solver))
     return solver
