@@ -42,6 +42,7 @@ O(n^2) as well; the dense pass keeps one code path instead of four.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -219,13 +220,12 @@ class BmmpFromEqSolver(OnlineSolver):
 
     def _step1(self, v: np.ndarray) -> np.ndarray:
         """True minimum over each small candidate set; inf for oversize rows."""
-        reports = self.list_candidates(v)
-        rows = [i for i, report in enumerate(reports) if report.candidates]
+        listed = [report.candidates or () for report in self.list_candidates(v)]
+        sizes = [len(candidates) for candidates in listed]
+        cols = np.fromiter(itertools.chain.from_iterable(listed), dtype=np.int64, count=sum(sizes))
+        owner = np.repeat(np.arange(self.n), sizes)
         best = np.full(self.n, INF)
-        if rows:
-            cols = np.concatenate([reports[i].candidates for i in rows])
-            owner = np.repeat(rows, [len(reports[i].candidates) for i in rows])
-            np.minimum.at(best, owner, self._m[owner, cols] + v[cols])
+        np.minimum.at(best, owner, self._m[owner, cols] + v[cols])
         return best
 
     def _step2(self, v: np.ndarray) -> np.ndarray:

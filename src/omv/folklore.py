@@ -10,7 +10,11 @@ bits agree, so testing rank <= query_rank (that is, rank < query_rank + 1)
 becomes one equality product per bit position: slice l stores the high
 bits of the rank where bit l is 0 (a sentinel otherwise), the query stores
 the high bits of query_rank + 1 where bit l is 1, and a slice equality hit
-at any level means dominance.
+at any level means dominance.  The ledger books rank_bit_count(n) levels,
+enough for n^2 distinct values, but a matrix with D distinct values has
+query_rank + 1 <= D + 1, so every probe at a level l >= (D + 1).bit_length()
+is all sentinel and can never hit: only the levels below it are built and
+asked.
 
 Min-witness from min-max encodes positions as values: mapping 1-entries to
 their own 1-based column index and 0-entries to +inf makes the min-max of
@@ -86,7 +90,15 @@ def _bit_slices(ranks: np.ndarray, bits: int, bit_value: int, sentinel: int) -> 
 
 
 class DomFromEqSolver(OnlineSolver):
-    """Online dominance solver asking one equality query per bit slice."""
+    """Online dominance solver asking one equality query per bit slice.
+
+    ``bit_count`` = rank_bit_count(n) is the number of inner queries the
+    ledger books per query.  Only the ``levels`` = (D + 1).bit_length()
+    lowest slices are built and asked, D >= 1 being the number of distinct
+    matrix values (so at least two levels): above them bit l of every
+    query_rank + 1 <= D + 1 is 0, so the probe is all sentinel and the slice
+    equality never hits.
+    """
 
     problem = "dom"
     inner_problem = "eq"
@@ -101,13 +113,12 @@ class DomFromEqSolver(OnlineSolver):
         m = as_array(matrix)
         self.rank_map = RankMap(m)
         self.bit_count = rank_bit_count(self.n)
-        slices = _bit_slices(self.rank_map.rank(m), self.bit_count, 0, -1)
-        self._slices: list[OnlineSolver] = [
-            make_inner("eq", slices[level], self.config) for level in range(self.bit_count)
-        ]
+        self.levels = (len(self.rank_map.values) + 1).bit_length()
+        slices = _bit_slices(self.rank_map.rank(m), self.levels, 0, -1)
+        self._slices: list[OnlineSolver] = [make_inner("eq", s, self.config) for s in slices]
 
     def _answer(self, v: np.ndarray) -> np.ndarray:
-        probes = _bit_slices(self.rank_map.query_rank(v) + 1, self.bit_count, 1, -2)
+        probes = _bit_slices(self.rank_map.query_rank(v) + 1, self.levels, 1, -2)
         out = np.zeros(self.n, dtype=bool)
         for inner, probe in zip(self._slices, probes):
             out |= inner.query(probe)

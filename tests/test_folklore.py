@@ -14,7 +14,7 @@ from omv.folklore import (
     tilt_query,
 )
 from omv.harness import InstanceSpec, gen_instance, run_stream
-from omv.oracle import NaiveSolver, bool_mv, minplus_mv
+from omv.oracle import NaiveSolver, bool_mv, dom_exists_mv, minplus_mv
 
 
 def test_rank_map_frozen_example():
@@ -77,6 +77,36 @@ def test_dom_from_eq_below_everything():
     matrix = Matrix([[2, 5], [3, 4]])
     solver = DomFromEqSolver(matrix)
     assert solver.query(Vector([1, 1])).entries == [0, 0]
+
+
+@pytest.mark.parametrize("infinite_ends", [False, True])
+@pytest.mark.parametrize("distinct", [1, 2, 3, 4, 7, 8, 15, 16])
+def test_dom_from_eq_builds_only_reachable_levels(distinct, infinite_ends):
+    # D distinct values put D + 1 on and beside powers of two; the levels
+    # asked are those of query_rank + 1 <= D + 1, the levels booked stay
+    # rank_bit_count(n)
+    rng = random.Random(distinct)
+    n = 4
+    values = [10 * k for k in range(distinct)]
+    if infinite_ends:
+        values[-1] = INF
+        if distinct > 1:
+            values[0] = NEG_INF
+    entries = [values[i % distinct] for i in range(n * n)]
+    rng.shuffle(entries)
+    matrix = Matrix([entries[i * n : (i + 1) * n] for i in range(n)])
+    solver = DomFromEqSolver(matrix)
+    assert solver.levels == max((distinct + 1).bit_length(), 2)
+    assert solver.bit_count == rank_bit_count(n)
+    finite = [value for value in values if abs(value) != INF]
+    # below the minimum, each value, between values, above the maximum, +/-inf
+    pool = sorted({*values, *(value - 5 for value in finite), 10 * distinct, INF, NEG_INF})
+    queries = [Vector([c] * n) for c in pool]
+    queries += [Vector([rng.choice(pool) for _ in range(n)]) for _ in range(30)]
+    for v in queries:
+        snap = solver.counters.snapshot()
+        assert solver.query(v).entries == dom_exists_mv(matrix, v).entries, v
+        assert solver.counters.since(snap)["inner_queries"] == rank_bit_count(n)
 
 
 def test_dom_from_eq_issues_one_query_per_bit():

@@ -71,8 +71,9 @@ def _zeros(**counts):
 # (chain name, n) -> (queries, head snapshot, child calls, per-link totals).
 # Child calls are the sorted query counts of the head's direct inner
 # solvers: a stacked boolean leaf answers all of eq<-bool's slices in one
-# call, and the short boolean route builds a fresh min-plus solver for
-# every epoch of n queries.  Per-link totals sum the counter snapshots of
+# call, dom<-eq builds only the bit levels its ranks can reach (4 of the 8
+# it books at n = 9), and the short boolean route builds a fresh min-plus
+# solver for every epoch of n queries.  Per-link totals sum the counter snapshots of
 # every solver of that link in the built tree, in the order (inner_queries,
 # scan_length_total, multiset_updates, candidates_enumerated, rmq_queries).  The n = 1 short
 # boolean route stops at two queries and its tree totals are not pinned:
@@ -84,8 +85,8 @@ PINS = {
     ("eq", 1): (5, _zeros(inner_queries=5), [5], {
         "eq<-bool": (5, 0, 0, 0, 0),
     }),
-    ("dom", 9): (5, _zeros(inner_queries=40), [5] * 8, {
-        "eq<-bool": (120, 9, 0, 0, 0),
+    ("dom", 9): (5, _zeros(inner_queries=40), [5] * 4, {
+        "eq<-bool": (60, 9, 0, 0, 0),
         "dom<-eq": (40, 0, 0, 0, 0),
     }),
     ("dom", 1): (5, _zeros(inner_queries=10), [5, 5], {
@@ -97,7 +98,7 @@ PINS = {
         _zeros(inner_queries=30, scan_length_total=242),
         [5, 5, 5, 15],
         {
-            "eq<-bool": (720, 2, 0, 0, 0),
+            "eq<-bool": (330, 2, 0, 0, 0),
             "dom<-eq": (240, 0, 0, 0, 0),
             "minmax<-dom": (30, 242, 0, 0, 0),
         },
@@ -113,7 +114,7 @@ PINS = {
         },
     ),
     ("minwit", 9): (5, _zeros(inner_queries=5), [5], {
-        "eq<-bool": (720, 0, 0, 0, 0),
+        "eq<-bool": (345, 0, 0, 0, 0),
         "dom<-eq": (240, 0, 0, 0, 0),
         "minmax<-dom": (30, 137, 0, 0, 0),
         "minwit<-minmax": (5, 0, 0, 0, 0),
@@ -137,7 +138,7 @@ PINS = {
         "bmmp<-eq": (0, 0, 0, 5, 5),
     }),
     ("bool", 9): (5, _zeros(inner_queries=5), [5], {
-        "eq<-bool": (720, 0, 0, 0, 0),
+        "eq<-bool": (330, 0, 0, 0, 0),
         "dom<-eq": (240, 0, 0, 0, 0),
         "minmax<-dom": (30, 144, 0, 0, 0),
         "minwit<-minmax": (5, 0, 0, 0, 0),
