@@ -11,14 +11,14 @@ always contains every minimizer.  Step one lists C_i exactly for every i
 whose candidate set is small (at most cap = floor(c*n/delta) elements,
 with c the value-bound constant) and takes the true minimum over the
 listed columns.  Step two covers the large candidate sets by randomness:
-a hitting set R of columns is sampled with replacement, each r in R carries an equality solver on the
-column-shifted matrix M[i,k] - M[i,r], and for every offset d in
-{0, ..., 3*delta - 2} the query  v[r] - v[k] - d  asks whether some k has
-M[i,k] + v[k] = M[i,r] + v[r] - d.  Every equality hit contributes a
-genuine sum, so taking the minimum over both steps never undershoots; it
-can only overshoot when some large C_i escapes R entirely, which with
-|R| = ceil(3 * delta * ln n) happens for any fixed query with probability
-at most 1/n^2 over all rows combined.
+R is a sample of |R| <= n distinct columns, each r in R carries an
+equality solver on the shifted matrix M[i,k] - M[i,r], and for every
+offset d in {0, ..., 3*delta - 2} the query  v[r] - v[k] - d  asks whether
+some k has M[i,k] + v[k] = M[i,r] + v[r] - d.  Every equality hit is a
+genuine sum, so the minimum over both steps never undershoots; it can
+only overshoot when some large C_i escapes R entirely, which with
+|R| = min(ceil(3 * delta * ln n), n) happens for any fixed query with
+probability at most 1/n^2 over all rows combined, and never at |R| = n.
 
 Candidate listing runs the same code in every monotonicity direction: one
 [n, n] key table MH + vh, its row minima, and the columns within one of
@@ -164,14 +164,13 @@ class CandidateLister:
 class BmmpFromEqSolver(OnlineSolver):
     """Online bounded monotone min-plus solver over equality inner solvers.
 
-    Exact whenever every candidate set is small or hit by R; with the
-    default |R| = ceil(3 * delta * ln n) a whole n-query stream is answered
-    without any error with probability at least 1 - 1/n.  Forced-hit mode
-    (hitting_set_size="full") uses every column and is deterministic and
-    always exact.  Otherwise R is one sample of hitting_set_size columns,
-    drawn with replacement from ``config.seed``.  A lower error rate costs
-    a larger R: r*|R| columns are distributed like r independent samples
-    of |R| pooled, so they miss a row only when all r samples would.  The
+    Exact whenever every candidate set is small or hit by R, a sample of
+    |R| = config.resolve_hitting(n, delta) distinct columns drawn without
+    replacement from ``config.seed``.  Such a sample misses a fixed set no
+    more often than one drawn with replacement, so with the default
+    |R| = min(ceil(3 * delta * ln n), n) a whole n-query stream is answered
+    without any error with probability at least 1 - 1/n.  |R| = n
+    (hitting_set_size="full") takes every column and never misses.  The
     matrix must be a Matrix: it carries the declared monotonicity case.
     """
 
@@ -201,12 +200,8 @@ class BmmpFromEqSolver(OnlineSolver):
             bound_constant=self.config.bound_constant,
             ledger=self.counters,
         )
-        hitting_size = self.config.resolve_hitting(n, self.delta)
-        if hitting_size == "full":
-            self.hitting_columns = list(range(n))
-        else:
-            rng = random.Random(self.config.seed)
-            self.hitting_columns = [rng.randrange(n) for _ in range(hitting_size)]
+        size = self.config.resolve_hitting(n, self.delta)
+        self.hitting_columns = sorted(random.Random(self.config.seed).sample(range(n), size))
         self._columns = np.array(self.hitting_columns, dtype=np.int64)
         # one equality solver per hitting column r, on the shifted M[i,k] - M[i,r]
         self._hitting_solvers = [

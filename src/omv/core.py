@@ -271,9 +271,10 @@ class ReductionConfig:
     ``t``, ``delta`` and ``hitting_set_size`` default to None meaning
     "auto": t = ceil(sqrt(n)), delta = ceil(n^(1/3)) and
     |R| = ceil(3 * delta * ln n), resolved when a solver preprocesses its
-    matrix.  ``hitting_set_size`` may also be the string "full", which
-    replaces random sampling with every column (forced-hit mode, making the
-    randomized min-plus reduction deterministic).  ``bound_constant`` is
+    matrix.  ``hitting_set_size`` may also be the string "full", meaning
+    every column; |R| is clamped to n, and |R| = n (forced-hit mode) makes
+    the randomized min-plus reduction deterministic.  t and delta must be
+    at least 1 and an int |R| at least 0.  ``bound_constant`` is
     the c in the [0, c*n] value bound accepted by the bmmp solver, and
     ``seed`` seeds the bmmp solver's hitting set.  How a reduction builds
     its inner solvers is not a setting: each link takes a ``make_inner``
@@ -287,16 +288,26 @@ class ReductionConfig:
     seed: int = 0
     bound_constant: int = 4
 
+    def __post_init__(self) -> None:
+        for name in ("t", "delta"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        size = self.hitting_set_size
+        if size is not None and size != "full" and not (isinstance(size, int) and size >= 0):
+            raise ValueError(f"hitting set size must be 'full' or an int >= 0, got {size!r}")
+
     def resolve_t(self, n: int) -> int:
         return self.t if self.t is not None else ceil_sqrt(n)
 
     def resolve_delta(self, n: int) -> int:
         return self.delta if self.delta is not None else ceil_cbrt(n)
 
-    def resolve_hitting(self, n: int, delta: int) -> int | str:
-        if self.hitting_set_size is None:
-            return math.ceil(3 * delta * math.log(n)) if n > 1 else 0
-        return self.hitting_set_size
+    def resolve_hitting(self, n: int, delta: int) -> int:
+        size = self.hitting_set_size
+        if size is None:
+            size = math.ceil(3 * delta * math.log(n))
+        return n if size == "full" else min(size, n)
 
 
 @dataclass

@@ -44,7 +44,6 @@ from .core import (
     OnlineSolver,
     ReductionConfig,
     SolverFactory,
-    Vector,
     as_array,
 )
 from .oracle import naive_factory
@@ -159,13 +158,9 @@ def tilt_matrix(matrix: Matrix | np.ndarray) -> Matrix:
     return Matrix(tilted.astype(np.int64).tolist(), tag="bounded", monotone="stream")
 
 
-def _tilt(v: np.ndarray, j: int, n: int) -> np.ndarray:
-    return 2.0 * (j - np.arange(1, n + 1)) - v + 2 * n
-
-
-def tilt_query(vector: Vector, j: int, n: int) -> Vector:
+def tilt_query(v: np.ndarray, j: int, n: int) -> np.ndarray:
     """Position-tilted j-th boolean query, shifted by 2n to stay nonnegative."""
-    return Vector(_tilt(as_array(vector.entries), j, n).astype(np.int64).tolist())
+    return 2.0 * (j - np.arange(1, n + 1)) - v + 2 * n
 
 
 class BoolFromBmmpSolver(OnlineSolver):
@@ -205,6 +200,6 @@ class BoolFromBmmpSolver(OnlineSolver):
             self._inner = None  # release the finished epoch before building the next
             self._inner = self._build_inner(epoch)
         j = offset + 1
-        answer = self._inner.query(_tilt(v, j, self.n))
+        answer = self._inner.query(tilt_query(v, j, self.n))
         self.counters.inner_queries += 1
         return answer == self._targets + 2 * j

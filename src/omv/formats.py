@@ -19,6 +19,7 @@ parsing a printed file reproduces the original values exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from .core import INF, MONOTONE_CASES, NEG_INF, PROBLEMS, Matrix, Value, Vector
@@ -77,21 +78,15 @@ def print_instance(instance: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Lines:
-    def __init__(self, text: str):
-        self._lines = text.splitlines()
-        self._at = 0
-
-    def next(self, what: str) -> str:
-        while self._at < len(self._lines):
-            line = self._lines[self._at].strip()
-            self._at += 1
-            if line:
-                return line
-        raise ParseError(f"unexpected end of file, expected {what}")
-
-    def done(self) -> bool:
-        return all(not line.strip() for line in self._lines[self._at :])
+def _next_line(read_line: Callable[[], str], what: str) -> str:
+    """The next non-blank line, stripped; ``read_line`` gives "" at the end."""
+    while True:
+        line = read_line()
+        if line == "":
+            raise ParseError(f"unexpected end of input, expected {what}")
+        line = line.strip()
+        if line:
+            return line
 
 
 def _parse_keyword(line: str, keyword: str) -> str:
@@ -109,21 +104,12 @@ def read_header_and_matrix(read_line: Callable[[], str]) -> tuple[str, Matrix]:
     past the matrix block.
     """
 
-    def next_line(what: str) -> str:
-        while True:
-            line = read_line()
-            if line == "":
-                raise ParseError(f"unexpected end of input, expected {what}")
-            line = line.strip()
-            if line:
-                return line
-
-    if next_line("magic header") != MAGIC:
+    if _next_line(read_line, "magic header") != MAGIC:
         raise ParseError(f"missing '{MAGIC}' header")
-    problem = _parse_keyword(next_line("problem line"), "problem")
+    problem = _parse_keyword(_next_line(read_line, "problem line"), "problem")
     if problem not in PROBLEMS:
         raise ParseError(f"unknown problem {problem!r}")
-    n_text = _parse_keyword(next_line("dimension line"), "n")
+    n_text = _parse_keyword(_next_line(read_line, "dimension line"), "n")
     try:
         n = int(n_text)
     except ValueError:
@@ -133,7 +119,7 @@ def read_header_and_matrix(read_line: Callable[[], str]) -> tuple[str, Matrix]:
 
     monotone: Optional[str] = None
     first_row_line: Optional[str] = None
-    line = next_line("matrix row or monotone line")
+    line = _next_line(read_line, "matrix row or monotone line")
     if line.startswith("monotone"):
         monotone = _parse_keyword(line, "monotone")
         if monotone not in MONOTONE_CASES:
@@ -150,7 +136,7 @@ def read_header_and_matrix(read_line: Callable[[], str]) -> tuple[str, Matrix]:
         if i == 0 and first_row_line is not None:
             line = first_row_line
         else:
-            line = next_line(f"matrix row {i + 1}")
+            line = _next_line(read_line, f"matrix row {i + 1}")
         rows.append(_parse_row(line, n, f"matrix row {i + 1}"))
     tag = "boolean" if problem in ("bool", "minwit") else (
         "bounded" if problem == "bmmp" else "integer"
@@ -159,11 +145,10 @@ def read_header_and_matrix(read_line: Callable[[], str]) -> tuple[str, Matrix]:
 
 
 def parse_instance(text: str) -> Instance:
-    lines = _Lines(text)
-    problem, matrix = read_header_and_matrix(
-        lambda: lines.next("instance body") if not lines.done() else ""
-    )
-    q_text = _parse_keyword(lines.next("queries line"), "queries")
+    lines = iter(text.splitlines(keepends=True))
+    read_line = partial(next, lines, "")
+    problem, matrix = read_header_and_matrix(read_line)
+    q_text = _parse_keyword(_next_line(read_line, "queries line"), "queries")
     try:
         q = int(q_text)
     except ValueError:
@@ -171,10 +156,10 @@ def parse_instance(text: str) -> Instance:
     if q < 0:
         raise ParseError("query count must be nonnegative")
     queries = [
-        Vector(_parse_row(lines.next(f"query {j + 1}"), matrix.n, f"query {j + 1}"))
+        Vector(_parse_row(_next_line(read_line, f"query {j + 1}"), matrix.n, f"query {j + 1}"))
         for j in range(q)
     ]
-    if not lines.done():
+    if any(line.strip() for line in lines):
         raise ParseError("trailing content after the last query")
     return Instance(problem, matrix, queries)
 

@@ -11,6 +11,8 @@ the structural bookkeeping it advertises.
 import itertools
 import random
 
+import numpy as np
+
 from omv.bmmp_from_eq import CandidateLister
 from omv.chains import ALT_BOOL_CHAIN, FULL_CYCLE, LINKS, build_solver
 from omv.core import Matrix, ReductionConfig, Vector
@@ -275,13 +277,10 @@ def test_criterion_9_boolean_tilt_monotonicity():
             )
         previous = None
         for j in range(1, n + 1):
-            v = Vector([rng.randint(0, 1) for _ in range(n)])
+            v = np.array([rng.randint(0, 1) for _ in range(n)], dtype=float)
             encoded = tilt_query(v, j, n)
             if previous is not None:
-                assert all(previous[k] <= encoded[k] for k in range(n))
-            reversed_axis = encoded.entries[::-1]
-            assert all(
-                reversed_axis[k] <= reversed_axis[k + 1] for k in range(n - 1)
-            )
+                assert (previous <= encoded).all()
+            assert (np.diff(encoded[::-1]) >= 0).all()
             previous = encoded
     _report("criterion 9: boolean tilt monotonicity", "100 instances")

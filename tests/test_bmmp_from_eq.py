@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -161,10 +162,63 @@ def test_rejected_stream_query_leaves_the_lister_as_it_was():
 
 
 def test_default_hitting_set_size():
+    # ceil(6 * ln 16) = 17 columns would exceed n: R is every column
     spec = InstanceSpec(problem="bmmp", n=16, monotone="rows", seed=0)
     matrix, _ = gen_instance(spec)
     solver = BmmpFromEqSolver(matrix, ReductionConfig(delta=2, bound_constant=1))
-    assert len(solver.hitting_columns) == math.ceil(6 * math.log(16))  # 17
+    assert math.ceil(6 * math.log(16)) == 17
+    assert solver.hitting_columns == list(range(16))
+
+
+def test_auto_hitting_set_at_n32_is_every_column():
+    # delta = ceil(32^(1/3)) = 4 and ceil(12 * ln 32) = 42 > 32
+    spec = InstanceSpec(problem="bmmp", n=32, monotone="rows", seed=0)
+    matrix, _ = gen_instance(spec)
+    solver = BmmpFromEqSolver(matrix, ReductionConfig(bound_constant=1, seed=97))
+    assert solver.delta == 4
+    assert solver.hitting_columns == list(range(32))
+
+
+def _ties_instance(rng, n, delta, queries):
+    """A rows-case instance at c = 1 whose even rows lie in one delta-bucket
+    and whose queries lie in two adjacent buckets: every column is a
+    candidate of an even row, so at least half the rows are oversize and
+    only step two answers them."""
+    rows = []
+    for i in range(n):
+        if i % 2 == 0:
+            base = delta * rng.randrange(n // delta)
+            rows.append(sorted(base + rng.randrange(delta) for _ in range(n)))
+        else:
+            rows.append(sorted(rng.randint(0, n) for _ in range(n)))
+    stream = []
+    for _ in range(queries):
+        base = delta * rng.randrange(n // delta - 1)
+        stream.append(Vector([base + rng.randrange(2 * delta) for _ in range(n)]))
+    return Matrix(rows, monotone="rows"), stream
+
+
+def test_sampling_regime_n64_draws_distinct_columns():
+    # delta = 4 and |R| = ceil(12 * ln 64) = 50 < 64: R is a real sample,
+    # 50 distinct columns fixed by the seed, asked 3 * delta - 1 = 11 times.
+    # An oversize set has more than cap = 16 columns, and only 14 columns
+    # lie outside R, so no oversize set escapes and every answer is exact.
+    n, delta = 64, 4
+    config = ReductionConfig(delta=delta, bound_constant=1)
+    for seed in (641, 642, 643):
+        matrix, queries = _ties_instance(random.Random(seed), n, delta, queries=n)
+        solver = BmmpFromEqSolver(matrix, replace(config, seed=seed))
+        columns = solver.hitting_columns
+        assert len(set(columns)) == 50 and columns == sorted(columns)
+        assert BmmpFromEqSolver(matrix, replace(config, seed=seed)).hitting_columns == columns
+        assert BmmpFromEqSolver(matrix, replace(config, seed=seed + 1)).hitting_columns != columns
+        lister = CandidateLister(matrix, delta, "rows", bound_constant=1)
+        reference = NaiveSolver(matrix, problem="bmmp")
+        for v in queries:
+            assert sum(report.candidates is None for report in lister.reports(v)) >= n // 2
+            snap = solver.counters.snapshot()
+            assert solver.query(v).entries == reference.query(v).entries
+            assert solver.counters.since(snap)["inner_queries"] == 550
 
 
 def test_forced_hit_uses_every_column_once():
@@ -298,14 +352,15 @@ def test_exact_inner_query_count():
 
 
 def test_frozen_inner_query_count_n16_delta2():
-    # 17 hitting columns times 5 offsets: 85 inner equality queries each
+    # 16 hitting columns (17 clamped to n) times 5 offsets: 80 inner
+    # equality queries each
     rng = random.Random(112)
     matrix, queries = _case_instance(rng, 16, "rows")
     solver = BmmpFromEqSolver(matrix, ReductionConfig(delta=2, bound_constant=1))
-    assert len(solver.hitting_columns) == 17
+    assert len(solver.hitting_columns) == 16
     snap = solver.counters.snapshot()
     solver.query(queries[0])
-    assert solver.counters.since(snap)["inner_queries"] == 85
+    assert solver.counters.since(snap)["inner_queries"] == 80
 
 
 def test_multiset_update_caps():

@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from omv.cli import main
 from omv.formats import parse_answers, parse_instance
 
@@ -132,6 +134,24 @@ def test_forced_hit_solve_is_seed_independent(tmp_path, capsys):
         assert code == 0
         outs.append(out.read_text())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "gen_args,chain,knob",
+    [
+        (["bmmp", "6", "--monotone", "rows"], "bmmp<-eq", "--delta=-1"),
+        (["bmmp", "6", "--monotone", "rows"], "bmmp<-eq", "--delta=0"),
+        (["bmmp", "6", "--monotone", "rows"], "bmmp<-eq", "--hitting=-3"),
+        (["minmax", "6"], "minmax<-dom", "--t=0"),
+        (["minmax", "6"], "minmax<-dom", "--t=-1"),
+    ],
+)
+def test_invalid_solver_knob_is_a_validation_error(tmp_path, capsys, gen_args, chain, knob):
+    inst = tmp_path / "inst.txt"
+    assert main(["gen", *gen_args, "-o", str(inst)]) == 0
+    code, out, err = run_cli(["solve", str(inst), "--chain", chain, knob], capsys)
+    assert code == 3
+    assert out == "" and "must be" in err
 
 
 def _protocol(input_text, *args):

@@ -88,11 +88,30 @@ def test_config_auto_resolution():
     assert cfg.resolve_t(17) == 5
     assert cfg.resolve_delta(27) == 3
     assert cfg.resolve_delta(28) == 4
-    # ceil(3 * 2 * ln 16) = ceil(16.63...) = 17
-    assert cfg.resolve_hitting(16, 2) == 17
+    # ceil(3 * 2 * ln 16) = ceil(16.63...) = 17, clamped to n = 16
+    assert cfg.resolve_hitting(16, 2) == 16
+    assert cfg.resolve_hitting(64, 4) == 50
     assert cfg.resolve_hitting(1, 3) == 0
     assert ReductionConfig(t=2, delta=5).resolve_t(100) == 2
-    assert ReductionConfig(hitting_set_size="full").resolve_hitting(8, 2) == "full"
+    assert ReductionConfig(hitting_set_size="full").resolve_hitting(8, 2) == 8
+    assert ReductionConfig(hitting_set_size=20).resolve_hitting(8, 2) == 8
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        {"t": 0},
+        {"t": -1},
+        {"delta": 0},
+        {"delta": -1},
+        {"hitting_set_size": -3},
+        {"hitting_set_size": "all"},
+        {"hitting_set_size": 2.5},
+    ],
+)
+def test_config_rejects_invalid_knobs(knobs):
+    with pytest.raises(ValueError):
+        ReductionConfig(**knobs)
 
 
 def test_ceil_helpers():

@@ -88,6 +88,14 @@ def test_row_arity_and_token_errors():
         parse_instance(SAMPLE + "9 9\n")  # trailing content
 
 
+def test_blank_lines_and_missing_final_newline():
+    text = "\n OMV 1\n\nproblem eq\nn 1\n \n7\nqueries 1\n\n3\n\n \n"
+    instance = parse_instance(text)
+    assert instance.matrix.rows == [[7]]
+    assert [v.entries for v in instance.queries] == [[3]]
+    assert parse_instance(SAMPLE.rstrip("\n")) == parse_instance(SAMPLE)
+
+
 def test_truncated_file():
     with pytest.raises(ParseError):
         parse_instance("OMV 1\nproblem eq\nn 2\n1 2\n")

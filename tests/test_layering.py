@@ -24,7 +24,6 @@ PERFBENCH = PACKAGE.parents[1] / "perfbench"
 #: the tests compare with the oracle's to show that the mock only defers
 #: its work.
 TEST_ONLY = {
-    "folklore.tilt_query",
     "harness.BatchingMockSolver.flush",
     "harness.accounting_check",
     "harness.adaptive_session",

@@ -72,12 +72,14 @@ def _zeros(**counts):
 # Child calls are the sorted query counts of the head's direct inner
 # solvers: a stacked boolean leaf answers all of eq<-bool's slices in one
 # call, dom<-eq builds only the bit levels its ranks can reach (4 of the 8
-# it books at n = 9), and the short boolean route builds a fresh min-plus
-# solver for every epoch of n queries.  Per-link totals sum the counter snapshots of
-# every solver of that link in the built tree, in the order (inner_queries,
-# scan_length_total, multiset_updates, candidates_enumerated, rmq_queries).  The n = 1 short
-# boolean route stops at two queries and its tree totals are not pinned:
-# its inner min-plus solver restarts every n queries.
+# it books at n = 9), bmmp<-eq takes at most n distinct hitting columns
+# (all 9 at n = 9, where ceil(3 * delta * ln n) is 20), and the short
+# boolean route builds a fresh min-plus solver for every epoch of n
+# queries.  Per-link totals sum the counter snapshots of every solver of
+# that link in the built tree, in the order (inner_queries,
+# scan_length_total, multiset_updates, candidates_enumerated, rmq_queries).
+# The n = 1 short boolean route stops at two queries and its tree totals
+# are not pinned: its inner min-plus solver restarts every n queries.
 PINS = {
     ("eq", 9): (5, _zeros(inner_queries=15, scan_length_total=17), [5], {
         "eq<-bool": (15, 17, 0, 0, 0),
@@ -127,11 +129,11 @@ PINS = {
     }),
     ("bmmp", 9): (
         5,
-        _zeros(inner_queries=800, candidates_enumerated=164, rmq_queries=160),
-        [40] * 20,
+        _zeros(inner_queries=360, candidates_enumerated=164, rmq_queries=160),
+        [40] * 9,
         {
-            "eq<-bool": (2400, 415, 0, 0, 0),
-            "bmmp<-eq": (800, 0, 0, 164, 160),
+            "eq<-bool": (1080, 145, 0, 0, 0),
+            "bmmp<-eq": (360, 0, 0, 164, 160),
         },
     ),
     ("bmmp", 1): (5, _zeros(candidates_enumerated=5, rmq_queries=5), [], {
@@ -152,8 +154,8 @@ PINS = {
         "bool<-minwit": (5, 0, 0, 0, 0),
     }),
     ("bool-alt", 9): (5, _zeros(inner_queries=5), [5], {
-        "eq<-bool": (2400, 0, 0, 0, 0),
-        "bmmp<-eq": (800, 0, 279, 402, 0),
+        "eq<-bool": (1080, 0, 0, 0, 0),
+        "bmmp<-eq": (360, 0, 279, 402, 0),
         "bool<-bmmp": (5, 0, 0, 0, 0),
     }),
     ("bool-alt", 1): (2, _zeros(inner_queries=2), [1, 1], None),
