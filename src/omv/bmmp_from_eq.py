@@ -20,12 +20,13 @@ only overshoot when some large C_i escapes R entirely, which with
 |R| = min(ceil(3 * delta * ln n), n) happens for any fixed query with
 probability at most 1/n^2 over all rows combined, and never at |R| = n.
 
-Candidate listing runs the same code in every monotonicity direction: one
-[n, n] key table MH + vh, its row minima, and the columns within one of
-them, kept for the rows with at most cap of them.  That is O(n^2) array
-work per query.  The paper lists the same sets with ordered multisets and
-range-minimum indexes that exploit the declared direction, and the ledger
-books the operations those structures would perform:
+Step one is the solver's own list_candidates, the same code in every
+monotonicity direction: one [n, n] key table MH + vh, its row minima, and
+the columns within one of them, kept for the rows with at most cap of
+them.  That is O(n^2) array work per query.  The paper lists the same sets
+with ordered multisets and range-minimum indexes that exploit the declared
+direction, and the ledger books the operations those structures would
+perform:
 
     cols    multiset_updates += the entries of MH that grow from one row to
             the next (one multiset swept down the rows);
@@ -51,8 +52,6 @@ import numpy as np
 
 from .core import (
     INF,
-    MONOTONE_CASES,
-    CounterLedger,
     Matrix,
     OnlineSolver,
     ReductionConfig,
@@ -68,14 +67,9 @@ from .oracle import naive_factory
 
 @dataclass(frozen=True)
 class CandidateReport:
-    """Listing outcome for one output row.
+    """Listing outcome for one output row: the sorted 0-based candidate
+    columns when the set is small, or None when it exceeds the cap."""
 
-    ``candidates`` holds the sorted 0-based candidate columns when the set
-    is small, or None when it exceeds the cap.  ``rounded_min`` is the
-    minimum of MH[i,k] + vh[k] over k.
-    """
-
-    rounded_min: int
     candidates: Optional[list[int]]
 
 
@@ -84,85 +78,15 @@ def _runs(values: np.ndarray) -> int:
     return values[..., :1].size + int(np.count_nonzero(np.diff(values)))
 
 
-class CandidateLister:
-    """Candidate listing for every monotonicity case, over one key table.
-
-    The lister rounds the matrix by ``delta`` once: MH = floor(M/delta).
-    Each query forms keys = MH + vh, takes each row's minimum, and lists
-    the columns within one of it for every row that has at most
-    ``row_cap`` = floor(c*n/delta) of them; larger sets are flagged as
-    oversize.  The case picks which of the paper's structural counts the
-    ledger books, and the stream case also rejects a query with a
-    coordinate below the last accepted query's, so the stream lister must
-    see the queries in stream order.
-    """
-
-    def __init__(
-        self,
-        matrix: Matrix | np.ndarray,
-        delta: int,
-        case: str,
-        bound_constant: int = 4,
-        ledger: Optional[CounterLedger] = None,
-    ):
-        if case not in MONOTONE_CASES:
-            raise ValueError(f"unknown monotonicity case {case!r}")
-        self.m_hat = m_hat = (as_array(matrix) // delta).astype(np.int64)
-        self.delta = delta
-        self.case = case
-        self.row_cap = (bound_constant * len(m_hat)) // delta
-        self.ledger = ledger if ledger is not None else CounterLedger()
-        # rows and cols book a count fixed by MH: the constant blocks of its
-        # rows, or the rounded entries that grow from one row to the next
-        if case == "rows":
-            self._fixed = _runs(m_hat)
-        elif case == "cols":
-            self._fixed = int(np.count_nonzero(m_hat[1:] > m_hat[:-1]))
-        # the stream starts from an implicit all-zero query (entries are >= 0);
-        # the order check reads the raw coordinates, the ledger the rounded ones
-        self._previous = np.zeros(len(m_hat))
-        self._previous_hat = np.zeros(len(m_hat), dtype=np.int64)
-
-    def _book(self, values: np.ndarray, v_hat: np.ndarray) -> None:
-        n = len(v_hat)
-        if self.case == "stream":
-            fell = np.flatnonzero(values < self._previous)
-            if fell.size:
-                k = fell[0]
-                raise StreamOrderError(
-                    f"coordinate {k + 1} fell from {self._previous[k]:.0f} to {values[k]:.0f}"
-                )
-            self.ledger.multiset_updates += n * int(np.count_nonzero(v_hat > self._previous_hat))
-            self._previous, self._previous_hat = values, v_hat
-        elif self.case == "cols":
-            self.ledger.multiset_updates += self._fixed
-        elif self.case == "rows":
-            self.ledger.rmq_queries += self._fixed
-        else:
-            self.ledger.rmq_queries += n * _runs(v_hat)
-
-    def reports(self, vector) -> list[CandidateReport]:
-        values = vector.entries if isinstance(vector, Vector) else vector
-        values = np.array(values, dtype=np.float64)  # a copy: the stream case keeps it
-        v_hat = (values // self.delta).astype(np.int64)
-        self._book(values, v_hat)
-        keys = self.m_hat + v_hat
-        lows = keys.min(axis=1)
-        near = keys <= lows[:, None] + 1
-        sizes = near.sum(axis=1)
-        small = sizes <= self.row_cap
-        columns = np.nonzero(near & small[:, None])[1]
-        self.ledger.candidates_enumerated += len(columns)
-        ends = np.cumsum(np.where(small, sizes, 0)).tolist()
-        columns = columns.tolist()
-        return [
-            CandidateReport(low, columns[start:end] if listed else None)
-            for low, listed, start, end in zip(lows.tolist(), small.tolist(), [0, *ends], ends)
-        ]
-
-
 class BmmpFromEqSolver(OnlineSolver):
     """Online bounded monotone min-plus solver over equality inner solvers.
+
+    Step one is the solver's own listing: it rounds the matrix by delta
+    once, MH = floor(M/delta), and each query lists the columns within one
+    of each row's rounded minimum for every row that has at most
+    ``row_cap`` = floor(c*n/delta) of them.  The case picks which of the
+    paper's structural counts the ledger books, and the stream case also
+    rejects a query with a coordinate below the last accepted query's.
 
     Exact whenever every candidate set is small or hit by R, a sample of
     |R| = config.resolve_hitting(n, delta) distinct columns drawn without
@@ -193,13 +117,18 @@ class BmmpFromEqSolver(OnlineSolver):
             raise ValueError(f"invalid bmmp instance: {violation}")
         n = self.n
         self.delta = self.config.resolve_delta(n)
-        self.lister = CandidateLister(
-            m,
-            self.delta,
-            self.case,
-            bound_constant=self.config.bound_constant,
-            ledger=self.counters,
-        )
+        self.m_hat = m_hat = (m // self.delta).astype(np.int64)
+        self.row_cap = (self.config.bound_constant * n) // self.delta
+        # rows and cols book a count fixed by MH: the constant blocks of its
+        # rows, or the rounded entries that grow from one row to the next
+        if self.case == "rows":
+            self._fixed = _runs(m_hat)
+        elif self.case == "cols":
+            self._fixed = int(np.count_nonzero(m_hat[1:] > m_hat[:-1]))
+        # the stream starts from an implicit all-zero query (entries are >= 0);
+        # the order check reads the raw coordinates, the ledger the rounded ones
+        self._previous = np.zeros(n)
+        self._previous_hat = np.zeros(n, dtype=np.int64)
         size = self.config.resolve_hitting(n, self.delta)
         self.hitting_columns = sorted(random.Random(self.config.seed).sample(range(n), size))
         self._columns = np.array(self.hitting_columns, dtype=np.int64)
@@ -209,9 +138,42 @@ class BmmpFromEqSolver(OnlineSolver):
         ]
         self._offsets = np.arange(3 * self.delta - 1)
 
+    def _book(self, values: np.ndarray, v_hat: np.ndarray) -> None:
+        n = len(v_hat)
+        if self.case == "stream":
+            fell = np.flatnonzero(values < self._previous)
+            if fell.size:
+                k = fell[0]
+                raise StreamOrderError(
+                    f"coordinate {k + 1} fell from {self._previous[k]:.0f} to {values[k]:.0f}"
+                )
+            self.counters.multiset_updates += n * int(np.count_nonzero(v_hat > self._previous_hat))
+            self._previous, self._previous_hat = values, v_hat
+        elif self.case == "cols":
+            self.counters.multiset_updates += self._fixed
+        elif self.case == "rows":
+            self.counters.rmq_queries += self._fixed
+        else:
+            self.counters.rmq_queries += n * _runs(v_hat)
+
     def list_candidates(self, vector) -> list[CandidateReport]:
         """Step-one listing for one query (advances state in the stream case)."""
-        return self.lister.reports(vector)
+        values = vector.entries if isinstance(vector, Vector) else vector
+        values = np.array(values, dtype=np.float64)  # a copy: the stream case keeps it
+        v_hat = (values // self.delta).astype(np.int64)
+        self._book(values, v_hat)
+        keys = self.m_hat + v_hat
+        near = keys <= keys.min(axis=1, keepdims=True) + 1
+        sizes = near.sum(axis=1)
+        small = sizes <= self.row_cap
+        columns = np.nonzero(near & small[:, None])[1]
+        self.counters.candidates_enumerated += len(columns)
+        ends = np.cumsum(np.where(small, sizes, 0)).tolist()
+        columns = columns.tolist()
+        return [
+            CandidateReport(columns[start:end] if listed else None)
+            for listed, start, end in zip(small.tolist(), [0, *ends], ends)
+        ]
 
     def _step1(self, v: np.ndarray) -> np.ndarray:
         """True minimum over each small candidate set; inf for oversize rows."""

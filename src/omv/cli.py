@@ -20,7 +20,7 @@ import sys
 from typing import Optional
 
 from . import formats
-from .chains import ChainError, build_solver, parse_chain
+from .chains import build_solver, parse_chain
 from .core import (
     MONOTONE_CASES,
     PROBLEMS,
@@ -45,10 +45,6 @@ DEFAULT_BOUND_CONSTANT = 4
 
 class ProtocolError(ValueError):
     """Malformed traffic in a stdio protocol session."""
-
-
-class ValidationFailure(ValueError):
-    """Instance or query content rejected by validation."""
 
 
 def _read_text(path: str) -> str:
@@ -93,10 +89,7 @@ def cmd_gen(args) -> int:
         queries=args.queries,
         seed=args.seed,
     )
-    try:
-        matrix, queries = gen_instance(spec)
-    except ValueError as exc:
-        raise ValidationFailure(str(exc)) from exc
+    matrix, queries = gen_instance(spec)
     text = formats.print_instance(formats.Instance(args.problem, matrix, queries))
     _write_text(args.out, text)
     return EXIT_OK
@@ -106,7 +99,7 @@ def _load_instance(path: str, bound: int) -> formats.Instance:
     instance = formats.parse_instance(_read_text(path))
     violation = validate(instance.matrix, instance.problem, bound_constant=bound)
     if violation is not None:
-        raise ValidationFailure(f"invalid matrix: {violation}")
+        raise ValueError(f"invalid matrix: {violation}")
     for j, query in enumerate(instance.queries, start=1):
         violation = validate_query(
             query,
@@ -116,7 +109,7 @@ def _load_instance(path: str, bound: int) -> formats.Instance:
             bound_constant=bound,
         )
         if violation is not None:
-            raise ValidationFailure(f"invalid query {j}: {violation}")
+            raise ValueError(f"invalid query {j}: {violation}")
     return instance
 
 
@@ -168,7 +161,7 @@ def cmd_protocol(args) -> int:
     bound = args.bound_constant
     violation = validate(matrix, problem, bound_constant=bound)
     if violation is not None:
-        raise ValidationFailure(f"invalid matrix: {violation}")
+        raise ValueError(f"invalid matrix: {violation}")
     chain = parse_chain(args.chain)
     solver = build_solver(chain, problem, matrix, _config_from_args(args))
     may_skip_count = True  # piped instance files carry a "queries <q>" line
@@ -274,7 +267,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ProtocolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
-    except (ValidationFailure, ChainError, StreamOrderError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -274,8 +274,9 @@ class ReductionConfig:
     matrix.  ``hitting_set_size`` may also be the string "full", meaning
     every column; |R| is clamped to n, and |R| = n (forced-hit mode) makes
     the randomized min-plus reduction deterministic.  t and delta must be
-    at least 1 and an int |R| at least 0.  ``bound_constant`` is
-    the c in the [0, c*n] value bound accepted by the bmmp solver, and
+    ints of at least 1 and an int |R| at least 0; a bool is not an int
+    here.  ``bound_constant`` is the c in the [0, c*n] value bound
+    accepted by the bmmp solver, and
     ``seed`` seeds the bmmp solver's hitting set.  How a reduction builds
     its inner solvers is not a setting: each link takes a ``make_inner``
     factory (the naive solver when built alone), and chains.build_solver
@@ -289,12 +290,15 @@ class ReductionConfig:
     bound_constant: int = 4
 
     def __post_init__(self) -> None:
+        def whole(value) -> bool:
+            return isinstance(value, int) and not isinstance(value, bool)
+
         for name in ("t", "delta"):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+            if value is not None and not (whole(value) and value >= 1):
+                raise ValueError(f"{name} must be an int of at least 1, got {value!r}")
         size = self.hitting_set_size
-        if size is not None and size != "full" and not (isinstance(size, int) and size >= 0):
+        if size is not None and size != "full" and not (whole(size) and size >= 0):
             raise ValueError(f"hitting set size must be 'full' or an int >= 0, got {size!r}")
 
     def resolve_t(self, n: int) -> int:

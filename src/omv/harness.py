@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -92,6 +92,12 @@ def gen_instance(spec: InstanceSpec) -> tuple[Matrix, list[Vector]]:
         raise ValueError("instance dimension must be positive")
     if spec.distribution not in DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {spec.distribution!r}")
+    if spec.queries is not None and spec.queries < 0:
+        raise ValueError(f"query count must be at least 0, got {spec.queries}")
+    for name in ("density", "inf_prob"):
+        value = getattr(spec, name)
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {value}")
     q = spec.queries if spec.queries is not None else n
     hi = spec.hi if spec.hi is not None else n
 
@@ -151,12 +157,9 @@ def gen_instance(spec: InstanceSpec) -> tuple[Matrix, list[Vector]]:
     return matrix, queries
 
 
-@dataclass
-class TrialReport:
-    """Outcome of one solver-versus-oracle run."""
-
-    mismatches: list[tuple[int, int]] = field(default_factory=list)  # 1-based (j, i)
-    counters: dict[str, int] = field(default_factory=dict)
+def _diff(j: int, got: Vector, want: Vector) -> list[tuple[int, int]]:
+    """The 1-based (query, row) spots where answer j disagrees."""
+    return [(j, i + 1) for i in range(len(want)) if got[i] != want[i]]
 
 
 def run_stream(
@@ -165,11 +168,7 @@ def run_stream(
     """Run both solvers over the same stream; return 1-based mismatch spots."""
     mismatches = []
     for j, query in enumerate(queries, start=1):
-        got = solver.query(query)
-        want = reference.query(query)
-        for i in range(len(want)):
-            if got[i] != want[i]:
-                mismatches.append((j, i + 1))
+        mismatches += _diff(j, solver.query(query), reference.query(query))
     return mismatches
 
 
@@ -219,8 +218,8 @@ def adaptive_session(
     chain: Optional[list[str]] = None,
     make_solver: Optional[Callable[[Matrix, ReductionConfig], OnlineSolver]] = None,
     config: Optional[ReductionConfig] = None,
-) -> TrialReport:
-    """Drive a solver with hash-chained queries and diff against the oracle.
+) -> list[tuple[int, int]]:
+    """Drive a solver with hash-chained queries; return 1-based mismatch spots.
 
     Either a chain or a custom solver factory must be given.  Because each
     query is derived from the solver's previous answer, a correct solver
@@ -243,13 +242,10 @@ def adaptive_session(
     for j in range(1, rounds + 1):
         query = _adaptive_query(spec, j, previous_answer, previous_query)
         answer = solver.query(query)
-        want = reference.query(query)
-        for i in range(len(want)):
-            if answer[i] != want[i]:
-                mismatches.append((j, i + 1))
+        mismatches += _diff(j, answer, reference.query(query))
         previous_answer = answer
         previous_query = query
-    return TrialReport(mismatches=mismatches, counters=solver.counters.snapshot())
+    return mismatches
 
 
 class BatchingMockSolver(OnlineSolver):

@@ -13,7 +13,7 @@ import random
 
 import numpy as np
 
-from omv.bmmp_from_eq import CandidateLister
+from omv.bmmp_from_eq import BmmpFromEqSolver
 from omv.chains import ALT_BOOL_CHAIN, FULL_CYCLE, LINKS, build_solver
 from omv.core import Matrix, ReductionConfig, Vector
 from omv.folklore import rank_bit_count, tilt_matrix, tilt_query
@@ -117,9 +117,10 @@ def test_criterion_3_candidate_listing_matches_bruteforce():
                 seed=rng.randrange(2**30),
             )
             matrix, queries = gen_instance(spec)
-            lister = CandidateLister(matrix, delta, case, bound_constant=1)
+            config = ReductionConfig(delta=delta, bound_constant=1, hitting_set_size=0)
+            solver = BmmpFromEqSolver(matrix, config)
             for v in queries:
-                for i, report in enumerate(lister.reports(v)):
+                for i, report in enumerate(solver.list_candidates(v)):
                     want = candidate_set_bruteforce(matrix, v, delta, i)
                     if len(want) > cap:
                         assert report.candidates is None, (case, i)
@@ -238,20 +239,20 @@ def test_criterion_8_online_adaptive_sessions():
                 seed=1000 + session,
             )
             config = ReductionConfig(hitting_set_size="full", seed=session)
-            report = adaptive_session(spec, rounds=8, chain=chain, config=config)
-            assert not report.mismatches, (name, session, report.mismatches[:5])
+            mismatches = adaptive_session(spec, rounds=8, chain=chain, config=config)
+            assert not mismatches, (name, session, mismatches[:5])
 
     rejected = 0
     for session in range(20):
         spec = InstanceSpec(problem="bool", n=8, seed=2000 + session)
-        report = adaptive_session(
+        mismatches = adaptive_session(
             spec,
             rounds=8,
             make_solver=lambda matrix, config: BatchingMockSolver(
                 matrix, config, problem="bool"
             ),
         )
-        if report.mismatches:
+        if mismatches:
             rejected += 1
     assert rejected == 20
     _report(

@@ -5,11 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from omv.bmmp_from_eq import BmmpFromEqSolver, CandidateLister
+from omv.bmmp_from_eq import BmmpFromEqSolver
 from omv.chains import build_solver
 from omv.core import (
     INF,
-    CounterLedger,
     Matrix,
     OnlineSolver,
     ReductionConfig,
@@ -30,9 +29,10 @@ def test_rounding_stays_within_two_deltas():
         assert 0 <= gap < 2 * delta
 
 
-def _reports_for(matrix, v, delta, case, bound_constant=1, ledger=None):
-    lister = CandidateLister(matrix, delta, case, bound_constant=bound_constant, ledger=ledger)
-    return lister.reports(v)
+def _lister(matrix, delta, bound_constant=1):
+    """A solver with |R| = 0: it lists candidates and builds no eq solver."""
+    config = ReductionConfig(delta=delta, bound_constant=bound_constant, hitting_set_size=0)
+    return BmmpFromEqSolver(matrix, config)
 
 
 def test_rows_case_frozen_example():
@@ -40,8 +40,7 @@ def test_rows_case_frozen_example():
     # rounded minimum is 0 and only column 2 (1-based) is a candidate.
     matrix = Matrix([[0, 0, 2, 6]] * 4, monotone="rows")
     v = Vector([4, 0, 10, 0])
-    reports = _reports_for(matrix, v, 2, "rows", bound_constant=4)
-    assert reports[0].rounded_min == 0
+    reports = _lister(matrix, 2, bound_constant=4).list_candidates(v)
     assert reports[0].candidates == [1]
     assert candidate_set_bruteforce(matrix, v, 2, 0) == {1}
 
@@ -51,7 +50,7 @@ def test_delta_one_constant_query():
     # lowest matrix value layers
     matrix = Matrix([[1, 2, 3, 9]] * 4, monotone="rows")
     v = Vector([0, 0, 0, 0])
-    reports = _reports_for(matrix, v, 1, "rows", bound_constant=4)
+    reports = _lister(matrix, 1, bound_constant=4).list_candidates(v)
     assert reports[0].candidates == [0, 1]
 
 
@@ -59,10 +58,9 @@ def test_oversize_when_everything_ties():
     n = 8
     matrix = Matrix([[0] * n for _ in range(n)], monotone="rows")
     v = Vector([0] * n)
-    reports = _reports_for(matrix, v, 2, "rows", bound_constant=1)
+    reports = _lister(matrix, 2).list_candidates(v)
     # cap = floor(n / delta) = 4 < n, so the all-tied row must be oversize
     assert all(r.candidates is None for r in reports)
-    assert all(r.rounded_min == 0 for r in reports)
 
 
 CASES = ("rows", "cols", "query", "stream")
@@ -107,17 +105,15 @@ def test_listers_match_bruteforce(case):
         matrix, queries = _case_instance(rng, n, case, bound_constant)
         cap = bound_constant * n // delta
         m_hat = [[x // delta for x in row] for row in matrix.rows]
-        ledger = CounterLedger()
-        lister = CandidateLister(matrix, delta, case, bound_constant=bound_constant, ledger=ledger)
+        lister = _lister(matrix, delta, bound_constant)
+        ledger = lister.counters
         previous = [0] * n
         for v in queries:
             snap = ledger.snapshot()
-            reports = lister.reports(v)
+            reports = lister.list_candidates(v)
             listed = 0
             for i, report in enumerate(reports):
                 want = candidate_set_bruteforce(matrix, v, delta, i)
-                want_min = min(m_hat[i][k] + v[k] // delta for k in range(n))
-                assert report.rounded_min == want_min
                 if len(want) > cap:
                     assert report.candidates is None
                 else:
@@ -137,28 +133,26 @@ def test_stream_lister_rejects_regression():
     matrix = Matrix([[1, 2], [2, 2]], monotone="stream")
     # at delta = 2, 5 and 4 round alike: the raw coordinate still falls
     for delta, accepted, falling in [(1, [2, 2], [1, 2]), (2, [5, 1], [4, 1])]:
-        lister = CandidateLister(matrix, delta, "stream", bound_constant=4)
-        lister.reports(Vector(accepted))
+        lister = _lister(matrix, delta, bound_constant=4)
+        lister.list_candidates(Vector(accepted))
         with pytest.raises(StreamOrderError):
-            lister.reports(Vector(falling))
+            lister.list_candidates(Vector(falling))
 
 
 def test_rejected_stream_query_leaves_the_lister_as_it_was():
     # [3, 0, 1] grows coordinate 1 before coordinate 2 falls; the rejection
     # must not move the lister off the last accepted query [1, 1, 1]
     matrix = Matrix([[0, 1, 2], [1, 1, 1], [2, 0, 0]], monotone="stream")
-    ledger = CounterLedger()
-    lister = CandidateLister(matrix, 1, "stream", bound_constant=1, ledger=ledger)
-    lister.reports(Vector([1, 1, 1]))
+    lister = _lister(matrix, 1)
+    lister.list_candidates(Vector([1, 1, 1]))
     with pytest.raises(StreamOrderError):
-        lister.reports(Vector([3, 0, 1]))
-    got = lister.reports(Vector([2, 1, 1]))
+        lister.list_candidates(Vector([3, 0, 1]))
+    got = lister.list_candidates(Vector([2, 1, 1]))
 
-    fresh_ledger = CounterLedger()
-    fresh = CandidateLister(matrix, 1, "stream", bound_constant=1, ledger=fresh_ledger)
-    fresh.reports(Vector([1, 1, 1]))
-    assert got == fresh.reports(Vector([2, 1, 1]))
-    assert ledger.snapshot() == fresh_ledger.snapshot()
+    fresh = _lister(matrix, 1)
+    fresh.list_candidates(Vector([1, 1, 1]))
+    assert got == fresh.list_candidates(Vector([2, 1, 1]))
+    assert lister.counters.snapshot() == fresh.counters.snapshot()
 
 
 def test_default_hitting_set_size():
@@ -212,10 +206,10 @@ def test_sampling_regime_n64_draws_distinct_columns():
         assert len(set(columns)) == 50 and columns == sorted(columns)
         assert BmmpFromEqSolver(matrix, replace(config, seed=seed)).hitting_columns == columns
         assert BmmpFromEqSolver(matrix, replace(config, seed=seed + 1)).hitting_columns != columns
-        lister = CandidateLister(matrix, delta, "rows", bound_constant=1)
+        lister = _lister(matrix, delta)
         reference = NaiveSolver(matrix, problem="bmmp")
         for v in queries:
-            assert sum(report.candidates is None for report in lister.reports(v)) >= n // 2
+            assert sum(report.candidates is None for report in lister.list_candidates(v)) >= n // 2
             snap = solver.counters.snapshot()
             assert solver.query(v).entries == reference.query(v).entries
             assert solver.counters.since(snap)["inner_queries"] == 550
@@ -287,7 +281,7 @@ def test_offset_range_suffices_in_forced_hit_mode():
                     assert 0 <= offset <= 3 * delta - 2
 
 
-def test_step2_witnesses_are_sound_in_debug_mode():
+def test_step2_hits_are_genuine_sums():
     # step 2 takes every equality hit for a genuine sum M[i,k] + v[k] =
     # M[i,r] + v[r] - d; a checking inner factory holds each answer of an
     # eq<-bool chain against the shifted matrix it was built on
@@ -411,10 +405,9 @@ def test_zero_hitting_set_with_oversize_candidates_fails_openly():
     assert solver.query(Vector([0] * n)).entries == [INF] * n
 
 
-def test_lister_counters_flow_into_ledger():
-    ledger = CounterLedger()
+def test_rows_listing_books_rmq_queries_and_candidates():
     matrix = Matrix([[0, 1, 2, 3]] * 4, monotone="rows")
-    lister = CandidateLister(matrix, 1, "rows", bound_constant=1, ledger=ledger)
-    lister.reports(Vector([0, 0, 0, 0]))
-    assert ledger.rmq_queries > 0
-    assert ledger.candidates_enumerated > 0
+    solver = _lister(matrix, 1)
+    solver.list_candidates(Vector([0, 0, 0, 0]))
+    assert solver.counters.rmq_queries > 0
+    assert solver.counters.candidates_enumerated > 0

@@ -1,10 +1,21 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import omv
 from omv.cli import main
 from omv.formats import parse_answers, parse_instance
+
+# child processes import the same omv as this one, installed or not
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(omv.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 def run_cli(args, capsys):
@@ -154,6 +165,19 @@ def test_invalid_solver_knob_is_a_validation_error(tmp_path, capsys, gen_args, c
     assert out == "" and "must be" in err
 
 
+@pytest.mark.parametrize(
+    "knob",
+    ["--queries=-2", "--density=2", "--density=-0.5", "--inf-prob=1.5"],
+)
+def test_out_of_range_gen_knob_is_a_validation_error(tmp_path, capsys, knob):
+    inst = tmp_path / "inst.txt"
+    problem = "dom" if knob.startswith("--inf-prob") else "bool"
+    code, out, err = run_cli(["gen", problem, "4", knob, "-o", str(inst)], capsys)
+    assert code == 3
+    assert out == "" and "must be" in err
+    assert not inst.exists()
+
+
 def _protocol(input_text, *args):
     return subprocess.run(
         [sys.executable, "-m", "omv.cli", "protocol", *args],
@@ -161,6 +185,7 @@ def _protocol(input_text, *args):
         capture_output=True,
         text=True,
         timeout=120,
+        env=CHILD_ENV,
     )
 
 
@@ -186,6 +211,7 @@ def test_protocol_interactive_one_answer_per_query(tmp_path):
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        env=CHILD_ENV,
     )
     try:
         process.stdin.write(header)

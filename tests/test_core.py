@@ -107,6 +107,11 @@ def test_config_auto_resolution():
         {"hitting_set_size": -3},
         {"hitting_set_size": "all"},
         {"hitting_set_size": 2.5},
+        {"t": 2.5},
+        {"delta": 1.5},
+        {"t": True},
+        {"delta": True},
+        {"hitting_set_size": True},
     ],
 )
 def test_config_rejects_invalid_knobs(knobs):

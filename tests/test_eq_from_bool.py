@@ -122,7 +122,7 @@ def test_all_zero_slices_counted_as_shortcut():
     assert stacks == [(1, 2, 2)]
 
 
-def test_debug_witnesses_are_sound():
+def test_t2_matches_equality_definition():
     # every output entry is 1 exactly when some column k holds an equal
     # (M[i,k], v[k]) pair
     rng = random.Random(6)

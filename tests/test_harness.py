@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from omv.chains import FULL_CYCLE
+from omv.chains import FULL_CYCLE, build_solver
 from omv.core import Matrix, ReductionConfig, Vector, validate
 from omv.eq_from_bool import EqFromBoolSolver
 from omv.harness import (
@@ -102,6 +102,18 @@ def test_unsatisfiable_specs_raise():
         gen_instance(InstanceSpec(problem="nope", n=4))
     with pytest.raises(ValueError):
         gen_instance(InstanceSpec(problem="eq", n=4, distribution="skewd"))
+    with pytest.raises(ValueError):
+        gen_instance(InstanceSpec(problem="bool", n=4, queries=-2))
+    for bad in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            gen_instance(InstanceSpec(problem="bool", n=4, density=bad))
+        with pytest.raises(ValueError):
+            gen_instance(InstanceSpec(problem="dom", n=4, inf_prob=bad))
+    # the closed ends stay valid: no queries, all-zero or all-one densities
+    assert gen_instance(InstanceSpec(problem="bool", n=4, queries=0))[1] == []
+    for edge in (0.0, 1.0):
+        gen_instance(InstanceSpec(problem="bool", n=4, density=edge))
+        gen_instance(InstanceSpec(problem="dom", n=4, inf_prob=edge))
 
 
 def test_adaptive_session_accepts_correct_solvers():
@@ -113,20 +125,20 @@ def test_adaptive_session_accepts_correct_solvers():
             seed=5,
         )
         config = ReductionConfig(hitting_set_size="full", seed=5)
-        report = adaptive_session(spec, rounds=6, chain=chain, config=config)
-        assert not report.mismatches, (problem, report.mismatches)
+        mismatches = adaptive_session(spec, rounds=6, chain=chain, config=config)
+        assert not mismatches, (problem, mismatches)
 
 
 def test_adaptive_session_rejects_batching_mock():
     spec = InstanceSpec(problem="bool", n=8, seed=9)
-    report = adaptive_session(
+    mismatches = adaptive_session(
         spec,
         rounds=8,
         make_solver=lambda matrix, config: BatchingMockSolver(
             matrix, config, problem="bool"
         ),
     )
-    assert report.mismatches
+    assert mismatches
 
 
 def test_batching_mock_flush_produces_the_deferred_answers():
@@ -143,10 +155,16 @@ def test_batching_mock_flush_produces_the_deferred_answers():
 
 def test_adaptive_stream_is_deterministic_for_fixed_seed():
     spec = InstanceSpec(problem="dom", n=5, seed=21)
-    first = adaptive_session(spec, rounds=5, chain=["dom<-eq", "eq<-bool", "naive"])
-    second = adaptive_session(spec, rounds=5, chain=["dom<-eq", "eq<-bool", "naive"])
-    assert first.counters == second.counters
-    assert first.mismatches == second.mismatches
+    built = []
+
+    def factory(matrix, config):
+        built.append(build_solver(["dom<-eq", "eq<-bool", "naive"], "dom", matrix, config))
+        return built[-1]
+
+    first = adaptive_session(spec, rounds=5, make_solver=factory)
+    second = adaptive_session(spec, rounds=5, make_solver=factory)
+    assert built[0].counters == built[1].counters
+    assert first == second
 
 
 def test_mismatch_reports_replay_identically():
@@ -156,7 +174,7 @@ def test_mismatch_reports_replay_identically():
     factory = lambda matrix, config: BatchingMockSolver(matrix, config, problem="bool")
     first = adaptive_session(spec, rounds=8, make_solver=factory)
     second = adaptive_session(spec, rounds=8, make_solver=factory)
-    assert first.mismatches
+    assert first
     assert first == second
 
 
