@@ -12,8 +12,10 @@ with the query vector once, n * W cells, and sets the rows of the matches.
 The output is exact: a 1 is emitted iff some coordinate of the query equals
 the matrix entry above it.
 
-The s <= t slices that are not entirely zero are built in one comparison
-as one [s, n, n] bool stack and handed to a single inner boolean instance.
+The s <= t slices that are not entirely zero (slice l is empty iff no
+column has an l-th value, and ``top_values`` keeps a row for the s others
+only) are built in one comparison as one [s, n, n] bool stack and handed
+to a single inner boolean instance.
 A query asks that instance once, with the [s, n] block of slice queries,
 and the OR of the s slice products comes back.  The ledger still books the
 t inner queries of the reduction's cost accounting per query (the product
@@ -33,12 +35,15 @@ from .oracle import naive_factory
 
 
 def _top_values(matrix: np.ndarray, t: int) -> np.ndarray:
-    """[t, n] table of each column's t most frequent values.
+    """[s, n] table of each column's s most frequent values.
 
-    Column k of the table lists column k's values most frequent first,
-    frequency ties broken by smaller value; a column with fewer than t
-    distinct values is padded with NaN, which equals nothing (absent slots
-    yield all-zero slice columns rather than invented filler values).
+    s = min(t, largest number of distinct values in a column), so every
+    row of the table has a value in some column: the t - s slices past it
+    would be all zero and get no row.  Column k of the table lists column
+    k's values most frequent first, frequency ties broken by smaller value;
+    a column with fewer than s distinct values is padded with NaN, which
+    equals nothing (absent slots yield all-zero slice columns rather than
+    invented filler values).
     """
     n = matrix.shape[0]
     columns = np.sort(matrix.T, axis=1).ravel()
@@ -53,7 +58,7 @@ def _top_values(matrix: np.ndarray, t: int) -> np.ndarray:
     col = col[order]
     rank = np.arange(len(col)) - np.searchsorted(col, col)
     keep = rank < t
-    table = np.full((t, n), np.nan)
+    table = np.full((min(t, int(rank.max()) + 1), n), np.nan)
     table[rank[keep], col[keep]] = values[order][keep]
     return table
 
@@ -74,10 +79,7 @@ class EqFromBoolSolver(OnlineSolver):
         m = as_array(matrix)
         self.t = self.config.resolve_t(self.n)
         self.top_values = _top_values(m, self.t)
-
-        # Slice l is empty iff no column has an l-th value; the rest are stacked.
-        self._slice_values = self.top_values[~np.isnan(self.top_values).all(axis=1)]
-        stack = m == self._slice_values[:, None, :]  # stack[l, i, k]: M[i, k] is column k's l-th value
+        stack = m == self.top_values[:, None, :]  # stack[l, i, k]: M[i, k] is column k's l-th value
         self._inner = make_inner("bool", stack, self.config)
         frequent = stack.any(axis=0)
 
@@ -96,7 +98,7 @@ class EqFromBoolSolver(OnlineSolver):
         self._rare_rows[slot, rare_cols] = rare_rows
 
     def _answer(self, v: np.ndarray) -> np.ndarray:
-        masks = self._slice_values == v  # masks[l, k]: v[k] is column k's l-th value
+        masks = self.top_values == v  # masks[l, k]: v[k] is column k's l-th value
         out = self._inner.query(masks)
         # All t slices count as asked; one call answers the s stacked ones.
         self.counters.inner_queries += self.t

@@ -80,14 +80,6 @@ def rank_bit_count(n: int) -> int:
     return max((n * n - 1).bit_length() + 1, 2)
 
 
-def _bit_slices(ranks: np.ndarray, bits: int, bit_value: int, sentinel: int) -> np.ndarray:
-    """[bits, *shape] float64: ranks >> (l+1) where bit l equals ``bit_value``,
-    ``sentinel`` elsewhere, for every level l."""
-    levels = np.arange(bits).reshape((bits,) + (1,) * ranks.ndim)
-    high = ranks >> (levels + 1)
-    return np.where((ranks >> levels) & 1 == bit_value, high, sentinel).astype(np.float64)
-
-
 class DomFromEqSolver(OnlineSolver):
     """Online dominance solver asking one equality query per bit slice.
 
@@ -96,7 +88,9 @@ class DomFromEqSolver(OnlineSolver):
     lowest slices are built and asked, D >= 1 being the number of distinct
     matrix values (so at least two levels): above them bit l of every
     query_rank + 1 <= D + 1 is 0, so the probe is all sentinel and the slice
-    equality never hits.
+    equality never hits.  The slices are built one level at a time, so no
+    [levels, n, n] array exists at any point; a query computes all its
+    probes at once against the [levels, 1] column of level shifts.
     """
 
     problem = "dom"
@@ -113,11 +107,20 @@ class DomFromEqSolver(OnlineSolver):
         self.rank_map = RankMap(m)
         self.bit_count = rank_bit_count(self.n)
         self.levels = (len(self.rank_map.values) + 1).bit_length()
-        slices = _bit_slices(self.rank_map.rank(m), self.levels, 0, -1)
-        self._slices: list[OnlineSolver] = [make_inner("eq", s, self.config) for s in slices]
+        ranks = self.rank_map.rank(m)
+        self._slices: list[OnlineSolver] = []
+        for level in range(self.levels):
+            # slice l: the rank's bits above l where bit l is 0, sentinel -1 elsewhere
+            shifted = ranks >> level
+            high = (shifted >> 1).astype(np.float64)
+            high[shifted & 1 == 1] = -1
+            self._slices.append(make_inner("eq", high, self.config))
+        self._shifts = np.arange(self.levels)[:, None]
 
     def _answer(self, v: np.ndarray) -> np.ndarray:
-        probes = _bit_slices(self.rank_map.query_rank(v) + 1, self.levels, 1, -2)
+        # probe l: the bits above l of query_rank + 1 where bit l is 1, sentinel -2 elsewhere
+        shifted = (self.rank_map.query_rank(v) + 1) >> self._shifts
+        probes = np.where(shifted & 1 == 1, shifted >> 1, -2).astype(np.float64)
         out = np.zeros(self.n, dtype=bool)
         for inner, probe in zip(self._slices, probes):
             out |= inner.query(probe)

@@ -98,6 +98,10 @@ def gen_instance(spec: InstanceSpec) -> tuple[Matrix, list[Vector]]:
         value = getattr(spec, name)
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {value}")
+    if spec.monotone is not None and spec.problem != "bmmp":
+        raise ValueError("monotone case only applies to bmmp")
+    if spec.inf_prob > 0.0 and spec.problem not in ("dom", "minmax"):
+        raise ValueError(f"{spec.problem} instances must stay finite")
     q = spec.queries if spec.queries is not None else n
     hi = spec.hi if spec.hi is not None else n
 
@@ -111,8 +115,6 @@ def gen_instance(spec: InstanceSpec) -> tuple[Matrix, list[Vector]]:
     elif spec.problem in ("eq", "dom", "minmax"):
         if hi < spec.lo:
             raise ValueError("empty value range")
-        if spec.inf_prob > 0.0 and spec.problem == "eq":
-            raise ValueError("equality instances must stay finite")
         heavy = _skew_pool(rng, spec.lo, hi) if spec.distribution == "skewed" else None
         rows = [
             [_int_entry(rng, spec, heavy, hi) for _ in range(n)] for _ in range(n)

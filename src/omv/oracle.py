@@ -148,14 +148,18 @@ def bit_trick_predicate(a: int, b: int, bits: int) -> bool:
 class NaiveSolver(OnlineSolver):
     """O(n^2)-per-query solver for any of the six products.
 
-    Preprocessing keeps one array: for the boolean and min-witness
-    products the 0/1 matrix as bool, stored transposed so that a query
-    ORs together the columns its 1-coordinates select; for the others the
-    float64 matrix (floats represent the bounded ints and the infinity
-    sentinels exactly).  Each query is one vectorized pass.
+    Preprocessing keeps one array.  For the boolean and min-witness
+    products it is the 0/1 matrix transposed and bit-packed: row k of
+    ``_words`` holds column k of the matrix as ceil(n/64) uint64 words, row
+    i of the matrix at bit i % 64 of word i // 64 (little bit order, the
+    padding bits past n zero), so that a query ORs together the words of
+    the columns its 1-coordinates select and unpacks the result once.  For
+    the others it is the float64 matrix (floats represent the bounded ints
+    and the infinity sentinels exactly).  Each query is one vectorized
+    pass.
 
     The boolean product also accepts a stack of s matrices, an [s, n, n]
-    array: it is stored as one transposed [s*n, n] array, a query is an
+    array: it is packed as one [s*n, ceil(n/64)] word array, a query is an
     [s, n] block whose row l goes with matrix l, and the answer is the OR
     of the s products.  A plain matrix is the case s = 1.  Through
     naive_factory it is the inner solver of every link built on its own.
@@ -174,19 +178,29 @@ class NaiveSolver(OnlineSolver):
         except AttributeError:
             raise ValueError(f"unknown problem {problem!r}") from None
         if problem in ("bool", "minwit"):
-            rows = matrix.rows if isinstance(matrix, Matrix) else matrix
-            # row (l, k) of _columns: the rows i with matrix l's (i, k) entry 1
-            ones = np.swapaxes(np.asarray(rows) == 1, -1, -2)
-            self._columns = np.ascontiguousarray(ones).reshape(-1, self.n)
+            rows = np.asarray(matrix.rows if isinstance(matrix, Matrix) else matrix)
+            ones = rows if rows.dtype == np.bool_ else rows == 1
+            # row (l, k) of _words: the rows i with matrix l's (i, k) entry 1;
+            # packbits runs about 5x faster on a contiguous transpose
+            columns = np.ascontiguousarray(np.swapaxes(ones, -1, -2)).reshape(-1, self.n)
+            bits = np.packbits(columns, axis=-1, bitorder="little")
+            packed = np.zeros((len(bits), -(-self.n // 64) * 8), dtype=np.uint8)
+            packed[:, : bits.shape[1]] = bits
+            self._words = packed.view(np.uint64)
         else:
             self._m = as_array(matrix)
 
     def _answer(self, v: np.ndarray) -> np.ndarray:
         return self._impl(v)
 
+    def _unpack(self, words: np.ndarray) -> np.ndarray:
+        """Bool [..., n] of packed [..., ceil(n/64)] words."""
+        bits = np.unpackbits(words.view(np.uint8), axis=-1, count=self.n, bitorder="little")
+        return bits.view(np.bool_)
+
     def _bool_answer(self, v: np.ndarray) -> np.ndarray:
-        ones = v if v.dtype == np.bool_ else v == 1
-        return self._columns[ones.ravel()].any(axis=0)
+        ones = (v if v.dtype == np.bool_ else v == 1).ravel().nonzero()[0]
+        return self._unpack(np.bitwise_or.reduce(self._words.take(ones, axis=0), axis=0))
 
     def _eq_answer(self, v: np.ndarray) -> np.ndarray:
         return (self._m == v).any(axis=1)
@@ -198,7 +212,7 @@ class NaiveSolver(OnlineSolver):
         ones = np.flatnonzero(v == 1)
         if len(ones) == 0:
             return np.full(self.n, INF)
-        hits = self._columns[ones]
+        hits = self._unpack(self._words.take(ones, axis=0))
         return np.where(hits.any(axis=0), ones[hits.argmax(axis=0)] + 1.0, INF)
 
     def _minmax_answer(self, v: np.ndarray) -> np.ndarray:

@@ -178,6 +178,24 @@ def test_out_of_range_gen_knob_is_a_validation_error(tmp_path, capsys, knob):
     assert not inst.exists()
 
 
+@pytest.mark.parametrize(
+    "gen_args",
+    [
+        ["bool", "4", "--monotone", "rows"],
+        ["minmax", "4", "--monotone", "query"],
+        ["bmmp", "4", "--monotone", "rows", "--inf-prob", "0.5"],
+        ["bool", "4", "--inf-prob", "0.5"],
+        ["minwit", "4", "--inf-prob", "0.1"],
+    ],
+)
+def test_gen_knob_that_does_not_apply_is_a_validation_error(tmp_path, capsys, gen_args):
+    inst = tmp_path / "inst.txt"
+    code, out, err = run_cli(["gen", *gen_args, "-o", str(inst)], capsys)
+    assert code == 3
+    assert out == "" and "error" in err
+    assert not inst.exists()
+
+
 def _protocol(input_text, *args):
     return subprocess.run(
         [sys.executable, "-m", "omv.cli", "protocol", *args],

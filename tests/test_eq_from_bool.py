@@ -153,7 +153,7 @@ def test_composes_with_real_boolean_inner_chain():
 
 
 @pytest.mark.parametrize("s", [1, 3])
-@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 130])
 def test_stacked_leaf_is_the_or_of_its_slices(s, n):
     rng = random.Random(100 * s + n)
     slices = [[[rng.randint(0, 1) for _ in range(n)] for _ in range(n)] for _ in range(s)]

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -176,3 +177,27 @@ def test_naive_solver_query_index_advances():
     solver.query(Vector([1, 1]))
     solver.query(Vector([0, 0]))
     assert solver.query_index == 3
+
+
+@pytest.mark.parametrize("n", [63, 64, 65])
+def test_packed_minwit_leaf_across_word_boundaries(n):
+    rng = random.Random(300 + n)
+    matrix = Matrix([[int(rng.random() < 0.05) for _ in range(n)] for _ in range(n)])
+    solver = NaiveSolver(matrix, problem="minwit")
+    queries = [[0] * n, [1] * n, [0] * (n - 1) + [1]]
+    queries += [[int(rng.random() < 0.3) for _ in range(n)] for _ in range(4)]
+    for ones in queries:
+        v = Vector(ones)
+        assert solver.query(v).entries == minwitness_mv(matrix, v).entries
+
+
+@pytest.mark.parametrize("n", [1, 5, 65, 130])
+def test_float_query_on_a_bool_matrix_matches_bool_mv(n):
+    # the answer has n entries and no padding bit of the last word leaks in
+    rng = random.Random(400 + n)
+    rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+    solver = NaiveSolver(np.array(rows, dtype=bool), problem="bool")
+    for ones in ([1] * n, [0] * n, [rng.randint(0, 1) for _ in range(n)]):
+        answer = solver.query(np.array(ones, dtype=np.float64))
+        assert answer.shape == (n,)
+        assert answer.astype(int).tolist() == bool_mv(Matrix(rows), Vector(ones)).entries
