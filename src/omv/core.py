@@ -23,8 +23,10 @@ Two representations, one per side of a solver:
 * numpy arrays are the currency between layers.  Values travel as float64,
   0/1 answers (and the boolean queries built from them) as bool.  float64
   is exact here: validate() caps finite values at 2^40, so min-plus sums
-  (below 2^41), the rank and position encodings, and finitize's 3W+2
-  stand-ins all stay below 2^53, and the infinities stay infinities.
+  (below 2^41) and the rank and position encodings all stay below 2^53,
+  and the infinities stay infinities.  NaN is the absent value inside a
+  chain (it equals nothing and is dominated by nothing); validate()
+  rejects it, and every non-integer finite value, in outside input.
 
 OnlineSolver.query converts once per outer query: a Vector in gives a
 Vector out (ints and infinity sentinels), an ndarray in gives an ndarray
@@ -140,13 +142,17 @@ def _entry_rules(values: np.ndarray, problem: str, n: int, bound: int) -> list[t
     if problem in ("bool", "minwit"):
         return [((values != 0) & (values != 1), "boolean entry must be 0 or 1")]
     finite = np.isfinite(values)
-    rules = [(finite & (np.abs(values) > VALUE_LIMIT), "finite value exceeds the +/-2^40 limit")]
+    rules = [
+        (np.isnan(values), "NaN is not a value"),
+        (finite & (np.abs(values) > VALUE_LIMIT), "finite value exceeds the +/-2^40 limit"),
+        (finite & (values != np.floor(values)), "finite value must be an integer"),
+    ]
     if problem == "eq":
         rules.append((~finite, "equality product requires finite entries"))
     elif problem == "bmmp":
         rules.append((~finite, "min-plus requires finite entries"))
         rules.append(((values < 0) | (values > bound * n), f"entry outside [0, {bound}*n]"))
-    # dom / minmax accept the full extended domain
+    # dom / minmax accept the integers and +/-inf
     return rules
 
 
@@ -323,7 +329,7 @@ class CounterLedger:
     books t and asks its one stacked instance once); scan_length_total
     counts the rare entries of eq<-bool that matched their query
     coordinate (not the cells compared) and the elements examined in
-    minmax<-dom's bucket and -inf scans; candidates_enumerated counts the
+    minmax<-dom's bucket scans; candidates_enumerated counts the
     columns bmmp<-eq lists.  multiset_updates and rmq_queries book the
     ordered-multiset repositionings and range-minimum queries of the
     paper's candidate listing (see omv.bmmp_from_eq), which the package

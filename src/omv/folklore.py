@@ -57,6 +57,11 @@ class RankMap:
     values less-or-equal, starting at 0.  For a matrix value a and any b,
     a <= b iff rank(a) <= query_rank(b).  Both accept a single value or an
     array of values.
+
+    NaN marks an absent value and compares true with nothing: np.unique
+    sorts a NaN matrix entry last, so it takes the top rank, which no
+    query rank reaches, and a NaN query takes query rank 0, below every
+    rank.
     """
 
     def __init__(self, matrix: Matrix | np.ndarray):
@@ -67,7 +72,7 @@ class RankMap:
         return np.searchsorted(self.values, value, side="left") + 1
 
     def query_rank(self, value):
-        return np.searchsorted(self.values, value, side="right")
+        return np.where(np.isnan(value), 0, np.searchsorted(self.values, value, side="right"))
 
 
 def rank_bit_count(n: int) -> int:

@@ -8,26 +8,23 @@ minima and the final answer is their minimum:
 
 For u, every matrix row is sorted and chopped into t buckets of at most
 ceil(n/t) consecutive elements.  Bucket l of all rows forms a slice matrix
-holding the negated member values and +inf elsewhere; a dominance query
+holding the negated member values and NaN elsewhere; a dominance query
 against the negated query vector then tells, per row, whether bucket l
 contains an element >= the query coordinate above it.  The first hitting
 bucket is scanned directly for the smallest qualifying element (only that
 bucket: the first hitting buckets of all rows are gathered into one
 [n, ceil(n/t)] block).  For w the
 roles flip: the query vector is sorted and bucketed, each bucket becomes a
-masked query against a single dominance solver on the matrix itself, and
-the first hitting bucket is scanned.  Per query this issues exactly 2t
-inner dominance queries and scans at most 2 * n * ceil(n/t) bucket
-elements.
+masked query (NaN outside the bucket) against a single dominance solver on
+the matrix itself, and the first hitting bucket is scanned.  Per query this
+issues exactly 2t inner dominance queries and scans at most
+2 * n * ceil(n/t) bucket elements.
 
-Inner dominance solvers only see finite values: finitize() replaces the
-infinities by extreme finite stand-ins (matrix side wider than query side)
-chosen so that no legal comparison changes and the +inf padding can never
-produce a hit.  Genuine -inf matrix entries cannot survive that mapping --
-negation folds them onto the padding value -- so both phases skip them.
-Since max(-inf, v[k]) = v[k], the query side recovers their contributions
-by a direct per-row scan over the precomputed positions holding them;
-matrices without -inf entries take the bucketed path exclusively.
+NaN is the one absent value of the dominance instances built here: a NaN
+entry is never dominated and a NaN query coordinate dominates nothing, so
+the padding never hits and every +/-inf entry, -inf included, goes through
+the buckets like any other value.  The query side's instance holds NaN in
+place of +inf: a +inf pair only contributes +inf, the default answer.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ import numpy as np
 
 from .core import (
     INF,
-    NEG_INF,
     Matrix,
     OnlineSolver,
     ReductionConfig,
@@ -47,25 +43,6 @@ from .core import (
     ceil_div,
 )
 from .oracle import naive_factory
-
-
-def finitize(values: np.ndarray, w_bound: int, role: str) -> np.ndarray:
-    """Map infinities and out-of-range entries to extreme finite values.
-
-    ``w_bound`` is the largest absolute finite value of the matrix the
-    dominance instance was built from.  Matrix-side infinities become
-    +/-(3W+2); query-side entries beyond +/-W (including infinities)
-    become +/-(2W+1).  Every dominance comparison between a legal matrix
-    value and a legal query value is unchanged by the mapping, and the
-    matrix-side +inf can never be dominated by any mapped query entry.
-    """
-    if role == "matrix":
-        big = 3 * w_bound + 2
-        return np.where(values == INF, big, np.where(values == NEG_INF, -big, values))
-    if role == "query":
-        cap = 2 * w_bound + 1
-        return np.where(values > w_bound, cap, np.where(values < -w_bound, -cap, values))
-    raise ValueError(f"unknown finitize role {role!r}")
 
 
 class MinMaxFromDomSolver(OnlineSolver):
@@ -86,35 +63,19 @@ class MinMaxFromDomSolver(OnlineSolver):
         self.t = self.config.resolve_t(n)
         self.bucket_size = ceil_div(n, self.t)
 
-        finite = np.isfinite(m)
-        self.w_bound = int(np.abs(m[finite]).max()) if finite.any() else 0
-
         # _order[i]: the columns of row i by (value, column); bucket l of
         # row i is _order[i, l*bucket_size : (l+1)*bucket_size].  Equal
         # values may end up in different buckets, which the scan tolerates.
         self._order = np.argsort(m, axis=1, kind="stable")
         bucket_of = np.empty((n, n), dtype=np.int64)
         np.put_along_axis(bucket_of, self._order, np.arange(n) // self.bucket_size, axis=1)
-        # -inf entries are recovered by the query side's direct scan (None:
-        # there are none).
-        neg = m == NEG_INF
-        self._neginf = neg if neg.any() else None
 
         self._slice_solvers: list[OnlineSolver] = [
-            make_inner(
-                "dom",
-                finitize(np.where(bucket_of == l, -m, INF), self.w_bound, "matrix"),
-                self.config,
-            )
+            make_inner("dom", np.where(bucket_of == l, -m, np.nan), self.config)
             for l in range(self.t)
         ]
-        # The query-side phase asks dominance queries against the matrix
-        # itself.  -inf entries are folded onto the never-hit padding value
-        # (their contributions come from the direct scan), +inf entries take
-        # the standard mapping.
-        self._matrix_solver = make_inner(
-            "dom", finitize(np.where(neg, INF, m), self.w_bound, "matrix"), self.config
-        )
+        # The query-side phase asks dominance queries against the matrix itself.
+        self._matrix_solver = make_inner("dom", np.where(m == INF, np.nan, m), self.config)
 
     def _first_qualifying(
         self, hits: np.ndarray, order: np.ndarray, qualifies
@@ -142,12 +103,9 @@ class MinMaxFromDomSolver(OnlineSolver):
         return rows, block[np.arange(len(rows)), first]
 
     def _matrix_side(self, v: np.ndarray) -> np.ndarray:
-        """u[i] = min matrix entry in row i that is >= its query coordinate.
-
-        The slices never hit a -inf entry, so their contributions may be
-        missing here; _query_side's direct scan supplies them."""
+        """u[i] = min matrix entry in row i that is >= its query coordinate."""
         m = self._m
-        neg_query = finitize(-v, self.w_bound, "query")
+        neg_query = -v
         hits = np.empty((self.t, self.n), dtype=bool)
         for l, solver in enumerate(self._slice_solvers):
             hits[l] = solver.query(neg_query)
@@ -165,9 +123,7 @@ class MinMaxFromDomSolver(OnlineSolver):
         order = np.argsort(v, kind="stable")
         bucket_of = np.empty(self.n, dtype=np.int64)
         bucket_of[order] = np.arange(self.n) // self.bucket_size
-        masked = finitize(
-            np.where(bucket_of == np.arange(self.t)[:, None], v, NEG_INF), self.w_bound, "query"
-        )
+        masked = np.where(bucket_of == np.arange(self.t)[:, None], v, np.nan)
         hits = np.empty((self.t, self.n), dtype=bool)
         for l in range(self.t):
             hits[l] = self._matrix_solver.query(masked[l])
@@ -177,9 +133,6 @@ class MinMaxFromDomSolver(OnlineSolver):
         )
         out = np.full(self.n, INF)
         out[rows] = v[cols]
-        if self._neginf is not None:
-            self.counters.scan_length_total += int(np.count_nonzero(self._neginf))
-            out = np.minimum(out, np.where(self._neginf, v, INF).min(axis=1))
         return out
 
     def _answer(self, v: np.ndarray) -> np.ndarray:

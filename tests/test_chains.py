@@ -191,8 +191,8 @@ def chain_instances(draw, problem):
     bmmp, c is chosen so that 2^40 lies inside [0, c*n]).  Some columns are
     one value top to bottom.  For dom and minmax a drawn density of the
     entries becomes +/-inf, and some matrix rows become -inf throughout,
-    which minmax<-dom answers by its direct scan.  bmmp gets a drawn
-    monotone case.
+    which minmax<-dom's buckets must rank below every finite value.  bmmp
+    gets a drawn monotone case.
     """
     n = draw(st.integers(1, 6))
     c = 4

@@ -63,6 +63,26 @@ def test_validate_eq_rejects_infinities():
     assert validate(Matrix([[NEG_INF]]), "minmax") is None
 
 
+@pytest.mark.parametrize("problem", ["dom", "minmax"])
+def test_validate_rejects_nan_and_non_integers(problem):
+    nan = float("nan")
+    violation = validate(Matrix([[nan, 1], [2, 3]]), problem)
+    assert (violation.row, violation.col) == (1, 1) and "NaN" in violation.reason
+    violation = validate(Matrix([[2.5, 7], [9, 8]]), problem)
+    assert (violation.row, violation.col) == (1, 1) and "integer" in violation.reason
+    violation = validate_query(Vector([1, nan]), problem, 2)
+    assert violation.col == 2 and "NaN" in violation.reason
+    violation = validate_query(np.array([0.0, -0.5]), problem, 2)
+    assert violation.col == 2 and "integer" in violation.reason
+    assert validate(Matrix([[INF, NEG_INF], [-3, 2**40]]), problem) is None
+    assert validate_query(Vector([NEG_INF, 4]), problem, 2) is None
+
+
+def test_validate_rejects_non_integers_for_eq_and_bmmp():
+    assert "integer" in validate(Matrix([[0.5]]), "eq").reason
+    assert "integer" in validate(Matrix([[0.5]], monotone="rows"), "bmmp").reason
+
+
 def test_validate_bmmp_bounds():
     m = Matrix([[0, 2], [2, 2]], monotone="rows")
     assert validate(m, "bmmp", bound_constant=1) is None

@@ -53,6 +53,33 @@ def test_rank_map_handles_infinities():
     assert rank_map.query_rank(5) == 2
 
 
+def test_rank_map_nan_is_absent():
+    nan = float("nan")
+    rank_map = RankMap(np.array([[nan, 0.0], [INF, nan]]))
+    assert rank_map.query_rank(nan) == 0
+    # a NaN entry ranks above every query rank, +inf's included
+    assert rank_map.rank(nan) > rank_map.query_rank(INF)
+    assert rank_map.query_rank(np.array([nan, NEG_INF, 0.0, INF])).tolist() == [0, 0, 1, 2]
+
+
+@pytest.mark.parametrize("chain", [["naive"], ["dom<-eq", "eq<-bool", "naive"]])
+def test_dom_nan_entries_and_coordinates_compare_true_with_nothing(chain):
+    # NaN is the absent value of the dominance instances minmax<-dom
+    # builds: a NaN entry is never dominated, a NaN coordinate dominates
+    # nothing
+    nan = float("nan")
+    pool = [nan, NEG_INF, -2, -1, 0, 1, 2, INF]
+    rng = random.Random(47)
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        rows = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+        solver = build_solver(chain, "dom", np.array(rows, dtype=np.float64))
+        for _ in range(4):
+            v = [rng.choice(pool) for _ in range(n)]
+            want = [any(rows[i][k] <= v[k] for k in range(n)) for i in range(n)]
+            assert solver.query(np.array(v)).tolist() == want, (rows, v)
+
+
 def test_rank_bit_count():
     assert rank_bit_count(1) == 2
     assert rank_bit_count(8) == 7  # ceil(log2(64)) + 1

@@ -194,6 +194,11 @@ def test_accounting_check_all_heads():
             ["bmmp<-eq", "naive"],
             InstanceSpec(problem="bmmp", n=8, monotone="stream", seed=5),
         ),
+        # -inf-heavy: every -inf entry goes through the buckets, within the scan cap
+        (
+            ["minmax<-dom", "naive"],
+            InstanceSpec(problem="minmax", n=16, lo=-5, hi=5, inf_prob=0.5, seed=3),
+        ),
     ]
     for chain, spec in checks:
         result = accounting_check(chain, spec)

@@ -10,7 +10,7 @@ pure-Python definitions in ``omv.oracle``.
 
 The instances carry the extreme values the package promises to keep
 exact: +/-inf where the problem allows them, and +/-2^40 (min-plus sums up
-to 2^41 and finitize's 3W+2 stand-ins all stay below 2^53).
+to 2^41 stay below 2^53).
 """
 
 import random
@@ -97,12 +97,12 @@ PINS = {
     }),
     ("minmax", 9): (
         5,
-        _zeros(inner_queries=30, scan_length_total=242),
+        _zeros(inner_queries=30, scan_length_total=178),
         [5, 5, 5, 15],
         {
-            "eq<-bool": (330, 2, 0, 0, 0),
+            "eq<-bool": (360, 8, 0, 0, 0),
             "dom<-eq": (240, 0, 0, 0, 0),
-            "minmax<-dom": (30, 242, 0, 0, 0),
+            "minmax<-dom": (30, 178, 0, 0, 0),
         },
     ),
     ("minmax", 1): (
