@@ -109,10 +109,16 @@ class DomFromEqSolver(OnlineSolver):
     ):
         super().__init__(matrix, config)
         m = as_array(matrix)
-        self.rank_map = RankMap(m)
+        # ranks = self.rank_map.rank(m) from one sort of the present entries:
+        # NaN takes the top rank, and the NaN-heavy instances minmax<-dom
+        # builds sort only their few values
+        present = ~np.isnan(m)
+        values, inverse = np.unique(m[present], return_inverse=True)
+        ranks = np.full(m.shape, len(values) + 1)
+        ranks[present] = inverse + 1
+        self.rank_map = RankMap(values if present.all() else np.append(values, np.nan))
         self.bit_count = rank_bit_count(self.n)
         self.levels = (len(self.rank_map.values) + 1).bit_length()
-        ranks = self.rank_map.rank(m)
         self._slices: list[OnlineSolver] = []
         for level in range(self.levels):
             # slice l: the rank's bits above l where bit l is 0, sentinel -1 elsewhere

@@ -1,12 +1,13 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omv.core import DimensionMismatch, Matrix, ReductionConfig, Vector, ceil_div
-from omv.eq_from_bool import EqFromBoolSolver
+from omv.eq_from_bool import EqFromBoolSolver, _top_values
 from omv.oracle import NaiveSolver, bool_mv, eq_exists_mv
 
 
@@ -40,6 +41,66 @@ def test_constant_column_single_slot():
     matrix = Matrix([[4, 4], [4, 4]])
     solver = EqFromBoolSolver(matrix, ReductionConfig(t=1))
     assert [_column_tables(solver, k) for k in range(2)] == [([4], {}), ([4], {})]
+
+
+def _top_values_by_definition(rows, t):
+    """Each column's values by falling count, ties by smaller value, the
+    first t kept; s = min(t, most distinct values in a column) rows, short
+    columns padded with NaN."""
+    n = len(rows)
+    ranked = []
+    for k in range(n):
+        counts = Counter(rows[i][k] for i in range(n))
+        ranked.append(sorted(counts, key=lambda value: (-counts[value], value))[:t])
+    s = min(t, max(len(values) for values in ranked))
+    return [[ranked[k][l] if l < len(ranked[k]) else float("nan") for k in range(n)] for l in range(s)]
+
+
+_VALUE_POOL = [0, 1, 2, 3, -1, 2**40, -(2**40), float("inf"), float("-inf")]
+
+
+@st.composite
+def _top_value_cases(draw):
+    """A matrix over a few pool values (more than t distinct per column at
+    times) and a t that may exceed n."""
+    n = draw(st.integers(1, 10))
+    pool = draw(st.lists(st.sampled_from(_VALUE_POOL), min_size=1, max_size=len(_VALUE_POOL), unique=True))
+    row = st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    return rows, draw(st.integers(1, n + 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_top_value_cases())
+@example(([[7]], 4))
+@example(([[3, 2**40, 0], [1, -(2**40), 0], [3, float("inf"), 1]], 2))
+def test_top_values_match_their_definition(case):
+    rows, t = case
+    columns = np.ascontiguousarray(np.array(rows, dtype=np.float64).T)
+    table = _top_values(columns, t)
+    want = np.array(_top_values_by_definition(rows, t), dtype=np.float64)
+    assert table.shape == want.shape
+    assert np.array_equal(table, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_slice_stack_is_handed_down_column_major(n):
+    rng = np.random.default_rng(n)
+    m = rng.integers(0, 6, size=(n, n)).astype(np.float64)
+    handed = []
+
+    def factory(problem, stack, config):
+        handed.append(stack)
+        return NaiveSolver(stack, config, problem=problem)
+
+    solver = EqFromBoolSolver(m, ReductionConfig(t=3), make_inner=factory)
+    (stack,) = handed
+    # the leaf's packing transpose is the build's own array, not a copy
+    assert np.swapaxes(stack, -1, -2).flags.c_contiguous
+    assert np.array_equal(stack, m[None, :, :] == solver.top_values[:, None, :])
+    from_view = NaiveSolver(stack, problem="bool")
+    from_copy = NaiveSolver(np.ascontiguousarray(stack), problem="bool")
+    assert np.array_equal(from_view._words, from_copy._words)
 
 
 def test_rare_values_respect_frequency_cap():

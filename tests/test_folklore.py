@@ -80,6 +80,31 @@ def test_dom_nan_entries_and_coordinates_compare_true_with_nothing(chain):
             assert solver.query(np.array(v)).tolist() == want, (rows, v)
 
 
+def test_dom_from_eq_slices_carry_the_rank_map_ranks():
+    # the build ranks entries from one np.unique; each eq slice it hands
+    # down must be the one RankMap.rank gives, NaN and +/-inf included
+    nan = float("nan")
+    pool = [nan, NEG_INF, -3, 0, 0.5, 2, 2**40, INF]
+    rng = random.Random(53)
+    for _ in range(30):
+        n = rng.randint(1, 9)
+        m = np.array([[rng.choice(pool) for _ in range(n)] for _ in range(n)])
+        handed = []
+
+        def factory(problem, matrix, config):
+            handed.append(matrix)
+            return NaiveSolver(matrix, config, problem=problem)
+
+        solver = DomFromEqSolver(m, make_inner=factory)
+        rank_map = RankMap(m)
+        assert np.array_equal(solver.rank_map.values, rank_map.values, equal_nan=True)
+        ranks = rank_map.rank(m)
+        assert len(handed) == solver.levels
+        for level, high in enumerate(handed):
+            shifted = ranks >> level
+            assert np.array_equal(high, np.where(shifted & 1 == 1, -1, shifted >> 1)), (m, level)
+
+
 def test_rank_bit_count():
     assert rank_bit_count(1) == 2
     assert rank_bit_count(8) == 7  # ceil(log2(64)) + 1
