@@ -176,12 +176,8 @@ def cmd_protocol(args) -> int:
             may_skip_count = False
             continue
         may_skip_count = False
-        if len(tokens) != matrix.n:
-            raise ProtocolError(
-                f"query has {len(tokens)} values, expected {matrix.n}"
-            )
         try:
-            query = Vector([formats.parse_value(t) for t in tokens])
+            query = Vector(formats.parse_row(line, matrix.n, "query"))
         except formats.ParseError as exc:
             raise ProtocolError(str(exc)) from exc
         violation = validate_query(
@@ -217,10 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a random instance file")
     gen.add_argument("problem", choices=PROBLEMS)
     gen.add_argument("n", type=int)
-    gen.add_argument("--dist", choices=DISTRIBUTIONS, default="uniform")
-    gen.add_argument("--lo", type=int, default=0)
+    gen.add_argument("--dist", choices=DISTRIBUTIONS, default=None)
+    gen.add_argument("--lo", type=int, default=None)
     gen.add_argument("--hi", type=int, default=None)
-    gen.add_argument("--density", type=float, default=0.5)
+    gen.add_argument("--density", type=float, default=None)
     gen.add_argument("--inf-prob", dest="inf_prob", type=float, default=0.0)
     gen.add_argument("--monotone", choices=MONOTONE_CASES, default=None)
     add_bound_flag(gen)

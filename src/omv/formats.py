@@ -61,7 +61,7 @@ def _format_row(values) -> str:
     return " ".join(format_value(v) for v in values)
 
 
-def _parse_row(line: str, n: int, what: str) -> list[Value]:
+def parse_row(line: str, n: int, what: str) -> list[Value]:
     tokens = line.split()
     if len(tokens) != n:
         raise ParseError(f"{what} has {len(tokens)} values, expected {n}")
@@ -137,7 +137,7 @@ def read_header_and_matrix(read_line: Callable[[], str]) -> tuple[str, Matrix]:
             line = first_row_line
         else:
             line = _next_line(read_line, f"matrix row {i + 1}")
-        rows.append(_parse_row(line, n, f"matrix row {i + 1}"))
+        rows.append(parse_row(line, n, f"matrix row {i + 1}"))
     tag = "boolean" if problem in ("bool", "minwit") else (
         "bounded" if problem == "bmmp" else "integer"
     )
@@ -156,7 +156,7 @@ def parse_instance(text: str) -> Instance:
     if q < 0:
         raise ParseError("query count must be nonnegative")
     queries = [
-        Vector(_parse_row(_next_line(read_line, f"query {j + 1}"), matrix.n, f"query {j + 1}"))
+        Vector(parse_row(_next_line(read_line, f"query {j + 1}"), matrix.n, f"query {j + 1}"))
         for j in range(q)
     ]
     if any(line.strip() for line in lines):
@@ -172,5 +172,5 @@ def parse_answers(text: str, n: int) -> list[Vector]:
     rows = []
     for line in text.splitlines():
         if line.strip():
-            rows.append(Vector(_parse_row(line, n, f"answer row {len(rows) + 1}")))
+            rows.append(Vector(parse_row(line, n, f"answer row {len(rows) + 1}")))
     return rows

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -57,15 +57,28 @@ class InstanceSpec:
 
     problem: str
     n: int
-    distribution: str = "uniform"  # "uniform" | "skewed"
-    lo: int = 0
+    distribution: Optional[str] = None  # "uniform" (default) | "skewed"
+    lo: Optional[int] = None  # default 0
     hi: Optional[int] = None  # default n
-    density: float = 0.5  # 1-probability for boolean entries
+    density: Optional[float] = None  # 1-probability for boolean entries, default 0.5
     inf_prob: float = 0.0  # per-entry infinity chance (dom / minmax only)
     monotone: Optional[str] = None  # bmmp case
     bound_constant: int = 1  # bmmp value bound [0, c*n]
     queries: Optional[int] = None  # default n
     seed: int = 0
+
+
+_INTEGER = ("eq", "dom", "minmax")
+#: The problems each optional knob applies to; setting it elsewhere is an error.
+_KNOB_PROBLEMS = {
+    "distribution": _INTEGER, "lo": _INTEGER, "hi": _INTEGER, "density": ("bool", "minwit")
+}
+
+
+def _resolved(spec: InstanceSpec) -> InstanceSpec:
+    """``spec`` with its unset knobs at their defaults."""
+    defaults = {"distribution": "uniform", "lo": 0, "hi": spec.n, "density": 0.5}
+    return replace(spec, **{k: d for k, d in defaults.items() if getattr(spec, k) is None})
 
 
 def _skew_pool(rng: random.Random, lo: int, hi: int) -> tuple[int, int]:
@@ -75,13 +88,13 @@ def _skew_pool(rng: random.Random, lo: int, hi: int) -> tuple[int, int]:
 
 
 def _int_entry(
-    rng: random.Random, spec: InstanceSpec, heavy: Optional[tuple[int, int]], hi: int
+    rng: random.Random, spec: InstanceSpec, heavy: Optional[tuple[int, int]]
 ) -> Value:
     if spec.inf_prob > 0.0 and rng.random() < spec.inf_prob:
         return INF if rng.random() < 0.5 else NEG_INF
     if heavy is not None and rng.random() < 0.8:
         return heavy[0] if rng.random() < 0.8 else heavy[1]
-    return rng.randint(spec.lo, hi)
+    return rng.randint(spec.lo, spec.hi)
 
 
 def gen_instance(spec: InstanceSpec) -> tuple[Matrix, list[Vector]]:
@@ -90,20 +103,23 @@ def gen_instance(spec: InstanceSpec) -> tuple[Matrix, list[Vector]]:
     n = spec.n
     if n < 1:
         raise ValueError("instance dimension must be positive")
-    if spec.distribution not in DISTRIBUTIONS:
+    if spec.distribution not in (None, *DISTRIBUTIONS):
         raise ValueError(f"unknown distribution {spec.distribution!r}")
     if spec.queries is not None and spec.queries < 0:
         raise ValueError(f"query count must be at least 0, got {spec.queries}")
     for name in ("density", "inf_prob"):
         value = getattr(spec, name)
-        if not 0.0 <= value <= 1.0:
+        if value is not None and not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {value}")
+    for name, problems in _KNOB_PROBLEMS.items():
+        if getattr(spec, name) is not None and spec.problem not in problems:
+            raise ValueError(f"{name} does not apply to {spec.problem} instances")
     if spec.monotone is not None and spec.problem != "bmmp":
         raise ValueError("monotone case only applies to bmmp")
     if spec.inf_prob > 0.0 and spec.problem not in ("dom", "minmax"):
         raise ValueError(f"{spec.problem} instances must stay finite")
     q = spec.queries if spec.queries is not None else n
-    hi = spec.hi if spec.hi is not None else n
+    spec = _resolved(spec)
 
     if spec.problem in ("bool", "minwit"):
         rows = [[1 if rng.random() < spec.density else 0 for _ in range(n)] for _ in range(n)]
@@ -112,17 +128,12 @@ def gen_instance(spec: InstanceSpec) -> tuple[Matrix, list[Vector]]:
             for _ in range(q)
         ]
         matrix = Matrix(rows, tag="boolean")
-    elif spec.problem in ("eq", "dom", "minmax"):
-        if hi < spec.lo:
+    elif spec.problem in _INTEGER:
+        if spec.hi < spec.lo:
             raise ValueError("empty value range")
-        heavy = _skew_pool(rng, spec.lo, hi) if spec.distribution == "skewed" else None
-        rows = [
-            [_int_entry(rng, spec, heavy, hi) for _ in range(n)] for _ in range(n)
-        ]
-        queries = [
-            Vector([_int_entry(rng, spec, heavy, hi) for _ in range(n)])
-            for _ in range(q)
-        ]
+        heavy = _skew_pool(rng, spec.lo, spec.hi) if spec.distribution == "skewed" else None
+        rows = [[_int_entry(rng, spec, heavy) for _ in range(n)] for _ in range(n)]
+        queries = [Vector([_int_entry(rng, spec, heavy) for _ in range(n)]) for _ in range(q)]
         matrix = Matrix(rows, tag="integer")
     elif spec.problem == "bmmp":
         if spec.monotone is None:
@@ -199,9 +210,8 @@ def _adaptive_query(
     material = f"{spec.seed}|{j}|{answer_text}"
     if spec.problem in ("bool", "minwit"):
         return Vector([h % 2 for h in _hash_ints(material, n, 2)])
-    if spec.problem in ("eq", "dom", "minmax"):
-        hi = spec.hi if spec.hi is not None else n
-        span = hi - spec.lo + 1
+    if spec.problem in _INTEGER:
+        span = spec.hi - spec.lo + 1
         return Vector([spec.lo + h for h in _hash_ints(material, n, span)])
     top = spec.bound_constant * n
     if spec.monotone == "stream":
@@ -229,6 +239,7 @@ def adaptive_session(
     defers answers derails the stream and is caught.
     """
     matrix, _ = gen_instance(spec)
+    spec = _resolved(spec)
     config = config if config is not None else ReductionConfig(seed=spec.seed)
     if make_solver is not None:
         solver = make_solver(matrix, config)

@@ -77,63 +77,49 @@ class MinMaxFromDomSolver(OnlineSolver):
         # The query-side phase asks dominance queries against the matrix itself.
         self._matrix_solver = make_inner("dom", np.where(m == INF, np.nan, m), self.config)
 
-    def _first_qualifying(
-        self, hits: np.ndarray, order: np.ndarray, qualifies
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Scan each row's first hitting bucket for its first qualifying element.
+    def _scan(
+        self, hits: np.ndarray, order: np.ndarray, values: np.ndarray, floor: np.ndarray
+    ) -> np.ndarray:
+        """One side of the answer from its [t, n] hit table.
 
-        ``hits`` is [t, n]: hits[l, i] when bucket l of row i holds a
-        qualifying element.  ``order`` is [n, n], one bucketed order per
-        row, or [n] when all rows share one; ``qualifies(rows, cols)`` tests
-        elements.  Returns the rows with a hit and, per such row, the
-        qualifying column.
+        hits[l, i] when bucket l of row i holds a qualifying element: one
+        with values[i, k] >= floor[i, k].  ``order`` is [n, n], row i's
+        bucketed column order.  Each row's first hitting bucket is scanned
+        for its first qualifying element, whose value is that row's answer;
+        rows with no hit get inf.
         """
+        self.counters.inner_queries += self.t
         rows = np.flatnonzero(hits.any(axis=0))
         size = self.bucket_size
         positions = hits[:, rows].argmax(axis=0)[:, None] * size + np.arange(size)
         inside = positions < self.n  # the last buckets may be short or empty
-        positions = np.minimum(positions, self.n - 1)
-        block = order[rows[:, None], positions] if order.ndim == 2 else order[positions]
-        ok = inside & qualifies(rows[:, None], block)
-        found = ok.any(axis=1)
-        if not found.all():
+        at = rows[:, None], order[rows[:, None], np.minimum(positions, self.n - 1)]
+        block = values[at]
+        ok = inside & (block >= floor[at])
+        if not ok.any(axis=1).all():
             raise AssertionError("hitting bucket contained no qualifying element")
         first = ok.argmax(axis=1)
         self.counters.scan_length_total += int(first.sum()) + len(rows)
-        return rows, block[np.arange(len(rows)), first]
+        out = np.full(self.n, INF)
+        out[rows] = block[np.arange(len(rows)), first]
+        return out
 
     def _matrix_side(self, v: np.ndarray) -> np.ndarray:
         """u[i] = min matrix entry in row i that is >= its query coordinate."""
-        m = self._m
         neg_query = -v
-        hits = np.empty((self.t, self.n), dtype=bool)
-        for l, solver in enumerate(self._slice_solvers):
-            hits[l] = solver.query(neg_query)
-        self.counters.inner_queries += self.t
-        rows, cols = self._first_qualifying(
-            hits, self._order, lambda i, k: m[i, k] >= v[k]
-        )
-        out = np.full(self.n, INF)
-        out[rows] = m[rows, cols]
-        return out
+        hits = np.array([solver.query(neg_query) for solver in self._slice_solvers])
+        return self._scan(hits, self._order, self._m, np.broadcast_to(v, (self.n, self.n)))
 
     def _query_side(self, v: np.ndarray) -> np.ndarray:
         """w[i] = min query coordinate that is >= its matrix entry in row i."""
-        m = self._m
+        n = self.n
         order = np.argsort(v, kind="stable")
-        bucket_of = np.empty(self.n, dtype=np.int64)
-        bucket_of[order] = np.arange(self.n) // self.bucket_size
+        bucket_of = np.empty(n, dtype=np.int64)
+        bucket_of[order] = np.arange(n) // self.bucket_size
         masked = np.where(bucket_of == np.arange(self.t)[:, None], v, np.nan)
-        hits = np.empty((self.t, self.n), dtype=bool)
-        for l in range(self.t):
-            hits[l] = self._matrix_solver.query(masked[l])
-        self.counters.inner_queries += self.t
-        rows, cols = self._first_qualifying(
-            hits, order, lambda i, k: v[k] >= m[i, k]
-        )
-        out = np.full(self.n, INF)
-        out[rows] = v[cols]
-        return out
+        hits = np.array([self._matrix_solver.query(query) for query in masked])
+        full = np.broadcast_to(v, (n, n))
+        return self._scan(hits, np.broadcast_to(order, (n, n)), full, self._m)
 
     def _answer(self, v: np.ndarray) -> np.ndarray:
         return np.minimum(self._matrix_side(v), self._query_side(v))

@@ -215,6 +215,35 @@ def test_sampling_regime_n64_draws_distinct_columns():
             assert solver.counters.since(snap)["inner_queries"] == 550
 
 
+def test_escapes_match_the_sampling_bound():
+    # Rows case, every row 24 zeros then 40 entries of n, query v = 0: with
+    # delta = 4 each row's near set is its 24 zero columns, over cap = 16,
+    # so every row is oversize.  A row escapes when R misses all 24, which
+    # for |R| = 6 happens with probability C(40, 6) / C(64, 6) per stream.
+    n, delta, size, zeros, seeds = 64, 4, 6, 24, 400
+    matrix = Matrix([[0] * zeros + [n] * (n - zeros)] * n, monotone="rows")
+    v = np.zeros(n)
+    keys = np.array(matrix.rows) // delta + v.astype(np.int64) // delta
+    near = keys <= keys.min(axis=1, keepdims=True) + 1
+    want = np.min(np.array(matrix.rows) + v, axis=1)
+    escaped_streams = wrong_streams = 0
+    for seed in range(seeds):
+        config = ReductionConfig(delta=delta, bound_constant=1, hitting_set_size=size, seed=seed)
+        solver = BmmpFromEqSolver(matrix, config)
+        oversize = np.array([r.candidates is None for r in solver.list_candidates(v)])
+        escaped = oversize & ~near[:, solver.hitting_columns].any(axis=1)
+        got = solver.query(v)
+        assert np.all(got >= want)  # no undershoot
+        wrong = got != want
+        assert not np.any(wrong & ~escaped), seed  # wrong => escaped
+        escaped_streams += bool(escaped.any())
+        wrong_streams += bool(wrong.any())
+    p = math.comb(n - zeros, size) / math.comb(n, size)
+    mean, sigma = seeds * p, math.sqrt(seeds * p * (1 - p))
+    assert abs(escaped_streams - mean) <= 3.5 * sigma, (escaped_streams, mean, sigma)
+    assert 0 < wrong_streams <= escaped_streams
+
+
 def test_forced_hit_uses_every_column_once():
     matrix = Matrix([[1, 2], [2, 2]], monotone="rows")
     solver = BmmpFromEqSolver(

@@ -110,7 +110,7 @@ def test_full_cycle_long_streams(problem, monotone, n):
     spec = InstanceSpec(
         problem=problem,
         n=n,
-        distribution="skewed" if problem in ("eq", "dom", "minmax") else "uniform",
+        distribution="skewed" if problem in ("eq", "dom", "minmax") else None,
         inf_prob=0.2 if problem in ("dom", "minmax") else 0.0,
         monotone=monotone,
         queries=3 * n,

@@ -186,6 +186,10 @@ def test_out_of_range_gen_knob_is_a_validation_error(tmp_path, capsys, knob):
         ["bmmp", "4", "--monotone", "rows", "--inf-prob", "0.5"],
         ["bool", "4", "--inf-prob", "0.5"],
         ["minwit", "4", "--inf-prob", "0.1"],
+        ["eq", "3", "--density", "0.3"],
+        ["bool", "3", "--dist", "skewed"],
+        ["bmmp", "3", "--monotone", "rows", "--lo", "2", "--hi", "9"],
+        ["minwit", "3", "--hi", "7"],
     ],
 )
 def test_gen_knob_that_does_not_apply_is_a_validation_error(tmp_path, capsys, gen_args):
@@ -254,6 +258,14 @@ def test_protocol_wrong_length_is_protocol_error():
     result = _protocol(text)
     assert result.returncode == 4
     assert "error" in result.stderr
+    assert "query has 3 values, expected 2" in result.stderr
+
+
+def test_protocol_bad_token_is_protocol_error():
+    text = "OMV 1\nproblem bool\nn 2\n1 0\n1 1\n0 x\n"
+    result = _protocol(text)
+    assert result.returncode == 4
+    assert result.stderr == "error: bad value token 'x'\n"
 
 
 def test_protocol_falling_stream_coordinate_is_protocol_error():

@@ -4,7 +4,8 @@ Imports are read from the source with an AST scan, so an import inside a
 function body counts as much as one at the top of a module.  The same kind
 of scan checks that every public function, class, method and property of
 the package has a caller in the package or in the benchmark, not only in
-the tests.
+the tests; a method counts as called only where it is used as an
+attribute, ``obj.name``.
 """
 
 import ast
@@ -20,10 +21,13 @@ PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
 #: Public definitions that only the tests call, on purpose: the pure-Python
 #: definitions the solvers are checked against, the harness entry points
-#: the README documents, and the negative control's flush, whose answers
+#: the README documents, the negative control's flush, whose answers
 #: the tests compare with the oracle's to show that the mock only defers
-#: its work.
+#: its work, and RankMap.rank, the reference that
+#: test_dom_from_eq_slices_carry_the_rank_map_ranks and criterion 5 compare
+#: the dom<-eq slices against.
 TEST_ONLY = {
+    "folklore.RankMap.rank",
     "harness.BatchingMockSolver.flush",
     "harness.accounting_check",
     "harness.adaptive_session",
@@ -77,8 +81,9 @@ def test_link_modules_do_not_import_chains(module):
 DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
 
 
-def referenced_names(source: str) -> set[str]:
-    """Names, attributes and imported names used in ``source``.
+def referenced_names(source: str, attributes_only: bool = False) -> set[str]:
+    """Names, attributes and imported names used in ``source``, or only the
+    attributes (``obj.name``) when ``attributes_only``.
 
     A function's, method's or class's uses of its own name inside its own
     body (recursion, a classmethod building its own class) do not count.
@@ -89,10 +94,12 @@ def referenced_names(source: str) -> set[str]:
         if isinstance(node, DEFINITIONS):
             enclosing = enclosing | {node.name}
         name = None
-        if isinstance(node, ast.Name):
-            name = node.id
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             name = node.attr
+        elif attributes_only:
+            pass
+        elif isinstance(node, ast.Name):
+            name = node.id
         elif isinstance(node, ast.alias):
             name = node.name.rpartition(".")[2]
         if name is not None and name not in enclosing:
@@ -127,6 +134,11 @@ def test_reference_scan_skips_a_definitions_own_name():
     assert referenced_names(source) == {"self", "k"}
 
 
+def test_attribute_scan_ignores_plain_names():
+    source = "from .core import rank\n\ndef f(flush):\n    return rank + flush + g.h\n"
+    assert referenced_names(source, attributes_only=True) == {"h"}
+
+
 def test_definition_scan_lists_public_methods_and_properties():
     source = (
         "class C:\n    @property\n    def p(self):\n        pass\n"
@@ -138,13 +150,15 @@ def test_definition_scan_lists_public_methods_and_properties():
 
 def test_every_public_definition_has_a_caller_outside_the_tests():
     modules = sorted(PACKAGE.glob("*.py"))
-    used = set().union(
-        *(referenced_names(path.read_text()) for path in modules + sorted(PERFBENCH.glob("*.py")))
+    sources = [path.read_text() for path in modules + sorted(PERFBENCH.glob("*.py"))]
+    used = set().union(*(referenced_names(source) for source in sources))
+    attributes = set().union(
+        *(referenced_names(source, attributes_only=True) for source in sources)
     )
     unused = {
         f"{path.stem}.{name}"
         for path in modules
         for name in public_definitions(path.read_text())
-        if name.rpartition(".")[2] not in used
+        if name.rpartition(".")[2] not in (attributes if "." in name else used)
     }
     assert unused == TEST_ONLY
