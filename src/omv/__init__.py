@@ -3,11 +3,10 @@
 The package provides naive reference solvers for six online product
 problems (boolean, equality, dominance, min-witness, min-max, and bounded
 monotone min-plus), composable reduction solvers that answer one problem
-through inner instances of another, a differential-testing harness with an
-adaptive online-ness adversary, and a CLI over plain-text instance files.
-The top level exports what a chain needs end to end; the links, the
-oracle's reference functions and the rest of the harness live in their
-modules.
+through inner instances of another, an instance generator, and a CLI over
+plain-text instance files.  The top level exports what a chain needs end
+to end; the links and the negative control live in their modules, and the
+referees the solvers are checked against live in ``tests/referees.py``.
 """
 
 from .chains import build_solver

@@ -57,7 +57,6 @@ from .core import (
     ReductionConfig,
     SolverFactory,
     StreamOrderError,
-    Vector,
     as_array,
     validate,
     validate_query,
@@ -158,8 +157,7 @@ class BmmpFromEqSolver(OnlineSolver):
 
     def list_candidates(self, vector) -> list[CandidateReport]:
         """Step-one listing for one query (advances state in the stream case)."""
-        values = vector.entries if isinstance(vector, Vector) else vector
-        values = np.array(values, dtype=np.float64)  # a copy: the stream case keeps it
+        values = np.array(vector, dtype=np.float64)  # a copy: the stream case keeps it
         v_hat = (values // self.delta).astype(np.int64)
         self._book(values, v_hat)
         keys = self.m_hat + v_hat

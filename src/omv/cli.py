@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--lo", type=int, default=None)
     gen.add_argument("--hi", type=int, default=None)
     gen.add_argument("--density", type=float, default=None)
-    gen.add_argument("--inf-prob", dest="inf_prob", type=float, default=0.0)
+    gen.add_argument("--inf-prob", dest="inf_prob", type=float, default=None)
     gen.add_argument("--monotone", choices=MONOTONE_CASES, default=None)
     add_bound_flag(gen)
     gen.add_argument("--queries", type=int, default=None)

@@ -1,12 +1,9 @@
-"""Naive reference solvers for all six products, plus brute-force helpers.
+"""The naive solver: the leaf of every reduction chain.
 
-Two layers live here on purpose.  The module-level functions (bool_mv,
-eq_exists_mv, ...) are definitional enumerations written in plain Python;
-they are the ground truth that every test compares against and they stay
-deliberately dumb.  NaiveSolver wraps the same O(n^2)-per-query semantics
-in numpy so that reduction chains, which issue very many inner queries,
-run at a usable speed; it is the leaf of every chain.  The two layers are
-cross-checked against each other in the test suite.
+NaiveSolver answers any of the six products with the O(n^2)-per-query
+semantics, vectorized in numpy so that reduction chains, which issue very
+many inner queries, run at a usable speed.  The pure-Python definitions it
+is checked against live with the tests, in ``tests/referees.py``.
 """
 
 from __future__ import annotations
@@ -15,134 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (
-    INF,
-    DimensionMismatch,
-    Matrix,
-    OnlineSolver,
-    ReductionConfig,
-    Value,
-    Vector,
-    as_array,
-)
-
-
-def _check_dims(matrix: Matrix, vector: Vector) -> int:
-    if len(vector) != matrix.n:
-        raise DimensionMismatch(
-            f"vector length {len(vector)} against {matrix.n}x{matrix.n} matrix"
-        )
-    return matrix.n
-
-
-def bool_mv(matrix: Matrix, vector: Vector) -> Vector:
-    """Boolean product: out[i] = 1 iff some k has M[i,k] = 1 and v[k] = 1."""
-    n = _check_dims(matrix, vector)
-    out = [
-        1 if any(matrix.rows[i][k] == 1 and vector[k] == 1 for k in range(n)) else 0
-        for i in range(n)
-    ]
-    return Vector(out)
-
-
-def eq_exists_mv(matrix: Matrix, vector: Vector) -> Vector:
-    """Equality product: out[i] = 1 iff some k has M[i,k] = v[k]."""
-    n = _check_dims(matrix, vector)
-    out = [
-        1 if any(matrix.rows[i][k] == vector[k] for k in range(n)) else 0
-        for i in range(n)
-    ]
-    return Vector(out)
-
-
-def dom_exists_mv(matrix: Matrix, vector: Vector) -> Vector:
-    """Dominance product: out[i] = 1 iff some k has M[i,k] <= v[k]."""
-    n = _check_dims(matrix, vector)
-    out = [
-        1 if any(matrix.rows[i][k] <= vector[k] for k in range(n)) else 0
-        for i in range(n)
-    ]
-    return Vector(out)
-
-
-def minwitness_mv(matrix: Matrix, vector: Vector) -> Vector:
-    """Min-witness product: smallest 1-based k with M[i,k] = v[k] = 1, else inf."""
-    n = _check_dims(matrix, vector)
-    out: list[Value] = []
-    for i in range(n):
-        witness: Value = INF
-        for k in range(n):
-            if matrix.rows[i][k] == 1 and vector[k] == 1:
-                witness = k + 1
-                break
-        out.append(witness)
-    return Vector(out)
-
-
-def minmax_mv(matrix: Matrix, vector: Vector) -> Vector:
-    """Min-max product: out[i] = min over k of max(M[i,k], v[k])."""
-    n = _check_dims(matrix, vector)
-    out = [
-        min(max(matrix.rows[i][k], vector[k]) for k in range(n)) for i in range(n)
-    ]
-    return Vector(out)
-
-
-def _extended_sum(a: Value, b: Value) -> Value:
-    # +inf absorbs; the -inf + +inf combination never occurs because min-plus
-    # inputs are validated finite or +inf only.
-    if a == INF or b == INF:
-        return INF
-    return a + b
-
-
-def minplus_mv(matrix: Matrix, vector: Vector) -> Vector:
-    """Min-plus product: out[i] = min over k of M[i,k] + v[k].
-
-    The public bmmp problem is finite-valued; +inf entries are tolerated
-    here for internal helpers and absorb any sum they appear in.
-    """
-    n = _check_dims(matrix, vector)
-    out = [
-        min(_extended_sum(matrix.rows[i][k], vector[k]) for k in range(n))
-        for i in range(n)
-    ]
-    return Vector(out)
-
-
-def candidate_set_bruteforce(
-    matrix: Matrix, vector: Vector, delta: int, i: int
-) -> set[int]:
-    """Candidate columns for output i of min-plus, by full enumeration.
-
-    Rounds M and v down by delta, finds the rounded row minimum, and
-    returns every 0-based k whose rounded sum is the minimum or one above
-    it.  This is the reference that list_candidates() must reproduce; it
-    always contains every true minimizer of M[i,k] + v[k].
-    """
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
-    n = _check_dims(matrix, vector)
-    sums = [matrix.rows[i][k] // delta + vector[k] // delta for k in range(n)]
-    lo = min(sums)
-    return {k for k in range(n) if sums[k] in (lo, lo + 1)}
-
-
-def bit_trick_predicate(a: int, b: int, bits: int) -> bool:
-    """Strict-less-than test via a per-bit decomposition.
-
-    True iff some bit position l < bits has bit l of a clear, bit l of b
-    set, and a and b identical above bit l.  For 0 <= a, b < 2**bits this
-    is equivalent to a < b; the equality-product route to dominance rests
-    on exactly this decomposition.
-    """
-    if a < 0 or b < 0 or a >= 1 << bits or b >= 1 << bits:
-        raise ValueError("operands must lie in [0, 2**bits)")
-    for level in range(bits):
-        if (a >> level) & 1 == 0 and (b >> level) & 1 == 1:
-            if a >> (level + 1) == b >> (level + 1):
-                return True
-    return False
+from .core import INF, Matrix, OnlineSolver, ReductionConfig, as_array
 
 
 class NaiveSolver(OnlineSolver):

@@ -16,18 +16,18 @@ import numpy as np
 from omv.bmmp_from_eq import BmmpFromEqSolver
 from omv.chains import ALT_BOOL_CHAIN, FULL_CYCLE, LINKS, build_solver
 from omv.core import Matrix, ReductionConfig, Vector
-from omv.folklore import rank_bit_count, tilt_matrix, tilt_query
-from omv.harness import (
-    BatchingMockSolver,
-    InstanceSpec,
+from omv.folklore import RankMap, rank_bit_count, tilt_matrix, tilt_query
+from omv.harness import BatchingMockSolver, InstanceSpec, gen_instance
+from omv.oracle import NaiveSolver
+
+from referees import (
     accounting_check,
     adaptive_session,
-    gen_instance,
+    bit_trick_predicate,
+    candidate_set_bruteforce,
     run_stream,
     success_rate_experiment,
 )
-from omv.oracle import NaiveSolver, bit_trick_predicate, candidate_set_bruteforce
-from omv.folklore import RankMap
 
 
 def _report(criterion: str, detail: str = "") -> None:

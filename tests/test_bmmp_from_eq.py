@@ -15,8 +15,10 @@ from omv.core import (
     StreamOrderError,
     Vector,
 )
-from omv.harness import InstanceSpec, gen_instance, run_stream
-from omv.oracle import NaiveSolver, candidate_set_bruteforce
+from omv.harness import InstanceSpec, gen_instance
+from omv.oracle import NaiveSolver
+
+from referees import candidate_set_bruteforce, run_stream
 
 
 def test_rounding_stays_within_two_deltas():

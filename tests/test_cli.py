@@ -186,6 +186,7 @@ def test_out_of_range_gen_knob_is_a_validation_error(tmp_path, capsys, knob):
         ["bmmp", "4", "--monotone", "rows", "--inf-prob", "0.5"],
         ["bool", "4", "--inf-prob", "0.5"],
         ["minwit", "4", "--inf-prob", "0.1"],
+        ["bool", "3", "--inf-prob", "0"],
         ["eq", "3", "--density", "0.3"],
         ["bool", "3", "--dist", "skewed"],
         ["bmmp", "3", "--monotone", "rows", "--lo", "2", "--hi", "9"],

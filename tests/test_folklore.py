@@ -14,8 +14,10 @@ from omv.folklore import (
     tilt_matrix,
     tilt_query,
 )
-from omv.harness import InstanceSpec, gen_instance, run_stream
-from omv.oracle import NaiveSolver, bool_mv, dom_exists_mv, minplus_mv
+from omv.harness import InstanceSpec, gen_instance
+from omv.oracle import NaiveSolver
+
+from referees import bool_mv, dom_exists_mv, minplus_mv, run_stream
 
 
 def test_rank_map_frozen_example():

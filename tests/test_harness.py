@@ -6,17 +6,16 @@ import pytest
 from omv.chains import FULL_CYCLE, build_solver
 from omv.core import Matrix, ReductionConfig, Vector, validate
 from omv.eq_from_bool import EqFromBoolSolver
-from omv.harness import (
-    BatchingMockSolver,
-    InstanceSpec,
+from omv.harness import BatchingMockSolver, InstanceSpec, gen_instance
+from omv.oracle import NaiveSolver
+
+from referees import (
     accounting_check,
     adaptive_session,
-    gen_instance,
     run_stream,
     success_rate_experiment,
     wilson_interval,
 )
-from omv.oracle import NaiveSolver
 
 
 def test_generator_is_deterministic():

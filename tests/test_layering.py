@@ -1,4 +1,5 @@
-"""Import layering: the shared types know no solver, and links know no chain.
+"""Import layering: the shared types know no solver, links know no chain, and
+the generator and the naive leaf know no link.
 
 Imports are read from the source with an AST scan, so an import inside a
 function body counts as much as one at the top of a module.  The same kind
@@ -19,27 +20,16 @@ from omv.chains import LINKS
 PACKAGE = Path(omv.__file__).parent
 PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
-#: Public definitions that only the tests call, on purpose: the pure-Python
-#: definitions the solvers are checked against, the harness entry points
-#: the README documents, the negative control's flush, whose answers
-#: the tests compare with the oracle's to show that the mock only defers
-#: its work, and RankMap.rank, the reference that
+#: Public methods that only the tests call, on purpose: the negative
+#: control's flush, whose answers the tests compare with the oracle's to
+#: show that the mock only defers its work; RankMap.rank, the reference that
 #: test_dom_from_eq_slices_carry_the_rank_map_ranks and criterion 5 compare
-#: the dom<-eq slices against.
+#: the dom<-eq slices against; and CounterLedger.since, the per-query counter
+#: delta that accounting_check in tests/referees.py reads.
 TEST_ONLY = {
+    "core.CounterLedger.since",
     "folklore.RankMap.rank",
     "harness.BatchingMockSolver.flush",
-    "harness.accounting_check",
-    "harness.adaptive_session",
-    "harness.success_rate_experiment",
-    "oracle.bit_trick_predicate",
-    "oracle.bool_mv",
-    "oracle.candidate_set_bruteforce",
-    "oracle.dom_exists_mv",
-    "oracle.eq_exists_mv",
-    "oracle.minmax_mv",
-    "oracle.minplus_mv",
-    "oracle.minwitness_mv",
 }
 
 LINK_MODULES = sorted({cls.__module__ for cls in LINKS.values()} - {"omv.chains"})
@@ -76,6 +66,11 @@ def test_core_imports_no_omv_module():
 @pytest.mark.parametrize("module", LINK_MODULES)
 def test_link_modules_do_not_import_chains(module):
     assert "omv.chains" not in module_imports(module)
+
+
+def test_generator_and_leaf_import_no_link():
+    assert module_imports("harness") <= {"omv.core", "omv.oracle"}
+    assert module_imports("oracle") <= {"omv.core"}
 
 
 DEFINITIONS = (ast.FunctionDef, ast.ClassDef)

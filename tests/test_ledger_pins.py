@@ -6,7 +6,7 @@ the number of queries each of its direct inner solvers answered are
 hard-coded: a change to how a link computes its answers must not change
 how many inner queries it books, how far it scans, or how it spreads its
 inner calls over its inner solvers.  Answers are checked against the
-pure-Python definitions in ``omv.oracle``.
+pure-Python definitions in ``referees``.
 
 The instances carry the extreme values the package promises to keep
 exact: +/-inf where the problem allows them, and +/-2^40 (min-plus sums up
@@ -17,21 +17,13 @@ import random
 
 import pytest
 
-from omv import oracle
 from omv.chains import ALT_BOOL_CHAIN, FULL_CYCLE, LINKS
 from omv.core import INF, NEG_INF, VALUE_LIMIT, Matrix, OnlineSolver, ReductionConfig, Vector
 from omv.oracle import NaiveSolver
 
-BIG = VALUE_LIMIT  # 2^40
+from referees import DEFINITIONS
 
-DEFINITIONS = {
-    "bool": oracle.bool_mv,
-    "eq": oracle.eq_exists_mv,
-    "dom": oracle.dom_exists_mv,
-    "minwit": oracle.minwitness_mv,
-    "minmax": oracle.minmax_mv,
-    "bmmp": oracle.minplus_mv,
-}
+BIG = VALUE_LIMIT  # 2^40
 
 POOLS = {
     "eq": [-BIG, -1, 0, 1, 2, BIG],

@@ -7,8 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from omv.core import INF, NEG_INF, DimensionMismatch, Matrix, Vector
-from omv.oracle import (
-    NaiveSolver,
+from omv.oracle import NaiveSolver
+
+from referees import (
+    DEFINITIONS,
     bit_trick_predicate,
     bool_mv,
     candidate_set_bruteforce,
@@ -135,19 +137,9 @@ def test_bit_trick_rejects_out_of_range():
         bit_trick_predicate(8, 0, 3)
 
 
-PURE = {
-    "bool": bool_mv,
-    "eq": eq_exists_mv,
-    "dom": dom_exists_mv,
-    "minwit": minwitness_mv,
-    "minmax": minmax_mv,
-    "bmmp": minplus_mv,
-}
-
-
 def test_naive_solver_matches_pure_functions():
     rng = random.Random(21)
-    for problem, fn in PURE.items():
+    for problem, fn in DEFINITIONS.items():
         for _ in range(30):
             n = rng.randint(1, 9)
             if problem in ("bool", "minwit"):
