@@ -108,26 +108,17 @@ class BmmpFromEqSolver(OnlineSolver):
     ):
         super().__init__(matrix, config)
         self.case = getattr(matrix, "monotone", None)
-        if self.case is None:
-            raise ValueError("bmmp matrix must declare a monotonicity case")
         self._m = m = as_array(matrix)
         violation = validate(m, "bmmp", monotone=self.case, bound_constant=self.config.bound_constant)
         if violation is not None:
             raise ValueError(f"invalid bmmp instance: {violation}")
         n = self.n
         self.delta = self.config.resolve_delta(n)
-        self.m_hat = m_hat = (m // self.delta).astype(np.int64)
+        self.m_hat = (m // self.delta).astype(np.int64)
         self.row_cap = (self.config.bound_constant * n) // self.delta
-        # rows and cols book a count fixed by MH: the constant blocks of its
-        # rows, or the rounded entries that grow from one row to the next
-        if self.case == "rows":
-            self._fixed = _runs(m_hat)
-        elif self.case == "cols":
-            self._fixed = int(np.count_nonzero(m_hat[1:] > m_hat[:-1]))
         # the stream starts from an implicit all-zero query (entries are >= 0);
-        # the order check reads the raw coordinates, the ledger the rounded ones
+        # the order check reads the raw coordinates, the ledger their rounding
         self._previous = np.zeros(n)
-        self._previous_hat = np.zeros(n, dtype=np.int64)
         size = self.config.resolve_hitting(n, self.delta)
         self.hitting_columns = sorted(random.Random(self.config.seed).sample(range(n), size))
         self._columns = np.array(self.hitting_columns, dtype=np.int64)
@@ -146,12 +137,13 @@ class BmmpFromEqSolver(OnlineSolver):
                 raise StreamOrderError(
                     f"coordinate {k + 1} fell from {self._previous[k]:.0f} to {values[k]:.0f}"
                 )
-            self.counters.multiset_updates += n * int(np.count_nonzero(v_hat > self._previous_hat))
-            self._previous, self._previous_hat = values, v_hat
+            grew = np.count_nonzero(v_hat > self._previous // self.delta)
+            self.counters.multiset_updates += n * int(grew)
+            self._previous = values
         elif self.case == "cols":
-            self.counters.multiset_updates += self._fixed
+            self.counters.multiset_updates += int(np.count_nonzero(np.diff(self.m_hat, axis=0) > 0))
         elif self.case == "rows":
-            self.counters.rmq_queries += self._fixed
+            self.counters.rmq_queries += _runs(self.m_hat)
         else:
             self.counters.rmq_queries += n * _runs(v_hat)
 

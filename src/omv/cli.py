@@ -16,6 +16,7 @@ file); counter summaries go to standard error so pipes stay clean.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Optional
 
@@ -76,20 +77,8 @@ def _config_from_args(args) -> ReductionConfig:
 
 
 def cmd_gen(args) -> int:
-    spec = InstanceSpec(
-        problem=args.problem,
-        n=args.n,
-        distribution=args.dist,
-        lo=args.lo,
-        hi=args.hi,
-        density=args.density,
-        inf_prob=args.inf_prob,
-        monotone=args.monotone,
-        bound_constant=args.bound_constant,
-        queries=args.queries,
-        seed=args.seed,
-    )
-    matrix, queries = gen_instance(spec)
+    knobs = {field.name: getattr(args, field.name) for field in dataclasses.fields(InstanceSpec)}
+    matrix, queries = gen_instance(InstanceSpec(**knobs))
     text = formats.print_instance(formats.Instance(args.problem, matrix, queries))
     _write_text(args.out, text)
     return EXIT_OK
@@ -213,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a random instance file")
     gen.add_argument("problem", choices=PROBLEMS)
     gen.add_argument("n", type=int)
-    gen.add_argument("--dist", choices=DISTRIBUTIONS, default=None)
+    gen.add_argument("--dist", dest="distribution", choices=DISTRIBUTIONS, default=None)
     gen.add_argument("--lo", type=int, default=None)
     gen.add_argument("--hi", type=int, default=None)
     gen.add_argument("--density", type=float, default=None)

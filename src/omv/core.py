@@ -84,6 +84,8 @@ class Violation:
             where = f" at ({self.row},{self.col})"
         elif self.col is not None:
             where = f" at column {self.col}"
+        elif self.row is not None:
+            where = f" at row {self.row}"
         return f"{self.reason}{where}"
 
 
@@ -238,6 +240,8 @@ def validate_query(
     bound_constant: int = 4,
 ) -> Optional[Violation]:
     """Check one query vector against a problem kind (and the query case)."""
+    if problem not in PROBLEMS:
+        return Violation(None, None, f"unknown problem {problem!r}")
     if len(vector) != n:
         return Violation(None, None, f"query length {len(vector)}, expected {n}")
     values = _values_array(vector.entries if isinstance(vector, Vector) else vector)
@@ -262,11 +266,9 @@ def ceil_sqrt(n: int) -> int:
 
 
 def ceil_cbrt(n: int) -> int:
-    r = round(n ** (1.0 / 3.0))
+    r = 1
     while r**3 < n:
         r += 1
-    while r > 1 and (r - 1) ** 3 >= n:
-        r -= 1
     return r
 
 
@@ -280,10 +282,10 @@ class ReductionConfig:
     matrix.  ``hitting_set_size`` may also be the string "full", meaning
     every column; |R| is clamped to n, and |R| = n (forced-hit mode) makes
     the randomized min-plus reduction deterministic.  t and delta must be
-    ints of at least 1 and an int |R| at least 0; a bool is not an int
-    here.  ``bound_constant`` is the c in the [0, c*n] value bound
-    accepted by the bmmp solver, and
-    ``seed`` seeds the bmmp solver's hitting set.  How a reduction builds
+    ints of at least 1, an int |R| and ``bound_constant`` ints of at least
+    0; a bool is not an int here.  ``bound_constant`` is the c in the
+    [0, c*n] value bound accepted by the bmmp solver, and ``seed`` seeds
+    the bmmp solver's hitting set.  How a reduction builds
     its inner solvers is not a setting: each link takes a ``make_inner``
     factory (the naive solver when built alone), and chains.build_solver
     is the one place that wires deeper chains.
@@ -303,6 +305,8 @@ class ReductionConfig:
             value = getattr(self, name)
             if value is not None and not (whole(value) and value >= 1):
                 raise ValueError(f"{name} must be an int of at least 1, got {value!r}")
+        if not (whole(self.bound_constant) and self.bound_constant >= 0):
+            raise ValueError(f"bound_constant must be an int >= 0, got {self.bound_constant!r}")
         size = self.hitting_set_size
         if size is not None and size != "full" and not (whole(size) and size >= 0):
             raise ValueError(f"hitting set size must be 'full' or an int >= 0, got {size!r}")

@@ -118,7 +118,6 @@ def read_header_and_matrix(read_line: Callable[[], str]) -> tuple[str, Matrix]:
         raise ParseError("dimension must be positive")
 
     monotone: Optional[str] = None
-    first_row_line: Optional[str] = None
     line = _next_line(read_line, "matrix row or monotone line")
     if line.startswith("monotone"):
         monotone = _parse_keyword(line, "monotone")
@@ -126,18 +125,13 @@ def read_header_and_matrix(read_line: Callable[[], str]) -> tuple[str, Matrix]:
             raise ParseError(f"unknown monotone case {monotone!r}")
         if problem != "bmmp":
             raise ParseError("monotone line only applies to bmmp")
-    else:
-        first_row_line = line
+        line = _next_line(read_line, "matrix row 1")
     if problem == "bmmp" and monotone is None:
         raise ParseError("bmmp instance requires a monotone line")
 
-    rows = []
-    for i in range(n):
-        if i == 0 and first_row_line is not None:
-            line = first_row_line
-        else:
-            line = _next_line(read_line, f"matrix row {i + 1}")
-        rows.append(parse_row(line, n, f"matrix row {i + 1}"))
+    rows = [parse_row(line, n, "matrix row 1")]
+    for i in range(2, n + 1):
+        rows.append(parse_row(_next_line(read_line, f"matrix row {i}"), n, f"matrix row {i}"))
     tag = "boolean" if problem in ("bool", "minwit") else (
         "bounded" if problem == "bmmp" else "integer"
     )

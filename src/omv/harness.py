@@ -58,12 +58,6 @@ def _resolved(spec: InstanceSpec) -> InstanceSpec:
     return replace(spec, **{k: d for k, d in defaults.items() if getattr(spec, k) is None})
 
 
-def _skew_pool(rng: random.Random, lo: int, hi: int) -> tuple[int, int]:
-    a = rng.randint(lo, hi)
-    b = rng.randint(lo, hi)
-    return a, b
-
-
 def _int_entry(
     rng: random.Random, spec: InstanceSpec, heavy: Optional[tuple[int, int]]
 ) -> Value:
@@ -106,7 +100,9 @@ def gen_instance(spec: InstanceSpec) -> tuple[Matrix, list[Vector]]:
     elif spec.problem in _INTEGER:
         if spec.hi < spec.lo:
             raise ValueError("empty value range")
-        heavy = _skew_pool(rng, spec.lo, spec.hi) if spec.distribution == "skewed" else None
+        heavy = None
+        if spec.distribution == "skewed":
+            heavy = rng.randint(spec.lo, spec.hi), rng.randint(spec.lo, spec.hi)
         rows = [[_int_entry(rng, spec, heavy) for _ in range(n)] for _ in range(n)]
         queries = [Vector([_int_entry(rng, spec, heavy) for _ in range(n)]) for _ in range(q)]
         matrix = Matrix(rows, tag="integer")
@@ -139,7 +135,7 @@ def gen_instance(spec: InstanceSpec) -> tuple[Matrix, list[Vector]]:
     else:
         raise ValueError(f"unknown problem {spec.problem!r}")
 
-    violation = validate(matrix, spec.problem, bound_constant=max(spec.bound_constant, 1))
+    violation = validate(matrix, spec.problem, bound_constant=spec.bound_constant)
     if violation is not None:
         raise AssertionError(f"generator produced an invalid instance: {violation}")
     return matrix, queries

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from omv.bmmp_from_eq import BmmpFromEqSolver
-from omv.chains import build_solver
+from omv.chains import build_solver, parse_chain
 from omv.core import (
     INF,
     Matrix,
@@ -246,6 +247,41 @@ def test_escapes_match_the_sampling_bound():
     assert 0 < wrong_streams <= escaped_streams
 
 
+def test_worst_case_stream_fails_at_the_predicted_rate():
+    # All-zero rows-case matrix, delta = 4, c = 1: cap = 16.  Query j is 0 on
+    # the 17 columns of its set and c*n elsewhere, so every row is oversize
+    # with near set = that set, and a row is wrong exactly when R misses it.
+    # Over the three disjoint sets, inclusion-exclusion gives the chance
+    # that R (|R| = 6, drawn without replacement) misses at least one.
+    n, size, width, seeds = 64, 6, 17, 400
+    sets = [range(j * width, (j + 1) * width) for j in range(3)]
+    matrix = Matrix([[0] * n for _ in range(n)], monotone="rows")
+    stream = []
+    for columns in sets:
+        v = np.full(n, float(n))
+        v[list(columns)] = 0
+        stream.append(v)
+    failing = 0
+    for seed in range(seeds):
+        config = ReductionConfig(delta=4, hitting_set_size=size, bound_constant=1, seed=seed)
+        solver = build_solver(parse_chain("bmmp<-eq,naive"), "bmmp", matrix, config)
+        wrong = any(np.any(solver.query(v) != 0) for v in stream)
+        missed = any(not set(columns) & set(solver.hitting_columns) for columns in sets)
+        assert wrong == missed, seed
+        failing += wrong
+    miss = [math.comb(n - k * width, size) for k in (1, 2, 3)]
+    p = (3 * miss[0] - 3 * miss[1] + miss[2]) / math.comb(n, size)
+    assert abs(p - 0.4059) < 1e-4
+    cdf = list(
+        itertools.accumulate(
+            math.comb(seeds, k) * p**k * (1 - p) ** (seeds - k) for k in range(seeds + 1)
+        )
+    )
+    low = next(k for k, total in enumerate(cdf) if total > 0.0005)
+    high = next(k for k, total in enumerate(cdf) if total >= 0.9995)
+    assert low <= failing <= high, (failing, seeds * p, low, high)
+
+
 def test_forced_hit_uses_every_column_once():
     matrix = Matrix([[1, 2], [2, 2]], monotone="rows")
     solver = BmmpFromEqSolver(
@@ -408,7 +444,7 @@ def test_multiset_update_caps():
 
 
 def test_rejects_undeclared_or_invalid_instances():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="requires a monotone case, got None"):
         BmmpFromEqSolver(Matrix([[1]]), ReductionConfig())
     with pytest.raises(ValueError):
         BmmpFromEqSolver(

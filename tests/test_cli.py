@@ -1,13 +1,15 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import omv
-from omv.cli import main
+from omv.cli import build_parser, main
 from omv.formats import parse_answers, parse_instance
+from omv.harness import InstanceSpec
 
 # child processes import the same omv as this one, installed or not
 CHILD_ENV = {
@@ -31,6 +33,12 @@ def test_gen_is_reproducible(tmp_path, capsys):
     assert main(["gen", "bool", "4", "--seed", "7", "-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert parse_instance(a.read_text()).problem == "bool"
+
+
+def test_gen_parser_sets_every_instance_knob():
+    # cmd_gen builds its InstanceSpec from the parsed flags by field name
+    args = build_parser().parse_args(["gen", "eq", "3"])
+    assert {field.name for field in fields(InstanceSpec)} <= set(vars(args))
 
 
 def test_gen_bmmp_rows_case(tmp_path):
@@ -155,6 +163,7 @@ def test_forced_hit_solve_is_seed_independent(tmp_path, capsys):
         (["bmmp", "6", "--monotone", "rows"], "bmmp<-eq", "--hitting=-3"),
         (["minmax", "6"], "minmax<-dom", "--t=0"),
         (["minmax", "6"], "minmax<-dom", "--t=-1"),
+        (["eq", "6"], "naive", "--bound-constant=-1"),
     ],
 )
 def test_invalid_solver_knob_is_a_validation_error(tmp_path, capsys, gen_args, chain, knob):

@@ -95,9 +95,16 @@ def test_validate_bmmp_requires_case():
     assert validate(Matrix([[1]]), "bmmp") is not None
 
 
+def test_validate_ragged_row_names_its_row():
+    violation = validate(Matrix([[1, 2], [3]]), "eq")
+    assert (violation.row, violation.col) == (2, None)
+    assert str(violation) == "row has length 1, expected 2 at row 2"
+
+
 def test_validate_query_shape_and_case():
     assert validate_query(Vector([1, 2]), "eq", 2) is None
     assert validate_query(Vector([1]), "eq", 2) is not None
+    assert "unknown problem" in validate_query(Vector([1, 2]), "foo", 2).reason
     assert validate_query(Vector([2, 1]), "bmmp", 2, monotone="query") is not None
     assert validate_query(Vector([1, 2]), "bmmp", 2, monotone="query") is None
 
@@ -132,6 +139,9 @@ def test_config_auto_resolution():
         {"t": True},
         {"delta": True},
         {"hitting_set_size": True},
+        {"bound_constant": -1},
+        {"bound_constant": 2.5},
+        {"bound_constant": True},
     ],
 )
 def test_config_rejects_invalid_knobs(knobs):
