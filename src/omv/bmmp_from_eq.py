@@ -12,13 +12,21 @@ whose candidate set is small (at most cap = floor(c*n/delta) elements,
 with c the value-bound constant) and takes the true minimum over the
 listed columns.  Step two covers the large candidate sets by randomness:
 R is a sample of |R| <= n distinct columns, each r in R carries an
-equality solver on the shifted matrix M[i,k] - M[i,r], and for every
-offset d in {0, ..., 3*delta - 2} the query  v[r] - v[k] - d  asks whether
-some k has M[i,k] + v[k] = M[i,r] + v[r] - d.  Every equality hit is a
-genuine sum, so the minimum over both steps never undershoots; it can
-only overshoot when some large C_i escapes R entirely, which with
+equality solver on the shifted matrix M[i,k] - M[i,r], and for an offset
+d in {0, ..., 3*delta - 2} the query  v[r] - v[k] - d  asks whether some k
+has M[i,k] + v[k] = M[i,r] + v[r] - d.  Every equality hit is a genuine
+sum, so the minimum over both steps never undershoots; it can only
+overshoot when some large C_i escapes R entirely, which with
 |R| = min(ceil(3 * delta * ln n), n) happens for any fixed query with
 probability at most 1/n^2 over all rows combined, and never at |R| = n.
+
+The ledger books all |R| * (3*delta - 1) of those queries, but step two
+asks only the ones whose answer can lower an oversize row: offset 0 always
+hits at k = r, so the sums M[i,r] + v[r] bound each row without a query,
+and a probe whose sum lies below delta times a row's rounded minimum, or
+at or above the row's bound so far, cannot change that row.  The answers
+are those of asking every offset; each hitting solver still receives its
+probes one at a time, in increasing offset.
 
 Step one is the solver's own list_candidates, the same code in every
 monotonicity direction: one [n, n] key table MH + vh, its row minima, and
@@ -87,6 +95,9 @@ class BmmpFromEqSolver(OnlineSolver):
     paper's structural counts the ledger books, and the stream case also
     rejects a query with a coordinate below the last accepted query's.
 
+    Step two books |R| * (3*delta - 1) inner queries per query and asks
+    only the (column, offset) probes that can lower an oversize row.
+
     Exact whenever every candidate set is small or hit by R, a sample of
     |R| = config.resolve_hitting(n, delta) distinct columns drawn without
     replacement from ``config.seed``.  Such a sample misses a fixed set no
@@ -126,7 +137,7 @@ class BmmpFromEqSolver(OnlineSolver):
         self._hitting_solvers = [
             make_inner("eq", m - m[:, r : r + 1], self.config) for r in self.hitting_columns
         ]
-        self._offsets = np.arange(3 * self.delta - 1)
+        self._offsets = np.arange(1, 3 * self.delta - 1, dtype=np.int32)  # offset 0 needs no query
 
     def _book(self, values: np.ndarray, v_hat: np.ndarray) -> None:
         n = len(v_hat)
@@ -175,22 +186,33 @@ class BmmpFromEqSolver(OnlineSolver):
         np.minimum.at(best, owner, self._m[owner, cols] + v[cols])
         return best
 
-    def _step2(self, v: np.ndarray) -> np.ndarray:
-        """Minimum over the equality hits of every hitting column and offset."""
-        columns = self._columns
-        # probes[p, d] asks whether some k has M[i,k] + v[k] = M[i,r] + v[r] - d
-        # for the p-th hitting column r and offset d.
-        shifted = v[columns][:, None] - v[None, :]
-        probes = shifted[:, None, :] - self._offsets[None, :, None]
-        # deepest[p, i]: the largest offset that hit row i through column p
-        deepest = np.full((len(columns), self.n), -1.0)
-        for position, solver in enumerate(self._hitting_solvers):
-            row = deepest[position]
-            for offset, probe in enumerate(probes[position]):
-                row[solver.query(probe)] = offset
-        self.counters.inner_queries += len(columns) * len(self._offsets)
+    def _step2(self, v: np.ndarray, best: np.ndarray) -> np.ndarray:
+        """Lower step one's answer ``best`` on its oversize rows (the rows it
+        leaves at inf) by the equality hits that can.
+
+        upper_i = min(best_i, min over r of M[i,r] + v[r]) stands for offset
+        0, and a probe is asked only if its sum lies in [delta * lo_i,
+        upper_i) for some oversize row i, lo_i its rounded minimum.
+        """
+        columns, offsets = self._columns, self._offsets
+        self.counters.inner_queries += len(columns) * (3 * self.delta - 1)
         sums = self._m[:, columns].T + v[columns][:, None]  # sums[p, i] = M[i,r] + v[r]
-        return np.where(deepest >= 0, sums - deepest, INF).min(axis=0, initial=INF)
+        upper = np.minimum(best, sums.min(axis=0, initial=INF))
+        oversize = np.flatnonzero(best == INF)
+        floor = self.delta * (self.m_hat[oversize] + v // self.delta).min(axis=1)
+        # offset d of column p proves sums[p, i] - d on row i: wanted when that
+        # lies in [floor, upper) for some oversize row
+        above = (sums[:, oversize] - floor)[:, :, None]
+        over = (sums[:, oversize] - upper[oversize])[:, :, None]
+        wanted = ((over < offsets) & (offsets <= above)).any(axis=1)
+        positions, slots = np.nonzero(wanted)  # row by row: each solver's offsets ascend
+        probes = (v[columns[positions]] - offsets[slots])[:, None] - v[None, :]
+        hits = np.zeros((len(columns), len(offsets), self.n), dtype=bool)
+        for p, slot, probe in zip(positions.tolist(), slots.tolist(), probes):
+            hits[p, slot] = self._hitting_solvers[p].query(probe)
+        # the deepest offset that hit, 0 (the sum itself) where none did
+        deepest = (hits * offsets[:, None]).max(axis=1, initial=0)
+        return np.minimum(best, (sums - deepest).min(axis=0, initial=INF))
 
     def _answer(self, v: np.ndarray) -> np.ndarray:
         violation = validate_query(
@@ -202,4 +224,4 @@ class BmmpFromEqSolver(OnlineSolver):
         )
         if violation is not None:
             raise ValueError(f"invalid bmmp query: {violation}")
-        return np.minimum(self._step1(v), self._step2(v))
+        return self._step2(v, self._step1(v))

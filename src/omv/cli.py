@@ -78,6 +78,8 @@ def _config_from_args(args) -> ReductionConfig:
 
 def cmd_gen(args) -> int:
     knobs = {field.name: getattr(args, field.name) for field in dataclasses.fields(InstanceSpec)}
+    if args.problem == "bmmp" and args.bound_constant is None:
+        knobs["bound_constant"] = DEFAULT_BOUND_CONSTANT
     matrix, queries = gen_instance(InstanceSpec(**knobs))
     text = formats.print_instance(formats.Instance(args.problem, matrix, queries))
     _write_text(args.out, text)
@@ -190,12 +192,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_bound_flag(p):
+    def add_bound_flag(p, default=DEFAULT_BOUND_CONSTANT):
         p.add_argument(
             "--bound-constant",
             dest="bound_constant",
             type=int,
-            default=DEFAULT_BOUND_CONSTANT,
+            default=default,
             help="the c in the [0, c*n] min-plus value bound",
         )
 
@@ -208,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--density", type=float, default=None)
     gen.add_argument("--inf-prob", dest="inf_prob", type=float, default=None)
     gen.add_argument("--monotone", choices=MONOTONE_CASES, default=None)
-    add_bound_flag(gen)
+    add_bound_flag(gen, default=None)  # bmmp only; DEFAULT_BOUND_CONSTANT there
     gen.add_argument("--queries", type=int, default=None)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("-o", "--out", default=None)

@@ -330,7 +330,9 @@ class CounterLedger:
 
     Five integers.  inner_queries counts the inner queries a link's cost
     accounting charges per query, however many calls answer them (eq<-bool
-    books t and asks its one stacked instance once); scan_length_total
+    books t and asks its one stacked instance once; bmmp<-eq books
+    |R| * (3*delta - 1) and asks only the probes that can lower an
+    oversize row); scan_length_total
     counts the rare entries of eq<-bool that matched their query
     coordinate (not the cells compared) and the elements examined in
     minmax<-dom's bucket scans; candidates_enumerated counts the

@@ -39,7 +39,7 @@ class InstanceSpec:
     density: Optional[float] = None  # 1-probability for boolean entries, default 0.5
     inf_prob: Optional[float] = None  # per-entry infinity chance, default 0
     monotone: Optional[str] = None  # bmmp case
-    bound_constant: int = 1  # bmmp value bound [0, c*n]
+    bound_constant: Optional[int] = None  # bmmp value bound [0, c*n], default 1
     queries: Optional[int] = None  # default n
     seed: int = 0
 
@@ -48,13 +48,16 @@ _INTEGER = ("eq", "dom", "minmax")
 #: The problems each optional knob applies to; setting it elsewhere is an error.
 _KNOB_PROBLEMS = {
     "distribution": _INTEGER, "lo": _INTEGER, "hi": _INTEGER, "density": ("bool", "minwit"),
-    "inf_prob": ("dom", "minmax"),
+    "inf_prob": ("dom", "minmax"), "bound_constant": ("bmmp",),
 }
 
 
 def _resolved(spec: InstanceSpec) -> InstanceSpec:
     """``spec`` with its unset knobs at their defaults."""
-    defaults = {"distribution": "uniform", "lo": 0, "hi": spec.n, "density": 0.5, "inf_prob": 0.0}
+    defaults = {
+        "distribution": "uniform", "lo": 0, "hi": spec.n, "density": 0.5, "inf_prob": 0.0,
+        "bound_constant": 1,
+    }
     return replace(spec, **{k: d for k, d in defaults.items() if getattr(spec, k) is None})
 
 

@@ -6,7 +6,9 @@ deliberately dumb.  ``NaiveSolver`` answers the same products in numpy and
 is the leaf of every chain; the tests cross-check the two.
 ``candidate_set_bruteforce`` and ``bit_trick_predicate`` spell out, by
 enumeration, what the min-plus listing and the dominance-through-equality
-route must reproduce.
+route must reproduce.  ``AllOffsetsBmmpSolver`` is ``bmmp<-eq`` asking
+every hitting column at every offset, the step two whose answers the
+solver's probe selection must reproduce.
 
 run_stream() runs a solver and a reference over one stream and reports
 the mismatches.  adaptive_session() enforces online behavior: each next
@@ -28,6 +30,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
+from omv.bmmp_from_eq import BmmpFromEqSolver
 from omv.chains import build_solver
 from omv.core import (
     INF,
@@ -159,6 +164,34 @@ def bit_trick_predicate(a: int, b: int, bits: int) -> bool:
             if a >> (level + 1) == b >> (level + 1):
                 return True
     return False
+
+
+class AllOffsetsBmmpSolver(BmmpFromEqSolver):
+    """``bmmp<-eq`` whose step two asks every hitting column r at every
+    offset d in 0, ..., 3*delta - 2 and takes every hit M[i,r] + v[r] - d.
+
+    Same listing, hitting sample and ledger as the solver it extends, so its
+    answers, wrong rows of a candidate set that escaped R included, are the
+    ones the solver's probe selection must give.
+    """
+
+    def _step2(self, v: np.ndarray, best: np.ndarray) -> np.ndarray:
+        columns = self._columns
+        offsets = np.arange(3 * self.delta - 1)
+        # probes[p, d] asks whether some k has M[i,k] + v[k] = M[i,r] + v[r] - d
+        # for the p-th hitting column r and offset d.
+        shifted = v[columns][:, None] - v[None, :]
+        probes = shifted[:, None, :] - offsets[None, :, None]
+        # deepest[p, i]: the largest offset that hit row i through column p
+        deepest = np.full((len(columns), self.n), -1.0)
+        for position, solver in enumerate(self._hitting_solvers):
+            row = deepest[position]
+            for offset, probe in enumerate(probes[position]):
+                row[solver.query(probe)] = offset
+        self.counters.inner_queries += len(columns) * len(offsets)
+        sums = self._m[:, columns].T + v[columns][:, None]  # sums[p, i] = M[i,r] + v[r]
+        hits = np.where(deepest >= 0, sums - deepest, INF).min(axis=0, initial=INF)
+        return np.minimum(best, hits)
 
 
 #: Problem name -> its pure-Python definition.

@@ -210,7 +210,6 @@ def test_criterion_7_full_cycles_reproduce_every_oracle():
                 problem=problem,
                 n=n,
                 monotone="rows" if problem == "bmmp" else None,
-                bound_constant=1,
                 seed=rng.randrange(2**30),
             )
             matrix, queries = gen_instance(spec)
@@ -235,7 +234,6 @@ def test_criterion_8_online_adaptive_sessions():
                 problem=problem,
                 n=8,
                 monotone="stream" if problem == "bmmp" else None,
-                bound_constant=1 if problem == "bmmp" else 4,
                 seed=1000 + session,
             )
             config = ReductionConfig(hitting_set_size="full", seed=session)

@@ -19,7 +19,7 @@ from omv.core import (
 from omv.harness import InstanceSpec, gen_instance
 from omv.oracle import NaiveSolver
 
-from referees import candidate_set_bruteforce, run_stream
+from referees import AllOffsetsBmmpSolver, candidate_set_bruteforce, run_stream
 
 
 def test_rounding_stays_within_two_deltas():
@@ -247,6 +247,18 @@ def test_escapes_match_the_sampling_bound():
     assert 0 < wrong_streams <= escaped_streams
 
 
+def _worst_case_family(n=64, width=17):
+    """The all-zero rows-case matrix of the worst-case stream test and its
+    three queries, each 0 on one disjoint set of ``width`` columns."""
+    matrix = Matrix([[0] * n for _ in range(n)], monotone="rows")
+    stream = []
+    for j in range(3):
+        v = np.full(n, float(n))
+        v[j * width : (j + 1) * width] = 0
+        stream.append(v)
+    return matrix, stream
+
+
 def test_worst_case_stream_fails_at_the_predicted_rate():
     # All-zero rows-case matrix, delta = 4, c = 1: cap = 16.  Query j is 0 on
     # the 17 columns of its set and c*n elsewhere, so every row is oversize
@@ -255,12 +267,7 @@ def test_worst_case_stream_fails_at_the_predicted_rate():
     # that R (|R| = 6, drawn without replacement) misses at least one.
     n, size, width, seeds = 64, 6, 17, 400
     sets = [range(j * width, (j + 1) * width) for j in range(3)]
-    matrix = Matrix([[0] * n for _ in range(n)], monotone="rows")
-    stream = []
-    for columns in sets:
-        v = np.full(n, float(n))
-        v[list(columns)] = 0
-        stream.append(v)
+    matrix, stream = _worst_case_family(n, width)
     failing = 0
     for seed in range(seeds):
         config = ReductionConfig(delta=4, hitting_set_size=size, bound_constant=1, seed=seed)
@@ -351,9 +358,9 @@ def test_offset_range_suffices_in_forced_hit_mode():
 def test_step2_hits_are_genuine_sums():
     # step 2 takes every equality hit for a genuine sum M[i,k] + v[k] =
     # M[i,r] + v[r] - d; a checking inner factory holds each answer of an
-    # eq<-bool chain against the shifted matrix it was built on
-    spec = InstanceSpec(problem="bmmp", n=10, monotone="rows", seed=5)
-    matrix, queries = gen_instance(spec)
+    # eq<-bool chain against the shifted matrix it was built on.  The
+    # narrow-band rows are oversize at c = 1, so step 2 has probes to ask.
+    matrix, queries = _ties_instance(random.Random(5), 16, 4, queries=4)
     checked = []
 
     class CheckedEq(OnlineSolver):
@@ -375,12 +382,85 @@ def test_step2_hits_are_genuine_sums():
         return CheckedEq(shifted, config)
 
     solver = BmmpFromEqSolver(
-        matrix, ReductionConfig(bound_constant=1, seed=9), make_inner=checking_factory
+        matrix, ReductionConfig(delta=4, bound_constant=1, seed=9), make_inner=checking_factory
     )
-    for v in queries[:4]:
+    for v in queries:
         checked.clear()
         solver.query(v)
-        assert sum(checked) > 0  # the d = 0 probes always hit
+        assert sum(checked) > 0
+
+
+class RecordingEq(OnlineSolver):
+    """A naive equality solver that keeps the probes it is asked."""
+
+    problem = "eq"
+
+    def __init__(self, shifted, config):
+        super().__init__(shifted, config)
+        self.inner = NaiveSolver(shifted, config, problem="eq")
+        self.probes = []
+
+    def _answer(self, probe):
+        self.probes.append(probe.copy())
+        return self.inner.query(probe)
+
+
+def _differential_instances():
+    rng = random.Random(181)
+    for case in CASES:
+        for n in (1, 2, 9, 16):
+            for trial in range(3):
+                matrix, queries = _case_instance(rng, n, case)
+                yield matrix, queries, ReductionConfig(bound_constant=1, seed=trial)
+    matrix, stream = _worst_case_family()
+    for seed in range(30):
+        yield matrix, stream, ReductionConfig(delta=4, hitting_set_size=6, bound_constant=1, seed=seed)
+    # narrow-band rows sampled by a third of the columns: the hits that
+    # lower an oversize row below its offset-0 bound come from here
+    for n in (9, 16):
+        for delta in (2, 4):
+            for seed in range(3):
+                matrix, queries = _ties_instance(random.Random(seed), n, delta, queries=n)
+                yield matrix, queries, ReductionConfig(
+                    delta=delta, hitting_set_size=n // 3, bound_constant=1, seed=seed
+                )
+
+
+def test_step2_matches_the_all_offsets_referee():
+    # Asking only the probes that can lower an oversize row gives the
+    # all-offsets answers entry for entry, rows that escaped R included.
+    # Each hitting solver gets an increasing run of offsets 1 .. 3*delta - 2
+    # (a subsequence of the referee's 0 .. 3*delta - 2, without 0), and the
+    # head still books every offset.
+    escaped = asked = 0
+    for matrix, queries, config in _differential_instances():
+        recorders = []
+
+        def recording(problem, shifted, cfg):
+            recorders.append(RecordingEq(shifted, cfg))
+            return recorders[-1]
+
+        solver = BmmpFromEqSolver(matrix, config, make_inner=recording)
+        referee = AllOffsetsBmmpSolver(matrix, config)
+        reference = NaiveSolver(matrix, problem="bmmp")
+        booked = len(solver.hitting_columns) * (3 * solver.delta - 1)
+        for query in queries:
+            v = np.asarray(query, dtype=np.float64)
+            snap = solver.counters.snapshot()
+            got = solver.query(v)
+            assert np.array_equal(got, referee.query(v))
+            assert solver.counters.since(snap)["inner_queries"] == booked
+            escaped += int(np.count_nonzero(got != reference.query(v)))
+            for r, recorder in zip(solver.hitting_columns, recorders):
+                depths = [v[r] - v[0] - probe[0] for probe in recorder.probes]
+                for d, probe in zip(depths, recorder.probes):
+                    assert np.array_equal(probe, v[r] - v - d)
+                assert depths == sorted(set(depths))
+                assert all(d in range(1, 3 * solver.delta - 1) for d in depths)
+                asked += len(depths)
+                recorder.probes.clear()
+        assert solver.counters.snapshot() == referee.counters.snapshot()
+    assert escaped > 0 and asked > 0
 
 
 def test_step2_never_undershoots():

@@ -200,6 +200,8 @@ def test_out_of_range_gen_knob_is_a_validation_error(tmp_path, capsys, knob):
         ["bool", "3", "--dist", "skewed"],
         ["bmmp", "3", "--monotone", "rows", "--lo", "2", "--hi", "9"],
         ["minwit", "3", "--hi", "7"],
+        ["eq", "3", "--bound-constant", "-5"],
+        ["bool", "3", "--bound-constant", "7"],
     ],
 )
 def test_gen_knob_that_does_not_apply_is_a_validation_error(tmp_path, capsys, gen_args):

@@ -65,9 +65,11 @@ def _zeros(**counts):
 # solvers: a stacked boolean leaf answers all of eq<-bool's slices in one
 # call, dom<-eq builds only the bit levels its ranks can reach (4 of the 8
 # it books at n = 9), bmmp<-eq takes at most n distinct hitting columns
-# (all 9 at n = 9, where ceil(3 * delta * ln n) is 20), and the short
-# boolean route builds a fresh min-plus solver for every epoch of n
-# queries.  Per-link totals sum the counter snapshots of every solver of
+# (all 9 at n = 9, where ceil(3 * delta * ln n) is 20) and asks them only
+# for probes that can lower an oversize row (none here: the cap c*n/delta
+# of both bmmp instances is at least n, so its eq<-bool solvers answer no
+# query while it books 40 per column), and the short boolean route builds a
+# fresh min-plus solver for every epoch of n queries.  Per-link totals sum the counter snapshots of every solver of
 # that link in the built tree, in the order (inner_queries,
 # scan_length_total, multiset_updates, candidates_enumerated, rmq_queries).
 # The n = 1 short boolean route stops at two queries and its tree totals
@@ -122,9 +124,9 @@ PINS = {
     ("bmmp", 9): (
         5,
         _zeros(inner_queries=360, candidates_enumerated=164, rmq_queries=160),
-        [40] * 9,
+        [0] * 9,
         {
-            "eq<-bool": (1080, 145, 0, 0, 0),
+            "eq<-bool": (0, 0, 0, 0, 0),
             "bmmp<-eq": (360, 0, 0, 164, 160),
         },
     ),
@@ -146,7 +148,7 @@ PINS = {
         "bool<-minwit": (5, 0, 0, 0, 0),
     }),
     ("bool-alt", 9): (5, _zeros(inner_queries=5), [5], {
-        "eq<-bool": (1080, 0, 0, 0, 0),
+        "eq<-bool": (0, 0, 0, 0, 0),
         "bmmp<-eq": (360, 0, 279, 402, 0),
         "bool<-bmmp": (5, 0, 0, 0, 0),
     }),
