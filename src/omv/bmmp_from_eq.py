@@ -133,10 +133,11 @@ class BmmpFromEqSolver(OnlineSolver):
         size = self.config.resolve_hitting(n, self.delta)
         self.hitting_columns = sorted(random.Random(self.config.seed).sample(range(n), size))
         self._columns = np.array(self.hitting_columns, dtype=np.int64)
-        # one equality solver per hitting column r, on the shifted M[i,k] - M[i,r]
+        # one equality solver per hitting column r, on the shifted M[i,k] - M[i,r];
+        # none when row_cap >= n, where no row is oversize and step two asks nothing
         self._hitting_solvers = [
             make_inner("eq", m - m[:, r : r + 1], self.config) for r in self.hitting_columns
-        ]
+        ] if self.row_cap < n else []
         self._offsets = np.arange(1, 3 * self.delta - 1, dtype=np.int32)  # offset 0 needs no query
 
     def _book(self, values: np.ndarray, v_hat: np.ndarray) -> None:

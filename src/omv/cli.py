@@ -23,6 +23,7 @@ from typing import Optional
 from . import formats
 from .chains import build_solver, parse_chain
 from .core import (
+    DEFAULT_BOUND_CONSTANT,
     MONOTONE_CASES,
     PROBLEMS,
     ReductionConfig,
@@ -39,9 +40,6 @@ EXIT_MISMATCH = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_PROTOCOL = 4
-
-#: Default c of the [0, c*n] min-plus bound, shared by every subcommand.
-DEFAULT_BOUND_CONSTANT = 4
 
 
 class ProtocolError(ValueError):
@@ -86,21 +84,21 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _check(violation, what: str, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming the first violation of one input, if any."""
+    if violation is not None:
+        raise error(f"invalid {what}: {violation}")
+
+
 def _load_instance(path: str, bound: int) -> formats.Instance:
     instance = formats.parse_instance(_read_text(path))
-    violation = validate(instance.matrix, instance.problem, bound_constant=bound)
-    if violation is not None:
-        raise ValueError(f"invalid matrix: {violation}")
+    matrix = instance.matrix
+    _check(validate(matrix, instance.problem, bound_constant=bound), "matrix")
     for j, query in enumerate(instance.queries, start=1):
         violation = validate_query(
-            query,
-            instance.problem,
-            instance.matrix.n,
-            monotone=instance.matrix.monotone,
-            bound_constant=bound,
+            query, instance.problem, matrix.n, monotone=matrix.monotone, bound_constant=bound
         )
-        if violation is not None:
-            raise ValueError(f"invalid query {j}: {violation}")
+        _check(violation, f"query {j}")
     return instance
 
 
@@ -150,9 +148,7 @@ def cmd_protocol(args) -> int:
     # previous answer has been written and flushed.
     problem, matrix = formats.read_header_and_matrix(sys.stdin.readline)
     bound = args.bound_constant
-    violation = validate(matrix, problem, bound_constant=bound)
-    if violation is not None:
-        raise ValueError(f"invalid matrix: {violation}")
+    _check(validate(matrix, problem, bound_constant=bound), "matrix")
     chain = parse_chain(args.chain)
     solver = build_solver(chain, problem, matrix, _config_from_args(args))
     may_skip_count = True  # piped instance files carry a "queries <q>" line
@@ -174,8 +170,7 @@ def cmd_protocol(args) -> int:
         violation = validate_query(
             query, problem, matrix.n, monotone=matrix.monotone, bound_constant=bound
         )
-        if violation is not None:
-            raise ProtocolError(f"invalid query: {violation}")
+        _check(violation, "query", ProtocolError)
         try:
             answer = solver.query(query)
         except StreamOrderError as exc:
@@ -248,15 +243,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except formats.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ProtocolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROTOCOL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        if isinstance(exc, formats.ParseError):
+            return EXIT_PARSE
+        return EXIT_PROTOCOL if isinstance(exc, ProtocolError) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

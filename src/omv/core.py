@@ -50,6 +50,9 @@ NEG_INF = float("-inf")
 # array-backed solvers; validate() rejects them up front.
 VALUE_LIMIT = 2**40
 
+#: Default c of the [0, c*n] value bound of the bmmp problem.
+DEFAULT_BOUND_CONSTANT = 4
+
 PROBLEMS = ("bool", "eq", "dom", "minwit", "minmax", "bmmp")
 
 #: Monotonicity directions for the bmmp problem, named by file-format token:
@@ -189,7 +192,7 @@ def validate(
     matrix: Matrix | np.ndarray,
     problem: str,
     monotone: Optional[str] = None,
-    bound_constant: int = 4,
+    bound_constant: int = DEFAULT_BOUND_CONSTANT,
 ) -> Optional[Violation]:
     """Check a matrix (a Matrix or a 2-D array) against a problem kind.
 
@@ -237,7 +240,7 @@ def validate_query(
     problem: str,
     n: int,
     monotone: Optional[str] = None,
-    bound_constant: int = 4,
+    bound_constant: int = DEFAULT_BOUND_CONSTANT,
 ) -> Optional[Violation]:
     """Check one query vector against a problem kind (and the query case)."""
     if problem not in PROBLEMS:
@@ -295,7 +298,7 @@ class ReductionConfig:
     delta: Optional[int] = None
     hitting_set_size: Optional[int | str] = None
     seed: int = 0
-    bound_constant: int = 4
+    bound_constant: int = DEFAULT_BOUND_CONSTANT
 
     def __post_init__(self) -> None:
         def whole(value) -> bool:

@@ -10,14 +10,17 @@ Instance files:
     queries <q>
     <q rows of n space-separated values>
 
-Answer files are q lines of n space-separated values.  The tokens "inf"
-and "-inf" stand for the infinity sentinels wherever the problem permits
-them.  Printing is canonical (single spaces, one trailing newline), and
-parsing a printed file reproduces the original values exactly.
+Answer files are q lines of n space-separated values.  Integers, n and q
+included, are written -?[0-9]+ (ASCII digits, no sign but a leading minus,
+no underscores), and the tokens "inf" and "-inf" stand for the infinity
+sentinels wherever the problem permits them.  Printing is canonical
+(single spaces, one trailing newline), and parsing a printed file
+reproduces the original values exactly.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -46,15 +49,23 @@ def format_value(value: Value) -> str:
     return str(value)
 
 
+def _parse_int(text: str, what: str) -> int:
+    """An integer as format_value prints it, -?[0-9]+; anything else, and a
+    numeral past the interpreter's int-string digit limit, is malformed."""
+    try:
+        if re.fullmatch(r"-?[0-9]+", text):
+            return int(text)
+    except ValueError:
+        pass
+    raise ParseError(f"bad {what} {text!r}")
+
+
 def parse_value(token: str) -> Value:
     if token == "inf":
         return INF
     if token == "-inf":
         return NEG_INF
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"bad value token {token!r}") from None
+    return _parse_int(token, "value token")
 
 
 def _format_row(values) -> str:
@@ -109,11 +120,7 @@ def read_header_and_matrix(read_line: Callable[[], str]) -> tuple[str, Matrix]:
     problem = _parse_keyword(_next_line(read_line, "problem line"), "problem")
     if problem not in PROBLEMS:
         raise ParseError(f"unknown problem {problem!r}")
-    n_text = _parse_keyword(_next_line(read_line, "dimension line"), "n")
-    try:
-        n = int(n_text)
-    except ValueError:
-        raise ParseError(f"bad dimension {n_text!r}") from None
+    n = _parse_int(_parse_keyword(_next_line(read_line, "dimension line"), "n"), "dimension")
     if n < 1:
         raise ParseError("dimension must be positive")
 
@@ -142,11 +149,7 @@ def parse_instance(text: str) -> Instance:
     lines = iter(text.splitlines(keepends=True))
     read_line = partial(next, lines, "")
     problem, matrix = read_header_and_matrix(read_line)
-    q_text = _parse_keyword(_next_line(read_line, "queries line"), "queries")
-    try:
-        q = int(q_text)
-    except ValueError:
-        raise ParseError(f"bad query count {q_text!r}") from None
+    q = _parse_int(_parse_keyword(_next_line(read_line, "queries line"), "queries"), "query count")
     if q < 0:
         raise ParseError("query count must be nonnegative")
     queries = [

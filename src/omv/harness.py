@@ -123,10 +123,7 @@ def gen_instance(spec: InstanceSpec) -> tuple[Matrix, list[Vector]]:
         if spec.monotone == "rows":
             rows = [sorted(row) for row in rows]
         elif spec.monotone == "cols":
-            for k in range(n):
-                column = sorted(rows[i][k] for i in range(n))
-                for i in range(n):
-                    rows[i][k] = column[i]
+            rows = [list(row) for row in zip(*map(sorted, zip(*rows)))]
         if spec.monotone == "query":
             queries = [Vector(sorted(draw() for _ in range(n))) for _ in range(q)]
         elif spec.monotone == "stream":

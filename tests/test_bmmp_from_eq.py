@@ -298,7 +298,8 @@ def test_forced_hit_uses_every_column_once():
 
 
 def test_shifted_matrices_zero_their_own_column():
-    matrix = Matrix([[0, 3, 4], [1, 1, 2], [2, 2, 2]], monotone="rows")
+    # c = 1: cap = floor(3 / 2) = 1 < n, so a row can be oversize
+    matrix = Matrix([[0, 3, 3], [1, 1, 2], [2, 2, 2]], monotone="rows")
     captured = []
 
     def factory(problem, inner, config):
@@ -308,11 +309,32 @@ def test_shifted_matrices_zero_their_own_column():
 
     solver = BmmpFromEqSolver(
         matrix,
-        ReductionConfig(hitting_set_size="full", bound_constant=4),
+        ReductionConfig(hitting_set_size="full", bound_constant=1),
         make_inner=factory,
     )
+    assert len(captured) == len(solver.hitting_columns) == 3
     for r, inner in zip(solver.hitting_columns, captured):
         assert all(inner[i, r] == 0 for i in range(3))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_no_hitting_solver_when_no_row_can_be_oversize(case):
+    # c = 4 at n = 16: delta = 3 and cap = floor(64 / 3) = 21 >= n, so no
+    # candidate set is oversize and step two has nothing to ask
+    rng = random.Random(141 + CASES.index(case))
+    matrix, queries = _case_instance(rng, 16, case, bound_constant=4)
+
+    def factory(problem, inner, config):
+        raise AssertionError("built a hitting solver that no query can ask")
+
+    solver = BmmpFromEqSolver(matrix, ReductionConfig(bound_constant=4), make_inner=factory)
+    assert solver.row_cap >= solver.n and len(solver.hitting_columns) == 16
+    reference = NaiveSolver(matrix, problem="bmmp")
+    booked = 16 * (3 * solver.delta - 1)
+    for v in queries:
+        snap = solver.counters.snapshot()
+        assert solver.query(v).entries == reference.query(v).entries
+        assert solver.counters.since(snap)["inner_queries"] == booked
 
 
 @pytest.mark.parametrize("case", CASES)

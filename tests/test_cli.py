@@ -102,6 +102,14 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+def test_malformed_integer_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("OMV 1\nproblem eq\nn 2\n1_0 +3\n\uff14 0\nqueries 0\n")
+    code, out, err = run_cli(["solve", str(bad)], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: bad value token '1_0'\n"
+
+
 def test_validation_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("OMV 1\nproblem bool\nn 2\n0 2\n0 1\nqueries 1\n1 1\n")
@@ -278,6 +286,13 @@ def test_protocol_bad_token_is_protocol_error():
     result = _protocol(text)
     assert result.returncode == 4
     assert result.stderr == "error: bad value token 'x'\n"
+
+
+def test_protocol_malformed_integer_is_protocol_error():
+    text = "OMV 1\nproblem eq\nn 2\n1 0\n1 1\n0 1_0\n"
+    result = _protocol(text)
+    assert result.returncode == 4
+    assert result.stderr == "error: bad value token '1_0'\n"
 
 
 def test_protocol_falling_stream_coordinate_is_protocol_error():

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,6 +112,37 @@ def test_value_tokens():
     assert format_value(0) == "0"
     with pytest.raises(ParseError):
         parse_value("1.5")
+
+
+MALFORMED_INTEGERS = ["1_0", "+3", "\uff14", "1.0", "0x1"]  # \uff14: full-width 4
+
+
+@pytest.mark.parametrize("token", MALFORMED_INTEGERS)
+def test_integers_are_ascii_digits_with_an_optional_minus(token):
+    # as a value, as n and as the query count
+    sites = [
+        (f"OMV 1\nproblem eq\nn 1\n{token}\nqueries 0\n", f"bad value token {token!r}"),
+        (f"OMV 1\nproblem eq\nn {token}\n1\nqueries 0\n", f"bad dimension {token!r}"),
+        (f"OMV 1\nproblem eq\nn 1\n1\nqueries {token}\n", f"bad query count {token!r}"),
+    ]
+    for text, message in sites:
+        with pytest.raises(ParseError) as error:
+            parse_instance(text)
+        assert str(error.value) == message
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+def test_numeral_past_the_int_digit_limit_is_a_parse_error():
+    token = "9" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ParseError, match="bad value token"):
+        parse_value(token)
+
+
+def test_integer_grammar_keeps_what_it_allowed():
+    assert [parse_value(t) for t in ("-0", "007", "inf", "-inf")] == [0, 7, INF, NEG_INF]
+    instance = parse_instance("OMV 1\nproblem dom\nn 01\n-0\nqueries 001\n-inf\n")
+    assert instance.matrix.rows == [[0]]
+    assert [v.entries for v in instance.queries] == [[NEG_INF]]
 
 
 def test_boolean_round_trip():

@@ -1,11 +1,12 @@
 """Head-link ledgers and answers pinned on small fixed instances.
 
 Every FULL_CYCLE chain and the short boolean route runs on one seeded
-instance at n = 9 and one at n = 1.  The head link's counter snapshot and
-the number of queries each of its direct inner solvers answered are
-hard-coded: a change to how a link computes its answers must not change
-how many inner queries it books, how far it scans, or how it spreads its
-inner calls over its inner solvers.  Answers are checked against the
+instance at n = 9 and one at n = 1, and the bmmp chain also on one whose
+every row is oversize, so that step two asks its hitting solvers.  The
+head link's counter snapshot and the number of queries each of its direct
+inner solvers answered are hard-coded: a change to how a link computes
+its answers must not change how many inner queries it books, how far it
+scans, or how it spreads its inner calls over its inner solvers.  Answers are checked against the
 pure-Python definitions in ``referees``.
 
 The instances carry the extreme values the package promises to keep
@@ -65,13 +66,14 @@ def _zeros(**counts):
 # solvers: a stacked boolean leaf answers all of eq<-bool's slices in one
 # call, dom<-eq builds only the bit levels its ranks can reach (4 of the 8
 # it books at n = 9), bmmp<-eq takes at most n distinct hitting columns
-# (all 9 at n = 9, where ceil(3 * delta * ln n) is 20) and asks them only
-# for probes that can lower an oversize row (none here: the cap c*n/delta
-# of both bmmp instances is at least n, so its eq<-bool solvers answer no
-# query while it books 40 per column), and the short boolean route builds a
-# fresh min-plus solver for every epoch of n queries.  Per-link totals sum the counter snapshots of every solver of
-# that link in the built tree, in the order (inner_queries,
-# scan_length_total, multiset_updates, candidates_enumerated, rmq_queries).
+# (all 9 at n = 9, where ceil(3 * delta * ln n) is 20), builds their
+# eq<-bool solvers only when a row can be oversize (never here: the cap
+# c*n/delta of both bmmp instances is at least n, while it books 40 inner
+# queries per column; STEP_TWO_PIN covers the other side), and the short
+# boolean route builds a fresh min-plus solver for every epoch of n queries.
+# Per-link totals sum the counter snapshots of every solver of that link in
+# the built tree, in the order (inner_queries, scan_length_total,
+# multiset_updates, candidates_enumerated, rmq_queries).
 # The n = 1 short boolean route stops at two queries and its tree totals
 # are not pinned: its inner min-plus solver restarts every n queries.
 PINS = {
@@ -124,9 +126,8 @@ PINS = {
     ("bmmp", 9): (
         5,
         _zeros(inner_queries=360, candidates_enumerated=164, rmq_queries=160),
-        [0] * 9,
+        [],
         {
-            "eq<-bool": (0, 0, 0, 0, 0),
             "bmmp<-eq": (360, 0, 0, 164, 160),
         },
     ),
@@ -148,7 +149,6 @@ PINS = {
         "bool<-minwit": (5, 0, 0, 0, 0),
     }),
     ("bool-alt", 9): (5, _zeros(inner_queries=5), [5], {
-        "eq<-bool": (0, 0, 0, 0, 0),
         "bmmp<-eq": (360, 0, 279, 402, 0),
         "bool<-bmmp": (5, 0, 0, 0, 0),
     }),
@@ -163,7 +163,42 @@ CHAINS.append(("bool-alt", "bool", ALT_BOOL_CHAIN))
 @pytest.mark.parametrize("name,problem,chain", CHAINS, ids=[c[0] for c in CHAINS])
 def test_head_ledger_and_answers_are_pinned(name, problem, chain, n):
     queries, snapshot, child_calls, link_totals = PINS[(name, n)]
-    matrix, stream, config = _instance(problem, n, queries)
+    _check_pin(problem, chain, *_instance(problem, n, queries), snapshot, child_calls, link_totals)
+
+
+def _narrow_band_instance() -> tuple[Matrix, list[Vector], ReductionConfig]:
+    """A bmmp rows-case instance at n = 9 and c = 1 (delta = 3, cap = 3)
+    whose every row is oversize on every query: each row's entries span at
+    most three consecutive values, and each query's lie in [0, 2]."""
+    n = 9
+    rng = random.Random(9001)
+    rows = []
+    for _ in range(n):
+        base = rng.randint(0, n - 2)
+        rows.append(sorted(rng.randint(base, base + 2) for _ in range(n)))
+    stream = [Vector([rng.randint(0, 2) for _ in range(n)]) for _ in range(5)]
+    config = ReductionConfig(seed=3, bound_constant=1)
+    return Matrix(rows, tag="bounded", monotone="rows"), stream, config
+
+
+# Step two's call pattern on the narrow-band instance: no column is listed
+# (candidates_enumerated = 0, every row oversize), and each of the 9
+# hitting solvers answers only the probes that can lower some row.
+STEP_TWO_PIN = (
+    _zeros(inner_queries=360, rmq_queries=75),
+    [11, 11, 11, 11, 11, 11, 11, 11, 15],
+    {
+        "eq<-bool": (309, 0, 0, 0, 0),
+        "bmmp<-eq": (360, 0, 0, 0, 75),
+    },
+)
+
+
+def test_step_two_call_pattern_is_pinned():
+    _check_pin("bmmp", FULL_CYCLE["bmmp"], *_narrow_band_instance(), *STEP_TWO_PIN)
+
+
+def _check_pin(problem, chain, matrix, stream, config, snapshot, child_calls, link_totals):
     built: list[tuple[str, int, OnlineSolver]] = []
     solver = _build_recording(chain, problem, matrix, config, built)
     for v in stream:
