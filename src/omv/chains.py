@@ -15,12 +15,12 @@ boolean product is 1), implemented here rather than as a module of its own.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .bmmp_from_eq import BmmpFromEqSolver
-from .core import Matrix, OnlineSolver, ReductionConfig, SolverFactory
+from .core import Matrix, OnlineSolver, ReductionConfig, SolverFactory, ceil_div
 from .eq_from_bool import EqFromBoolSolver
 from .folklore import BoolFromBmmpSolver, DomFromEqSolver, MinWitnessFromMinMaxSolver
 from .minmax_from_dom import MinMaxFromDomSolver
@@ -52,27 +52,39 @@ class BoolFromMinWitSolver(OnlineSolver):
         return witnesses <= self.n
 
 
-class SliceUnionSolver(OnlineSolver):
-    """Boolean product of an [s, n, n] slice stack, one solver per slice.
+class BlockUnionSolver(OnlineSolver):
+    """Boolean product of an n x m matrix as the OR of its square column blocks.
 
-    eq<-bool hands its slices to one inner instance as a stack.  The naive
-    leaf takes the stack whole; the links that solve the boolean problem
-    take square matrices only, so a chain that continues with a link
-    answers the [s, n] query block row by row, one slice solver per row,
-    and ORs the answers.  Its own ledger stays empty: eq<-bool already
-    books every slice query.
+    eq<-bool hands its pairs to one n x m boolean instance.  The naive leaf
+    takes it whole; the links that solve the boolean problem take square
+    matrices only, so a chain that continues with a link splits the matrix
+    into ceil(m/n) n x n column blocks, the last one padded with zero
+    columns, builds one solver per block, and ORs their answers to the
+    matching pieces of the query (zero-padded alike: a zero coordinate
+    selects nothing).  Its own ledger stays empty: eq<-bool already books
+    every slice query.
     """
 
     problem = "bool"
 
-    def __init__(self, stack: np.ndarray, config: ReductionConfig, slices: list[OnlineSolver]):
-        super().__init__(stack, config)
-        self._slices = slices
+    def __init__(
+        self,
+        matrix: np.ndarray,
+        config: ReductionConfig,
+        build: Callable[[np.ndarray], OnlineSolver],
+    ):
+        super().__init__(matrix, config)
+        n = self.n
+        padded = np.zeros((n, ceil_div(self.m, n) * n), dtype=matrix.dtype)
+        padded[:, : self.m] = matrix
+        self._blocks = [build(padded[:, start : start + n]) for start in range(0, padded.shape[1], n)]
 
-    def _answer(self, block: np.ndarray) -> np.ndarray:
+    def _answer(self, v: np.ndarray) -> np.ndarray:
+        padded = np.zeros(len(self._blocks) * self.n, dtype=v.dtype)
+        padded[: self.m] = v
         out = np.zeros(self.n, dtype=bool)
-        for solver, row in zip(self._slices, block):
-            out |= solver.query(row)
+        for solver, piece in zip(self._blocks, padded.reshape(-1, self.n)):
+            out |= solver.query(piece)
         return out
 
 
@@ -157,7 +169,9 @@ def build_solver(
     head = names[0]
     if head == "naive":
         return NaiveSolver(matrix, config, problem=problem)
-    if isinstance(matrix, np.ndarray) and matrix.ndim == 3:
-        slices = [LINKS[head](piece, config, make_inner=factory) for piece in matrix]
-        return SliceUnionSolver(matrix, config, slices)
-    return LINKS[head](matrix, config, make_inner=factory)
+    link = LINKS[head]
+    # eq<-bool takes an n x m matrix; the boolean links take square ones only,
+    # and a boolean instance arrives rectangular from eq<-bool
+    if link.problem == "bool" and isinstance(matrix, np.ndarray) and matrix.shape[0] != matrix.shape[1]:
+        return BlockUnionSolver(matrix, config, lambda block: link(block, config, make_inner=factory))
+    return link(matrix, config, make_inner=factory)

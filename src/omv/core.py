@@ -26,7 +26,10 @@ Two representations, one per side of a solver:
   (below 2^41) and the rank and position encodings all stay below 2^53,
   and the infinities stay infinities.  NaN is the absent value inside a
   chain (it equals nothing and is dominated by nothing); validate()
-  rejects it, and every non-integer finite value, in outside input.
+  rejects it, and every non-integer finite value, in outside input.  One
+  matrix travels as float32: the rank bits dom<-eq hands to eq<-bool,
+  integers below 2^24, exact in float32 at half the memory (as_array
+  keeps a float32 array as it is).
 
 OnlineSolver.query converts once per outer query: a Vector in gives a
 Vector out (ints and infinity sentinels), an ndarray in gives an ndarray
@@ -129,9 +132,12 @@ class Matrix:
 
 
 def as_array(matrix: Matrix | np.ndarray) -> np.ndarray:
-    """The float64 array of a Matrix (or of any array of values)."""
+    """The float64 array of a Matrix (or of any array of values); a float32
+    array, as dom<-eq hands down its rank bits, keeps its dtype."""
     if isinstance(matrix, Matrix):
         return np.array(matrix.rows, dtype=np.float64)
+    if isinstance(matrix, np.ndarray) and matrix.dtype == np.float32:
+        return matrix
     return np.asarray(matrix, dtype=np.float64)
 
 
@@ -369,18 +375,20 @@ class OnlineSolver:
     alike: it checks dimensions, converts a Vector to a float64 array and
     the answer back (an ndarray passes through unconverted), and advances
     query_index, which is 1-based and equals j while the j-th query is
-    being answered (the boolean-to-min-plus encoding needs it).  Its
-    dimension check reads a query array's last axis, so that a solver built
-    on a stack of s matrices ([s, n, n], as the boolean leaf accepts) takes
-    an [s, n] block of queries, one row per matrix.  A solver
+    being answered (the boolean-to-min-plus encoding needs it).  A solver
     must never look at any vector other than the current one; the
     harness's adaptive sessions exist to catch violations.
+
+    The matrix is n x m: n, its row count, is the answer length and m, its
+    column count, the query length.  Outer instances are square; inside a
+    chain dom<-eq hands eq<-bool an n x (levels * n) matrix, and eq<-bool
+    hands its boolean instance an n x P one (see those modules).
     """
 
     problem: str = ""
 
     def __init__(self, matrix: Matrix | np.ndarray, config: Optional[ReductionConfig] = None):
-        self.n = matrix.n if isinstance(matrix, Matrix) else np.shape(matrix)[-1]
+        self.n, self.m = (matrix.n, matrix.n) if isinstance(matrix, Matrix) else np.shape(matrix)
         self.config = config if config is not None else ReductionConfig()
         self.counters = CounterLedger()
         self._query_index = 1
@@ -391,9 +399,8 @@ class OnlineSolver:
 
     def query(self, vector: Vector | np.ndarray) -> Vector | np.ndarray:
         array = isinstance(vector, np.ndarray)
-        length = vector.shape[-1] if array else len(vector)
-        if length != self.n:
-            raise DimensionMismatch(f"query length {length} against {self.n}x{self.n} matrix")
+        if len(vector) != self.m:
+            raise DimensionMismatch(f"query length {len(vector)} against {self.n}x{self.m} matrix")
         if array:
             answer = self._answer(vector)
         else:

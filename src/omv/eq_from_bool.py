@@ -1,32 +1,47 @@
-"""Equality-product solver built from one stacked boolean-product instance.
+"""Equality-product solver built from one boolean-product instance.
 
-For each matrix column the t most frequent values are split off into t
-boolean slice matrices: slice l marks the positions holding the column's
-l-th most frequent value.  A query coordinate matching a frequent value is
-caught by the corresponding boolean slice product; every other value that
-appears in a column is "rare" (at most ceil(n/t) occurrences).  The rare
-entries are kept in a padded [W, n] table, column k's rare values down
-column k with NaN (which equals nothing) after the last, W the largest
-number of rare entries in any column; a query compares the whole table
-with the query vector once, n * W cells, and sets the rows of the matches.
-The output is exact: a 1 is emitted iff some coordinate of the query equals
-the matrix entry above it.
+The matrix is n x m: m = n for an outer instance, while dom<-eq asks one
+n x (levels * n) instance (see omv.folklore), and t is resolved from the
+row count n.  For each matrix column the t most frequent values are split
+off: the pair (column k, value x) marks the rows where column k holds x,
+and a query coordinate matching a frequent value is caught by the boolean
+product over the pair columns.  Every other value that appears in a column
+is "rare" (at most ceil(n/t) occurrences).  The rare entries are kept in a
+padded [W, C] table, column c's rare values down column c with NaN (which
+equals nothing) after the last, W the largest number of rare entries in
+any column; a query compares the whole table with the query coordinates of
+its C columns once, W * C cells, and sets the rows of the matches.  NaN
+entries, which dom<-eq uses for the cells that can never hit, are neither
+frequent nor rare.  The output is exact: a 1 is emitted iff some
+coordinate of the query equals the matrix entry above it.
 
 The build works on one contiguous copy of the transposed matrix, row k
-holding column k.  One sort of its rows ranks every column's values by
-frequency (see _top_values), and the s <= t slices that are not entirely
-zero (slice l is empty iff no column has an l-th value, and ``top_values``
-keeps a row for the s others only) come from one comparison of the same
-copy, laid out [s, n, n] by (slice, column, row).  The inner boolean
-instance gets that stack as its [slice, row, column] view: the leaf packs
-each matrix column into words, so its transposed read is the build's own
-contiguous array and costs no copy.
-A query asks that instance once, with the [s, n] block of slice queries,
-and the OR of the s slice products comes back.  The ledger still books the
-t inner queries of the reduction's cost accounting per query (the product
-of an all-zero slice is all zeros, so the t - s empty slices are never
-built).  The ledger's scan_length_total grows by the number of rare
-entries that match, at most n * ceil(n/t) per query.
+holding column k (no copy when the matrix handed in is a transposed view
+of such an array, as dom<-eq's is), one block of n columns at a time, so
+that no transient outgrows an n x n block: one sort of a block's rows
+ranks every column's values by frequency (see _top_values), and one
+comparison of the block with that [s, b] table, laid out [slice, column,
+row], yields the pair columns and the rare entries.  The inner boolean
+instance is the n x P matrix of the pairs' rows, handed down as the
+transposed view of the build's [P, n] array: the leaf packs each matrix
+column into words, so its transposed read costs no copy.
+
+* One block (m <= n, so every outer instance) keeps its table whole: P =
+  s * m, the cells of columns with fewer than s values included (their
+  leaf columns are all zero), the rare table keeps all m columns, and a
+  query compares both tables with v by broadcast, as a square table needs
+  no gather.
+* Several blocks would pad each other to the largest slice count, so
+  ``top_values`` keeps only the P pairs that hold a value, ``_top_at``
+  their columns, and the rare table only the columns with a rare entry;
+  a query gathers the query coordinates of those columns.  The upper
+  levels of dom<-eq, with few distinct values, take little room this way.
+
+A query asks the inner instance once, with the P vector of pair matches.
+The ledger still books the t inner queries of the reduction's cost
+accounting per query (the product of an all-zero slice is all zeros, so
+empty slices are never built).  The ledger's scan_length_total grows by
+the number of rare entries that match, at most m * ceil(n/t) per query.
 """
 
 from __future__ import annotations
@@ -40,45 +55,51 @@ from .oracle import naive_factory
 
 
 def _top_values(columns: np.ndarray, t: int) -> np.ndarray:
-    """[s, n] table of each column's s most frequent values.
+    """[s, b] table of each column's s most frequent values.
 
-    ``columns`` is the matrix transposed, row k holding column k.  s =
-    min(t, largest number of distinct values in a column), so every row of
-    the table has a value in some column: the t - s slices past it would be
-    all zero and get no row.  Column k of the table lists column k's values
-    most frequent first, frequency ties broken by smaller value; a column
-    with fewer than s distinct values is padded with NaN, which equals
-    nothing (absent slots yield all-zero slice columns rather than invented
-    filler values).
+    ``columns`` is [b, n], row k holding matrix column k.  s = min(t,
+    largest number of distinct values in a column), so every row of the
+    table has a value in some column.  Column k of the table lists column
+    k's values most frequent first, frequency ties broken by smaller value;
+    a column with fewer than s distinct values is padded with NaN, which
+    equals nothing.
 
     One sort of each column yields its runs of equal values in (column,
     value) order.  A stable argsort of the integer key column * n +
     (n - count) then orders each column's runs by falling count and keeps
-    equal counts in value order; the key fits in 16 bits up to n = 256,
-    where numpy's stable sort is a radix sort.  A run's rank within its
-    column is its position less the column's offset, taken from the
-    per-column run counts.
+    equal counts in value order; with b <= n the key fits in 16 bits up to
+    n = 256, where numpy's stable sort is a radix sort.  A run's rank
+    within its column is its position less the column's offset, taken from
+    the per-column run counts.
     """
-    n = columns.shape[0]
+    b, n = columns.shape
     flat = np.sort(columns, axis=1).ravel()
-    starts = np.ones(n * n, dtype=bool)
+    starts = np.ones(b * n, dtype=bool)
     starts[1:] = flat[1:] != flat[:-1]
+    # NaN sorts last (a column holds one iff its last entry is one) and
+    # equals nothing: a column's NaNs make one run, dropped below
+    nan = np.isnan(flat) if np.isnan(flat[n - 1 :: n]).any() else None
+    if nan is not None:
+        starts[1:] &= ~nan[:-1]
     starts[::n] = True  # every column opens a run of its own
     first = np.flatnonzero(starts)
-    counts = np.diff(first, append=n * n)
+    counts = np.diff(first, append=b * n)
+    if nan is not None:
+        real = ~nan[first]
+        first, counts = first[real], counts[real]
     col = first // n
-    key = (col * n + (n - counts)).astype(np.min_scalar_type(n * n - 1))
+    key = (col * n + (n - counts)).astype(np.min_scalar_type(b * n - 1))
     order = np.argsort(key, kind="stable")
-    runs = np.bincount(col, minlength=n)
+    runs = np.bincount(col, minlength=b)
     rank = np.arange(len(col)) - (runs.cumsum() - runs)[col]
     keep = rank < t
-    table = np.full((min(t, int(runs.max())), n), np.nan)
+    table = np.full((min(t, int(runs.max())), b), np.nan)
     table[rank[keep], col[keep]] = flat[first[order[keep]]]
     return table
 
 
 class EqFromBoolSolver(OnlineSolver):
-    """Online equality-product solver over one stacked boolean inner instance."""
+    """Online equality-product solver over one boolean inner instance."""
 
     problem = "eq"
     inner_problem = "bool"
@@ -90,41 +111,70 @@ class EqFromBoolSolver(OnlineSolver):
         make_inner: SolverFactory = naive_factory,
     ):
         super().__init__(matrix, config)
+        n = self.n
         columns = np.ascontiguousarray(as_array(matrix).T)  # columns[k, i] = M[i, k]
-        self.t = self.config.resolve_t(self.n)
-        self.top_values = _top_values(columns, self.t)
-        # stack[l, k, i]: M[i, k] is column k's l-th value; handed down as
-        # the [l, i, k] view
-        stack = columns == self.top_values[:, :, None]
-        self._inner = make_inner("bool", np.swapaxes(stack, 1, 2), self.config)
-        rare = ~stack.any(axis=0)  # rare[k, i]: M[i, k] is no frequent value of column k
+        self.t = self.config.resolve_t(n)
+        starts = range(0, self.m, n)
+        tables = [_top_values(columns[start : start + n], self.t) for start in starts]
+        held = [~np.isnan(table) for table in tables]  # the cells that hold a value
+        # one block is kept whole and read by broadcast: v[slice(None)] is v
+        whole = len(tables) == 1
+        if whole:
+            (self.top_values,) = tables
+            self._top_at = slice(None)
+        else:
+            self.top_values = np.concatenate([table[h] for table, h in zip(tables, held)])
+            self._top_at = np.concatenate([start + np.nonzero(h)[1] for start, h in zip(starts, held)])
+        # pairs[p, i]: row i holds pair p, block by block, each block's slice by slice
+        pairs = np.empty((self.top_values.size, n), dtype=bool)
+        # rare[k, i]: M[i, k] is a value, and no frequent value of column k
+        rare = np.zeros_like(columns, dtype=bool)
+        at = 0
+        for start, table, h in zip(starts, tables, held):
+            block = columns[start : start + n]
+            # stack[l, k, i]: M[i, k] is column k's l-th value; kept whole, it is pairs itself
+            if whole:
+                stack = np.equal(block, table[:, :, None], out=pairs.reshape(*table.shape, n))
+            else:
+                stack = block == table[:, :, None]
+                count = int(h.sum())
+                np.compress(h.ravel(), stack.reshape(-1, n), axis=0, out=pairs[at : at + count])
+                at += count
+            if len(table) == self.t:  # only a column with more than t values has rare ones
+                rare[start : start + n] = ~(stack.any(axis=0) | np.isnan(block))
+        self._inner = make_inner("bool", pairs.T, self.config)
+        del pairs  # the leaf packs its own copy; release it before the rare table is built
 
-        # _rare_values[w, k]: the w-th rare entry of column k, top to bottom
-        # (NaN past the column's last one); _rare_rows[w, k]: its row.  Built
-        # from the nonzeros of the column-major rare mask, so that no n x n
-        # index array (an argsort, say) outlives the build.
-        rare_cols, rare_rows = np.nonzero(rare)
-        counts = np.bincount(rare_cols, minlength=self.n)
-        # slot: each rare entry's position among its column's rare entries
+        # _rare_values[w, c]: the w-th rare entry of the c-th kept column, top
+        # to bottom (NaN past the column's last one); _rare_rows[w, c]: its
+        # row.  Built from the nonzeros of the column-major rare mask, so
+        # that no n x m index array (an argsort, say) outlives the build.
+        at = np.flatnonzero(rare)
+        rare_cols, rare_rows = np.divmod(at, n)
+        counts = np.bincount(rare_cols, minlength=self.m)
+        kept = (counts > 0) | whole
+        self._rare_at = slice(None) if whole else np.flatnonzero(kept)
+        # slot: each rare entry's position among its column's rare entries,
+        # place: its column's among the kept ones
         slot = np.arange(len(rare_cols)) - (counts.cumsum() - counts)[rare_cols]
-        width = int(counts.max(initial=0))
-        self._rare_values = np.full((width, self.n), np.nan)
-        self._rare_values[slot, rare_cols] = columns[rare]
-        self._rare_rows = np.zeros((width, self.n), dtype=np.int32)
-        self._rare_rows[slot, rare_cols] = rare_rows
+        place = (kept.cumsum() - 1)[rare_cols]
+        shape = (int(counts.max(initial=0)), int(kept.sum()))
+        self._rare_values = np.full(shape, np.nan)
+        self._rare_values[slot, place] = columns.take(at)
+        self._rare_rows = np.zeros(shape, dtype=np.int32)
+        self._rare_rows[slot, place] = rare_rows
 
     def _answer(self, v: np.ndarray) -> np.ndarray:
-        masks = self.top_values == v  # masks[l, k]: v[k] is column k's l-th value
-        out = self._inner.query(masks)
-        # All t slices count as asked; one call answers the s stacked ones.
+        out = self._inner.query((self.top_values == v[self._top_at]).ravel())
+        # All t slices count as asked; one call answers the pairs of all of them.
         self.counters.inner_queries += self.t
 
-        # An empty [0, n] table would yield no rows too, but skipping it
-        # saves about 2 us a call: on the minmax-deep workload most of the
-        # 164 calls per query find no rare entries.
+        # An empty table would yield no rows too, but skipping it saves
+        # about 2 us a call: on the minmax-deep workload only the lowest
+        # levels of dom<-eq's matrix instance hold rare entries.
         if len(self._rare_values):
             # the rows of the rare entries equal to their query coordinate
-            rows = self._rare_rows[self._rare_values == v]
+            rows = self._rare_rows[self._rare_values == v[self._rare_at]]
             out[rows] = True
             self.counters.scan_length_total += len(rows)
         return out

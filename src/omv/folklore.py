@@ -8,13 +8,17 @@ everything now in [0, n^2].  A strict comparison a < b over nonnegative
 integers holds iff at some bit position a has 0, b has 1, and the higher
 bits agree, so testing rank <= query_rank (that is, rank < query_rank + 1)
 becomes one equality product per bit position: slice l stores the high
-bits of the rank where bit l is 0 (a sentinel otherwise), the query stores
-the high bits of query_rank + 1 where bit l is 1, and a slice equality hit
-at any level means dominance.  The ledger books rank_bit_count(n) levels,
-enough for n^2 distinct values, but a matrix with D distinct values has
-query_rank + 1 <= D + 1, so every probe at a level l >= (D + 1).bit_length()
-is all sentinel and can never hit: only the levels below it are built and
-asked.
+bits of the rank where bit l is 0 (NaN, which equals nothing, otherwise),
+the query stores the high bits of query_rank + 1 where bit l is 1 (NaN
+otherwise), and a slice equality hit at any level means dominance.  The
+ledger books rank_bit_count(n) levels, enough for n^2 distinct values, but
+a matrix with D distinct values has query_rank + 1 <= D + 1, so every probe
+at a level l >= (D + 1).bit_length() is all NaN and can never hit: only the
+levels below it are built and asked.  An OR of equality products over the
+same rows is itself one equality product, of the slices side by side
+against the probes side by side, so the levels are asked as one n x
+(levels * n) instance, once per query: the rectangular variant of OMv
+(Henzinger, Krinninger, Nanongkai and Saranurak, STOC 2015).
 
 Min-witness from min-max encodes positions as values: mapping 1-entries to
 their own 1-based column index and 0-entries to +inf makes the min-max of
@@ -86,16 +90,23 @@ def rank_bit_count(n: int) -> int:
 
 
 class DomFromEqSolver(OnlineSolver):
-    """Online dominance solver asking one equality query per bit slice.
+    """Online dominance solver asking one equality query per query.
 
     ``bit_count`` = rank_bit_count(n) is the number of inner queries the
     ledger books per query.  Only the ``levels`` = (D + 1).bit_length()
-    lowest slices are built and asked, D >= 1 being the number of distinct
-    matrix values (so at least two levels): above them bit l of every
-    query_rank + 1 <= D + 1 is 0, so the probe is all sentinel and the slice
-    equality never hits.  The slices are built one level at a time, so no
-    [levels, n, n] array exists at any point; a query computes all its
-    probes at once against the [levels, 1] column of level shifts.
+    lowest slices are built and asked, D being the number of distinct
+    values of the matrix's non-NaN entries: above them bit l of every
+    query_rank + 1 <= D + 1 is 0, so the probe is all NaN and the slice
+    equality never hits.  The slices stand side by side in one n x
+    (levels * n) equality instance, [S_0 | ... | S_{levels-1}], asked once
+    per query with the probes [p_0 | ... | p_{levels-1}].  Slice and probe
+    values come from two small tables indexed by rank, a row per level.  The
+    instance is built column-major by one lookup into a [levels, n, n]
+    array, float32 (exact for these integers, at half the memory), and
+    handed down as its transposed view, which eq<-bool reads column by
+    column without a copy.  A NaN entry and every cell whose rank has bit l
+    set are NaN, so eq<-bool spends no frequent value or rare entry on
+    them.
     """
 
     problem = "dom"
@@ -108,35 +119,40 @@ class DomFromEqSolver(OnlineSolver):
         make_inner: SolverFactory = naive_factory,
     ):
         super().__init__(matrix, config)
-        m = as_array(matrix)
-        # ranks = self.rank_map.rank(m) from one sort of the present entries:
-        # NaN takes the top rank, and the NaN-heavy instances minmax<-dom
-        # builds sort only their few values
-        present = ~np.isnan(m)
-        values, inverse = np.unique(m[present], return_inverse=True)
-        ranks = np.full(m.shape, len(values) + 1)
+        columns = as_array(matrix).T  # columns[k, i] = M[i, k]
+        # ranks[k, i] = self.rank_map.rank(M[i, k]) of the present entries,
+        # from one sort of them: the NaN-heavy instances minmax<-dom builds
+        # sort only their few values
+        present = ~np.isnan(columns)
+        values, inverse = np.unique(columns[present], return_inverse=True)
+        ranks = np.zeros(columns.shape, dtype=np.intp)  # 0 marks a NaN entry
         ranks[present] = inverse + 1
         self.rank_map = RankMap(values if present.all() else np.append(values, np.nan))
         self.bit_count = rank_bit_count(self.n)
-        self.levels = (len(self.rank_map.values) + 1).bit_length()
-        self._slices: list[OnlineSolver] = []
-        for level in range(self.levels):
-            # slice l: the rank's bits above l where bit l is 0, sentinel -1 elsewhere
-            shifted = ranks >> level
-            high = (shifted >> 1).astype(np.float64)
-            high[shifted & 1 == 1] = -1
-            self._slices.append(make_inner("eq", high, self.config))
-        self._shifts = np.arange(self.levels)[:, None]
+        self.levels = (len(values) + 1).bit_length()
+        # Both tables from one [levels, D + 2] grid over the ranks r = 0 .. D + 1:
+        # bits[l, r] is bit l of r and above[l, r] the bits above it
+        shifted = np.arange(len(values) + 2) >> np.arange(self.levels)[:, None]
+        bits, above = shifted & 1, shifted >> 1
+        # slices[l, r]: level l's slice value of an entry of rank r (0 for a
+        # NaN entry), its bits above l where bit l is 0
+        slices = np.where(bits == 0, above, np.nan)
+        slices[:, 0] = np.nan
+        # high[l, k, i] = slices[l, ranks[k, i]]: level l's slice at (i, k),
+        # float32 while that holds every rank exactly (below 2^24)
+        dtype = np.float32 if len(values) < 2**24 else np.float64
+        high = np.empty((self.levels, self.n, self.n), dtype)
+        np.take(slices.astype(dtype), ranks, axis=1, out=high)
+        del present, inverse, ranks  # release them before the inner build
+        self._inner = make_inner("eq", high.reshape(-1, self.n).T, self.config)
+        # _probes[l, q]: level l's probe for query rank q, the bits above l of
+        # q + 1 where bit l is 1
+        self._probes = np.where(bits == 1, above, np.nan)[:, 1:]
 
     def _answer(self, v: np.ndarray) -> np.ndarray:
-        # probe l: the bits above l of query_rank + 1 where bit l is 1, sentinel -2 elsewhere
-        shifted = (self.rank_map.query_rank(v) + 1) >> self._shifts
-        probes = np.where(shifted & 1 == 1, shifted >> 1, -2).astype(np.float64)
-        out = np.zeros(self.n, dtype=bool)
-        for inner, probe in zip(self._slices, probes):
-            out |= inner.query(probe)
+        probes = self._probes.take(self.rank_map.query_rank(v), axis=1)
         self.counters.inner_queries += self.bit_count
-        return out
+        return self._inner.query(probes.ravel())
 
 
 class MinWitnessFromMinMaxSolver(OnlineSolver):

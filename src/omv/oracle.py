@@ -16,7 +16,7 @@ from .core import INF, Matrix, OnlineSolver, ReductionConfig, as_array
 
 
 class NaiveSolver(OnlineSolver):
-    """O(n^2)-per-query solver for any of the six products.
+    """O(n*m)-per-query solver for any of the six products.
 
     Preprocessing keeps one array.  For the boolean and min-witness
     products it is the 0/1 matrix transposed and bit-packed: row k of
@@ -28,11 +28,10 @@ class NaiveSolver(OnlineSolver):
     and the infinity sentinels exactly).  Each query is one vectorized
     pass.
 
-    The boolean product also accepts a stack of s matrices, an [s, n, n]
-    array: it is packed as one [s*n, ceil(n/64)] word array, a query is an
-    [s, n] block whose row l goes with matrix l, and the answer is the OR
-    of the s products.  A plain matrix is the case s = 1.  Through
-    naive_factory it is the inner solver of every link built on its own.
+    The matrix may be n x m (see OnlineSolver): eq<-bool hands it an n x P
+    boolean instance whose transpose is the build's own contiguous array,
+    so the packing reads it without a copy.  Through naive_factory it is
+    the inner solver of every link built on its own.
     """
 
     def __init__(
@@ -50,13 +49,12 @@ class NaiveSolver(OnlineSolver):
         if problem in ("bool", "minwit"):
             rows = np.asarray(matrix.rows if isinstance(matrix, Matrix) else matrix)
             ones = rows if rows.dtype == np.bool_ else rows == 1
-            # row (l, k) of _words: the rows i with matrix l's (i, k) entry 1;
-            # packbits runs about 5x faster on a contiguous transpose
-            columns = np.ascontiguousarray(np.swapaxes(ones, -1, -2)).reshape(-1, self.n)
-            bits = np.packbits(columns, axis=-1, bitorder="little")
-            packed = np.zeros((len(bits), -(-self.n // 64) * 8), dtype=np.uint8)
-            packed[:, : bits.shape[1]] = bits
-            self._words = packed.view(np.uint64)
+            # row k of _words: the rows i with entry (i, k) 1; packbits runs
+            # about 5x faster on a contiguous transpose
+            bits = np.packbits(np.ascontiguousarray(ones.T), axis=-1, bitorder="little")
+            if self.n % 64:  # pad each column to whole words
+                bits = np.pad(bits, ((0, 0), (0, -bits.shape[1] % 8)))
+            self._words = bits.view(np.uint64)
         else:
             self._m = as_array(matrix)
 
@@ -69,7 +67,7 @@ class NaiveSolver(OnlineSolver):
         return bits.view(np.bool_)
 
     def _bool_answer(self, v: np.ndarray) -> np.ndarray:
-        ones = (v if v.dtype == np.bool_ else v == 1).ravel().nonzero()[0]
+        ones = (v if v.dtype == np.bool_ else v == 1).nonzero()[0]
         return self._unpack(np.bitwise_or.reduce(self._words.take(ones, axis=0), axis=0))
 
     def _eq_answer(self, v: np.ndarray) -> np.ndarray:

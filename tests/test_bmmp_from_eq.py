@@ -289,6 +289,34 @@ def test_worst_case_stream_fails_at_the_predicted_rate():
     assert low <= failing <= high, (failing, seeds * p, low, high)
 
 
+def test_adaptive_replay_fails_on_the_oblivious_seeds():
+    # An adversary that knows M asks the three worst-case queries in turn
+    # and, from the first wrong answer on, replays that query for the rest
+    # of an n-query stream.  Every answer before the first wrong one is
+    # right, so it tells nothing about R: the same seeds fail as on the
+    # oblivious three-query stream, and only the number of wrong rows grows.
+    n, size, seeds = 64, 6, 60
+    matrix, stream = _worst_case_family(n)
+    chain = parse_chain("bmmp<-eq,naive")
+    oblivious, adaptive, wrong_rows = set(), set(), 0
+    for seed in range(seeds):
+        config = ReductionConfig(delta=4, hitting_set_size=size, bound_constant=1, seed=seed)
+        solver = build_solver(chain, "bmmp", matrix, config)
+        if any(np.any(solver.query(v) != 0) for v in stream):
+            oblivious.add(seed)
+        solver = build_solver(chain, "bmmp", matrix, config)
+        replay = None
+        for j in range(n):
+            wrong = np.count_nonzero(solver.query(replay if replay is not None else stream[j % 3]))
+            if wrong and replay is None:
+                replay = stream[j % 3]
+            wrong_rows += wrong
+        if replay is not None:
+            adaptive.add(seed)
+    assert oblivious and adaptive == oblivious
+    print(f"{len(adaptive)} of {seeds} adaptive streams failed, {wrong_rows} wrong rows")
+
+
 def test_forced_hit_uses_every_column_once():
     matrix = Matrix([[1, 2], [2, 2]], monotone="rows")
     solver = BmmpFromEqSolver(
@@ -317,20 +345,25 @@ def test_shifted_matrices_zero_their_own_column():
         assert all(inner[i, r] == 0 for i in range(3))
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_no_hitting_solver_when_no_row_can_be_oversize(case):
-    # c = 4 at n = 16: delta = 3 and cap = floor(64 / 3) = 21 >= n, so no
-    # candidate set is oversize and step two has nothing to ask
+@pytest.mark.parametrize(
+    "case,n,c",
+    [pytest.param(case, 16, 4, id=case) for case in CASES]
+    + [pytest.param(case, 9, 3, id=f"{case}-cap-n") for case in CASES],
+)
+def test_no_hitting_solver_when_no_row_can_be_oversize(case, n, c):
+    # c = 4 at n = 16: delta = 3 and cap = floor(64 / 3) = 21 >= n; c = 3 at
+    # n = 9: delta = 3 and cap = floor(27 / 3) = 9 = n.  No candidate set is
+    # oversize and step two has nothing to ask
     rng = random.Random(141 + CASES.index(case))
-    matrix, queries = _case_instance(rng, 16, case, bound_constant=4)
+    matrix, queries = _case_instance(rng, n, case, bound_constant=c)
 
     def factory(problem, inner, config):
         raise AssertionError("built a hitting solver that no query can ask")
 
-    solver = BmmpFromEqSolver(matrix, ReductionConfig(bound_constant=4), make_inner=factory)
-    assert solver.row_cap >= solver.n and len(solver.hitting_columns) == 16
+    solver = BmmpFromEqSolver(matrix, ReductionConfig(bound_constant=c), make_inner=factory)
+    assert solver.row_cap >= solver.n and len(solver.hitting_columns) == n
     reference = NaiveSolver(matrix, problem="bmmp")
-    booked = 16 * (3 * solver.delta - 1)
+    booked = n * (3 * solver.delta - 1)
     for v in queries:
         snap = solver.counters.snapshot()
         assert solver.query(v).entries == reference.query(v).entries

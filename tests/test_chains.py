@@ -245,3 +245,23 @@ def test_stacked_slices_through_a_link(n):
         v = Vector([rng.randint(0, 2) for _ in range(n)])
         assert solver.query(v).entries == eq_exists_mv(matrix, v).entries
     assert solver.counters.inner_queries == config.resolve_t(n) * queries
+
+
+RECTANGULAR_CHAINS = [
+    "dom<-eq,eq<-bool,bool<-minwit,minwit<-minmax,minmax<-dom,dom<-eq,eq<-bool,naive",
+    "dom<-eq,eq<-bool,bool<-bmmp,bmmp<-eq,eq<-bool,naive",
+    "dom<-eq,eq<-bool,naive",
+]
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("text", RECTANGULAR_CHAINS)
+def test_rectangular_instances_through_a_link(text, n):
+    # dom<-eq hands eq<-bool one n x (levels * n) matrix and eq<-bool hands
+    # on one n x P boolean instance; a boolean link takes it as square
+    # column blocks and ORs their answers
+    spec = InstanceSpec(problem="dom", n=n, inf_prob=0.2, queries=3 * n, seed=95 + n)
+    matrix, queries = gen_instance(spec)
+    solver = build_solver(parse_chain(text), "dom", matrix, ReductionConfig(hitting_set_size="full"))
+    for v in queries:
+        assert solver.query(v).entries == DEFINITIONS["dom"](matrix, v).entries

@@ -16,12 +16,26 @@ from referees import bool_mv, eq_exists_mv
 def _column_tables(solver, k):
     """Column k's frequent values (most frequent first) and its rare
     values mapped to the rows holding them, read off the solver's tables."""
-    top = [value for value in solver.top_values[:, k].tolist() if not np.isnan(value)]
+    top_columns, top_values = _pairs(solver)
+    top = [value for value in top_values[top_columns == k].tolist() if not np.isnan(value)]
     rare = {}
-    for value, i in zip(solver._rare_values[:, k].tolist(), solver._rare_rows[:, k].tolist()):
+    place = np.arange(solver.m)[solver._rare_at] == k
+    values, rows = solver._rare_values[:, place].ravel(), solver._rare_rows[:, place].ravel()
+    for value, i in zip(values.tolist(), rows.tolist()):
         if not np.isnan(value):
             rare.setdefault(value, []).append(i)
+    if solver.m > solver.n:
+        # the table keeps a column only when it holds a rare entry
+        assert place.any() == bool(rare)
     return top, rare
+
+
+def _pairs(solver):
+    """The (column, value) of every column the inner boolean instance gets,
+    in its order: the whole [s, n] table of a square matrix, NaN cells
+    included, or the pairs of a wider one."""
+    columns = np.arange(solver.m)[solver._top_at]
+    return np.broadcast_to(columns, solver.top_values.shape).ravel(), solver.top_values.ravel()
 
 
 def test_frequency_table_frozen_example():
@@ -87,22 +101,51 @@ def test_top_values_match_their_definition(case):
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
 def test_slice_stack_is_handed_down_column_major(n):
+    # the boolean instance is n x (s * n), one column per cell of the
+    # [s, n] table
     rng = np.random.default_rng(n)
     m = rng.integers(0, 6, size=(n, n)).astype(np.float64)
     handed = []
 
-    def factory(problem, stack, config):
-        handed.append(stack)
-        return NaiveSolver(stack, config, problem=problem)
+    def factory(problem, pairs, config):
+        handed.append(pairs)
+        return NaiveSolver(pairs, config, problem=problem)
 
     solver = EqFromBoolSolver(m, ReductionConfig(t=3), make_inner=factory)
-    (stack,) = handed
+    (pairs,) = handed
     # the leaf's packing transpose is the build's own array, not a copy
-    assert np.swapaxes(stack, -1, -2).flags.c_contiguous
-    assert np.array_equal(stack, m[None, :, :] == solver.top_values[:, None, :])
-    from_view = NaiveSolver(stack, problem="bool")
-    from_copy = NaiveSolver(np.ascontiguousarray(stack), problem="bool")
+    assert pairs.T.flags.c_contiguous
+    columns, values = _pairs(solver)
+    assert np.array_equal(pairs, m[:, columns] == values)
+    from_view = NaiveSolver(pairs, problem="bool")
+    from_copy = NaiveSolver(np.ascontiguousarray(pairs), problem="bool")
     assert np.array_equal(from_view._words, from_copy._words)
+
+
+@pytest.mark.parametrize("n,m", [(1, 3), (3, 7), (5, 5), (6, 2), (8, 24), (9, 40)])
+def test_rectangular_instance_matches_its_definition(n, m):
+    # dom<-eq asks one n x (levels * n) instance.  Each column keeps its t
+    # most frequent values and lists the others as rare; NaN, which equals
+    # nothing, is neither, and with several blocks no NaN cell reaches the
+    # leaf
+    rng = np.random.default_rng(10 * n + m)
+    matrix = rng.integers(0, 4, size=(n, m)).astype(np.float64)
+    matrix[rng.random((n, m)) < 0.3] = np.nan
+    t = 2
+    solver = EqFromBoolSolver(matrix, ReductionConfig(t=t))
+    assert solver.t == t and solver.m == m
+    for k in range(m):
+        column = matrix[:, k].tolist()
+        values = [x for x in column if not np.isnan(x)]
+        ranked = sorted(set(values), key=lambda value: (-values.count(value), value))
+        rows = {value: [i for i in range(n) if column[i] == value] for value in ranked[t:]}
+        assert _column_tables(solver, k) == (ranked[:t], rows)
+    if m > n:
+        assert not np.isnan(solver.top_values).any()
+    for _ in range(6):
+        v = rng.integers(0, 5, size=m).astype(np.float64)
+        v[rng.random(m) < 0.2] = np.nan
+        assert np.array_equal(solver.query(v), (matrix == v).any(axis=1))
 
 
 def test_rare_values_respect_frequency_cap():
@@ -171,18 +214,19 @@ def test_counters_exact_inner_queries_and_scan_cap():
 
 def test_all_zero_slices_counted_as_shortcut():
     # one distinct value per column but three slots: two slices are empty,
-    # left out of the stack, and still booked as asked
+    # left out of the boolean instance (one column per cell of the [1, 2]
+    # table), and still booked as asked
     matrix = Matrix([[4, 4], [4, 4]])
-    stacks = []
+    shapes = []
 
-    def factory(problem, stack, config):
-        stacks.append(stack.shape)
-        return NaiveSolver(stack, config, problem=problem)
+    def factory(problem, pairs, config):
+        shapes.append(pairs.shape)
+        return NaiveSolver(pairs, config, problem=problem)
 
     solver = EqFromBoolSolver(matrix, ReductionConfig(t=3), make_inner=factory)
     solver.query(Vector([4, 0]))
     assert solver.counters.inner_queries == 3
-    assert stacks == [(1, 2, 2)]
+    assert shapes == [(2, 2)]
 
 
 def test_t2_matches_equality_definition():
@@ -218,9 +262,11 @@ def test_composes_with_real_boolean_inner_chain():
 @pytest.mark.parametrize("s", [1, 3])
 @pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 130])
 def test_stacked_leaf_is_the_or_of_its_slices(s, n):
+    # the leaf over the n x (s * n) matrix [S_0 | ... | S_{s-1}] answers the
+    # query [q_0 | ... | q_{s-1}] with the OR of the s slice products
     rng = random.Random(100 * s + n)
     slices = [[[rng.randint(0, 1) for _ in range(n)] for _ in range(n)] for _ in range(s)]
-    leaf = NaiveSolver(np.array(slices, dtype=bool), problem="bool")
+    leaf = NaiveSolver(np.concatenate(np.array(slices, dtype=bool), axis=1), problem="bool")
     blocks = [np.zeros((s, n), dtype=bool)]
     blocks += [np.array([[rng.random() < 0.4 for _ in range(n)] for _ in range(s)]) for _ in range(6)]
     for block in blocks:
@@ -228,13 +274,14 @@ def test_stacked_leaf_is_the_or_of_its_slices(s, n):
         for rows, row in zip(slices, block):
             product = bool_mv(Matrix(rows, tag="boolean"), Vector(row.astype(int).tolist()))
             want = [a | b for a, b in zip(want, product.entries)]
-        assert leaf.query(block).astype(int).tolist() == want
+        assert leaf.query(block.ravel()).astype(int).tolist() == want
 
 
 def test_stacked_leaf_rejects_a_block_of_the_wrong_width():
-    leaf = NaiveSolver(np.ones((3, 4, 4), dtype=bool), problem="bool")
-    with pytest.raises(DimensionMismatch):
-        leaf.query(np.ones((3, 5), dtype=bool))
+    leaf = NaiveSolver(np.ones((4, 12), dtype=bool), problem="bool")
+    for width in (4, 15):
+        with pytest.raises(DimensionMismatch):
+            leaf.query(np.ones(width, dtype=bool))
 
 
 _POOL = [0, 1, 2, 3, 2**40, -(2**40)]

@@ -83,8 +83,10 @@ def test_dom_nan_entries_and_coordinates_compare_true_with_nothing(chain):
 
 
 def test_dom_from_eq_slices_carry_the_rank_map_ranks():
-    # the build ranks entries from one np.unique; each eq slice it hands
-    # down must be the one RankMap.rank gives, NaN and +/-inf included
+    # the build ranks entries from one np.unique; each level block of the
+    # one eq instance it hands down must be the slice RankMap.rank gives,
+    # +/-inf included, with NaN in the cells that can never hit: a NaN
+    # entry's, and those whose rank has bit l set
     nan = float("nan")
     pool = [nan, NEG_INF, -3, 0, 0.5, 2, 2**40, INF]
     rng = random.Random(53)
@@ -101,10 +103,13 @@ def test_dom_from_eq_slices_carry_the_rank_map_ranks():
         rank_map = RankMap(m)
         assert np.array_equal(solver.rank_map.values, rank_map.values, equal_nan=True)
         ranks = rank_map.rank(m)
-        assert len(handed) == solver.levels
-        for level, high in enumerate(handed):
+        (blocks,) = handed
+        assert blocks.shape == (n, solver.levels * n) and blocks.dtype == np.float32
+        for level in range(solver.levels):
+            high = blocks[:, level * n : (level + 1) * n]
             shifted = ranks >> level
-            assert np.array_equal(high, np.where(shifted & 1 == 1, -1, shifted >> 1)), (m, level)
+            want = np.where((shifted & 1 == 0) & ~np.isnan(m), shifted >> 1, np.nan)
+            assert np.array_equal(high, want, equal_nan=True), (m, level)
 
 
 def test_rank_bit_count():

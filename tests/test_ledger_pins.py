@@ -63,10 +63,11 @@ def _zeros(**counts):
 
 # (chain name, n) -> (queries, head snapshot, child calls, per-link totals).
 # Child calls are the sorted query counts of the head's direct inner
-# solvers: a stacked boolean leaf answers all of eq<-bool's slices in one
-# call, dom<-eq builds only the bit levels its ranks can reach (4 of the 8
-# it books at n = 9), bmmp<-eq takes at most n distinct hitting columns
-# (all 9 at n = 9, where ceil(3 * delta * ln n) is 20), builds their
+# solvers: one boolean leaf answers all of eq<-bool's slices in one call,
+# dom<-eq asks one equality instance holding side by side only the bit
+# levels its ranks can reach (4 of the 8 it books at n = 9), bmmp<-eq takes
+# at most n distinct hitting columns (all 9 at n = 9, where
+# ceil(3 * delta * ln n) is 20), builds their
 # eq<-bool solvers only when a row can be oversize (never here: the cap
 # c*n/delta of both bmmp instances is at least n, while it books 40 inner
 # queries per column; STEP_TWO_PIN covers the other side), and the short
@@ -83,12 +84,12 @@ PINS = {
     ("eq", 1): (5, _zeros(inner_queries=5), [5], {
         "eq<-bool": (5, 0, 0, 0, 0),
     }),
-    ("dom", 9): (5, _zeros(inner_queries=40), [5] * 4, {
-        "eq<-bool": (60, 9, 0, 0, 0),
+    ("dom", 9): (5, _zeros(inner_queries=40), [5], {
+        "eq<-bool": (15, 1, 0, 0, 0),
         "dom<-eq": (40, 0, 0, 0, 0),
     }),
-    ("dom", 1): (5, _zeros(inner_queries=10), [5, 5], {
-        "eq<-bool": (10, 0, 0, 0, 0),
+    ("dom", 1): (5, _zeros(inner_queries=10), [5], {
+        "eq<-bool": (5, 0, 0, 0, 0),
         "dom<-eq": (10, 0, 0, 0, 0),
     }),
     ("minmax", 9): (
@@ -96,7 +97,7 @@ PINS = {
         _zeros(inner_queries=30, scan_length_total=178),
         [5, 5, 5, 15],
         {
-            "eq<-bool": (360, 8, 0, 0, 0),
+            "eq<-bool": (90, 0, 0, 0, 0),
             "dom<-eq": (240, 0, 0, 0, 0),
             "minmax<-dom": (30, 178, 0, 0, 0),
         },
@@ -106,19 +107,19 @@ PINS = {
         _zeros(inner_queries=10, scan_length_total=5),
         [5, 5],
         {
-            "eq<-bool": (20, 0, 0, 0, 0),
+            "eq<-bool": (10, 0, 0, 0, 0),
             "dom<-eq": (20, 0, 0, 0, 0),
             "minmax<-dom": (10, 5, 0, 0, 0),
         },
     ),
     ("minwit", 9): (5, _zeros(inner_queries=5), [5], {
-        "eq<-bool": (345, 0, 0, 0, 0),
+        "eq<-bool": (90, 0, 0, 0, 0),
         "dom<-eq": (240, 0, 0, 0, 0),
         "minmax<-dom": (30, 137, 0, 0, 0),
         "minwit<-minmax": (5, 0, 0, 0, 0),
     }),
     ("minwit", 1): (5, _zeros(inner_queries=5), [5], {
-        "eq<-bool": (20, 0, 0, 0, 0),
+        "eq<-bool": (10, 0, 0, 0, 0),
         "dom<-eq": (20, 0, 0, 0, 0),
         "minmax<-dom": (10, 9, 0, 0, 0),
         "minwit<-minmax": (5, 0, 0, 0, 0),
@@ -135,14 +136,14 @@ PINS = {
         "bmmp<-eq": (0, 0, 0, 5, 5),
     }),
     ("bool", 9): (5, _zeros(inner_queries=5), [5], {
-        "eq<-bool": (330, 0, 0, 0, 0),
+        "eq<-bool": (90, 0, 0, 0, 0),
         "dom<-eq": (240, 0, 0, 0, 0),
         "minmax<-dom": (30, 144, 0, 0, 0),
         "minwit<-minmax": (5, 0, 0, 0, 0),
         "bool<-minwit": (5, 0, 0, 0, 0),
     }),
     ("bool", 1): (5, _zeros(inner_queries=5), [5], {
-        "eq<-bool": (20, 0, 0, 0, 0),
+        "eq<-bool": (10, 0, 0, 0, 0),
         "dom<-eq": (20, 0, 0, 0, 0),
         "minmax<-dom": (10, 5, 0, 0, 0),
         "minwit<-minmax": (5, 0, 0, 0, 0),

@@ -1,10 +1,11 @@
 """Memory a built solver holds, measured with tracemalloc.
 
 numpy reports its array buffers to tracemalloc, so the traced bytes still
-allocated after a build, on lines of the omv package, are what the solver
-keeps.  numpy and omv are imported, and every build runs once untraced,
-before anything is measured, so that import-time and first-call caches
-stay out of the count.
+allocated after a build, by a call that passed through the omv package
+(numpy's own Python functions, such as np.full and np.argsort, included),
+are what the solver keeps.  numpy and omv are imported, and every build
+runs once untraced, before anything is measured, so that import-time and
+first-call caches stay out of the count.
 """
 
 import os
@@ -17,35 +18,56 @@ from omv.chains import FULL_CYCLE, build_solver
 from omv.core import Matrix, ReductionConfig
 from omv.oracle import NaiveSolver
 
-OMV_LINES = [tracemalloc.Filter(True, os.path.join(os.path.dirname(omv.__file__), "*"))]
+#: Frames kept per trace: deep enough to reach an omv frame from inside
+#: numpy's Python wrappers.
+FRAMES = 32
+OMV_FRAMES = [
+    tracemalloc.Filter(True, os.path.join(os.path.dirname(omv.__file__), "*"), all_frames=True)
+]
 
 
-def _held(build) -> int:
-    """Bytes allocated by omv during ``build()`` and still held after it."""
+def _trace_build(build) -> tuple[int, int]:
+    """Bytes allocated through omv during ``build()`` and still held after
+    it, and the traced peak of the build above its start."""
     build()
-    tracemalloc.start()
+    tracemalloc.start(FRAMES)
     try:
-        before = tracemalloc.take_snapshot().filter_traces(OMV_LINES)
+        before = tracemalloc.take_snapshot().filter_traces(OMV_FRAMES)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
         built = build()
-        after = tracemalloc.take_snapshot().filter_traces(OMV_LINES)
+        peak = tracemalloc.get_traced_memory()[1] - start
+        after = tracemalloc.take_snapshot().filter_traces(OMV_FRAMES)
     finally:
         tracemalloc.stop()
     del built
-    return sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+    return sum(stat.size_diff for stat in after.compare_to(before, "filename")), peak
 
 
 def test_bool_leaf_holds_one_bit_per_entry():
-    s, n = 3, 130
-    stack = np.random.default_rng(0).random((s, n, n)) < 0.5
-    words = s * n * -(-n // 64) * 8
+    n, m = 130, 390
+    matrix = np.random.default_rng(0).random((n, m)) < 0.5
+    words = m * -(-n // 64) * 8
     config = ReductionConfig()  # shared, as a chain shares it among its leaves
-    assert NaiveSolver(stack, config, problem="bool")._words.nbytes == words
-    assert _held(lambda: NaiveSolver(stack, config, problem="bool")) <= words + 1024
+    assert NaiveSolver(matrix, config, problem="bool")._words.nbytes == words
+    held, _ = _trace_build(lambda: NaiveSolver(matrix, config, problem="bool"))
+    assert held <= words + 1024
 
 
-def test_minmax_chain_at_n128_holds_under_5mb():
+def _minmax_chain_at_n128():
     n = 128
     values = np.random.default_rng(1).integers(0, n + 1, size=(n, n))
     matrix = Matrix(values.tolist())
-    held = _held(lambda: build_solver(FULL_CYCLE["minmax"], "minmax", matrix, ReductionConfig()))
+    return lambda: build_solver(FULL_CYCLE["minmax"], "minmax", matrix, ReductionConfig())
+
+
+def test_minmax_chain_at_n128_holds_under_5mb():
+    held, _ = _trace_build(_minmax_chain_at_n128())
     assert held < 5 * 2**20
+
+
+def test_minmax_chain_at_n128_builds_under_4mb():
+    # the build's transient peak, held memory included: dom<-eq's one
+    # rectangular eq instance must be built block by block
+    _, peak = _trace_build(_minmax_chain_at_n128())
+    assert peak < 4 * 2**20
