@@ -338,14 +338,16 @@ class CounterLedger:
     """Operation counts mirroring each reduction's cost accounting.
 
     Five integers.  inner_queries counts the inner queries a link's cost
-    accounting charges per query, however many calls answer them (eq<-bool
-    books t and asks its one stacked instance once; bmmp<-eq books
-    |R| * (3*delta - 1) and asks only the probes that can lower an
-    oversize row); scan_length_total
-    counts the rare entries of eq<-bool that matched their query
-    coordinate (not the cells compared) and the elements examined in
-    minmax<-dom's bucket scans; candidates_enumerated counts the
-    columns bmmp<-eq lists.  multiset_updates and rmq_queries book the
+    accounting charges per query, however many calls answer them.  Four
+    links ask fewer: eq<-bool books t and asks its one stacked instance
+    once; dom<-eq books rank_bit_count(n) and asks its one rectangular
+    instance once; minmax<-dom books 2t and asks a prefix of the t buckets
+    per side, until every row has hit; bmmp<-eq books |R| * (3*delta - 1)
+    and asks only the probes that can lower an oversize row.
+    scan_length_total counts the rare entries of eq<-bool that matched
+    their query coordinate (not the cells compared) and the elements
+    examined in minmax<-dom's bucket scans; candidates_enumerated counts
+    the columns bmmp<-eq lists.  multiset_updates and rmq_queries book the
     ordered-multiset repositionings and range-minimum queries of the
     paper's candidate listing (see omv.bmmp_from_eq), which the package
     replaces by one dense key table per query.  Each solver of a chain

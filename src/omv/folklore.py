@@ -12,12 +12,14 @@ bits of the rank where bit l is 0 (NaN, which equals nothing, otherwise),
 the query stores the high bits of query_rank + 1 where bit l is 1 (NaN
 otherwise), and a slice equality hit at any level means dominance.  The
 ledger books rank_bit_count(n) levels, enough for n^2 distinct values, but
-a matrix with D distinct values has query_rank + 1 <= D + 1, so every probe
-at a level l >= (D + 1).bit_length() is all NaN and can never hit: only the
-levels below it are built and asked.  An OR of equality products over the
-same rows is itself one equality product, of the slices side by side
-against the probes side by side, so the levels are asked as one n x
-(levels * n) instance, once per query: the rectangular variant of OMv
+over a matrix with D distinct values a non-NaN coordinate has
+query_rank + 1 <= D + 1, so every probe at a level l >= (D + 1).bit_length() is all NaN and
+can never hit: only the levels below it are built and asked.  A NaN
+coordinate, which dominates nothing, takes query rank D + 1, whose probe
+is NaN at every level.  An OR of equality products over the same rows is
+itself one equality product, of the slices side by side against the
+probes side by side, so the levels are asked as one n x (levels * n)
+instance, once per query: the rectangular variant of OMv
 (Henzinger, Krinninger, Nanongkai and Saranurak, STOC 2015).
 
 Min-witness from min-max encodes positions as values: mapping 1-entries to
@@ -51,32 +53,6 @@ from .core import (
     as_array,
 )
 from .oracle import naive_factory
-
-
-class RankMap:
-    """Order embedding of matrix values (and arbitrary query values) into ints.
-
-    rank() is defined on values that appear in the matrix and starts at 1;
-    query_rank() is defined on any value and counts the distinct matrix
-    values less-or-equal, starting at 0.  For a matrix value a and any b,
-    a <= b iff rank(a) <= query_rank(b).  Both accept a single value or an
-    array of values.
-
-    NaN marks an absent value and compares true with nothing: np.unique
-    sorts a NaN matrix entry last, so it takes the top rank, which no
-    query rank reaches, and a NaN query takes query rank 0, below every
-    rank.
-    """
-
-    def __init__(self, matrix: Matrix | np.ndarray):
-        #: The distinct matrix values, ascending.
-        self.values: np.ndarray = np.unique(as_array(matrix))
-
-    def rank(self, value):
-        return np.searchsorted(self.values, value, side="left") + 1
-
-    def query_rank(self, value):
-        return np.where(np.isnan(value), 0, np.searchsorted(self.values, value, side="right"))
 
 
 def rank_bit_count(n: int) -> int:
@@ -120,14 +96,15 @@ class DomFromEqSolver(OnlineSolver):
     ):
         super().__init__(matrix, config)
         columns = as_array(matrix).T  # columns[k, i] = M[i, k]
-        # ranks[k, i] = self.rank_map.rank(M[i, k]) of the present entries,
-        # from one sort of them: the NaN-heavy instances minmax<-dom builds
-        # sort only their few values
+        # ranks[k, i] = 1 + the number of distinct values below M[i, k] for
+        # the present entries, from one sort of them: the NaN-heavy
+        # instances minmax<-dom builds sort only their few values
         present = ~np.isnan(columns)
         values, inverse = np.unique(columns[present], return_inverse=True)
         ranks = np.zeros(columns.shape, dtype=np.intp)  # 0 marks a NaN entry
         ranks[present] = inverse + 1
-        self.rank_map = RankMap(values if present.all() else np.append(values, np.nan))
+        #: The distinct values of the non-NaN entries, ascending, then one NaN.
+        self.values: np.ndarray = np.append(values, np.nan)
         self.bit_count = rank_bit_count(self.n)
         self.levels = (len(values) + 1).bit_length()
         # Both tables from one [levels, D + 2] grid over the ranks r = 0 .. D + 1:
@@ -146,11 +123,18 @@ class DomFromEqSolver(OnlineSolver):
         del present, inverse, ranks  # release them before the inner build
         self._inner = make_inner("eq", high.reshape(-1, self.n).T, self.config)
         # _probes[l, q]: level l's probe for query rank q, the bits above l of
-        # q + 1 where bit l is 1
-        self._probes = np.where(bits == 1, above, np.nan)[:, 1:]
+        # q + 1 where bit l is 1; the last column, rank D + 1 of a NaN
+        # coordinate, is the grid's column r = 0, whose bits are all 0: NaN
+        self._probes = np.roll(np.where(bits == 1, above, np.nan), -1, axis=1)
+
+    def query_rank(self, v: np.ndarray) -> np.ndarray:
+        """Each coordinate's query rank: the number of distinct non-NaN
+        matrix values at most it, and D + 1 for NaN (the NaN that ends
+        ``values`` sorts last), whose probe column is all NaN."""
+        return np.searchsorted(self.values, v, side="right")
 
     def _answer(self, v: np.ndarray) -> np.ndarray:
-        probes = self._probes.take(self.rank_map.query_rank(v), axis=1)
+        probes = self._probes.take(self.query_rank(v), axis=1)
         self.counters.inner_queries += self.bit_count
         return self._inner.query(probes.ravel())
 

@@ -16,9 +16,11 @@ bucket: the first hitting buckets of all rows are gathered into one
 [n, ceil(n/t)] block).  For w the
 roles flip: the query vector is sorted and bucketed, each bucket becomes a
 masked query (NaN outside the bucket) against a single dominance solver on
-the matrix itself, and the first hitting bucket is scanned.  Per query this
-issues exactly 2t inner dominance queries and scans at most
-2 * n * ceil(n/t) bucket elements.
+the matrix itself, and the first hitting bucket is scanned.  Per query the
+ledger books 2t inner dominance queries, t per side, and the scans read at
+most 2 * n * ceil(n/t) bucket elements.  Since only each row's first
+hitting bucket is scanned, each side asks a prefix of its buckets: in
+bucket order, until every row has hit (all t when some row has no hit).
 
 NaN is the one absent value of the dominance instances built here: a NaN
 entry is never dominated and a NaN query coordinate dominates nothing, so
@@ -29,7 +31,7 @@ place of +inf: a +inf pair only contributes +inf, the default answer.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -46,7 +48,8 @@ from .oracle import naive_factory
 
 
 class MinMaxFromDomSolver(OnlineSolver):
-    """Online min-max solver over 2t dominance inner queries per query."""
+    """Online min-max solver booking 2t dominance inner queries per query,
+    asking a prefix of the t buckets on each side."""
 
     problem = "minmax"
     inner_problem = "dom"
@@ -82,20 +85,34 @@ class MinMaxFromDomSolver(OnlineSolver):
         ]
 
     def _scan(
-        self, hits: np.ndarray, order: np.ndarray, values: np.ndarray, floor: np.ndarray
+        self,
+        answers: Iterator[np.ndarray],
+        order: np.ndarray,
+        values: np.ndarray,
+        floor: np.ndarray,
     ) -> np.ndarray:
-        """One side of the answer from its [t, n] hit table.
+        """One side of the answer from its buckets' dominance answers.
 
-        hits[l, i] when bucket l of row i holds a qualifying element: one
-        with values[i, k] >= floor[i, k].  ``order`` is [n, n], row i's
-        bucketed column order.  Each row's first hitting bucket is scanned
-        for its first qualifying element, whose value is that row's answer;
-        rows with no hit get inf.
+        ``answers`` yields, in bucket order, bucket l's [n] hit row and asks
+        its inner query only when drawn: row i hits when bucket l of row i
+        holds a qualifying element, one with values[i, k] >= floor[i, k].
+        Only a row's first hitting bucket is scanned, so the buckets are
+        drawn until every row has hit (all t when some row never does); the
+        ledger books t either way.  ``order`` is [n, n], row i's bucketed
+        column order.  The scan finds each hitting row's first qualifying
+        element, whose value is that row's answer; rows with no hit get inf.
         """
         self.counters.inner_queries += self.t
-        rows = np.flatnonzero(hits.any(axis=0))
+        asked = []
+        hit = np.zeros(self.n, dtype=bool)
+        for answer in answers:
+            asked.append(answer)
+            hit |= answer
+            if hit.all():
+                break
+        rows = np.flatnonzero(hit)
         size = self.bucket_size
-        positions = hits[:, rows].argmax(axis=0)[:, None] * size + np.arange(size)
+        positions = np.array(asked)[:, rows].argmax(axis=0)[:, None] * size + np.arange(size)
         inside = positions < self.n  # the last buckets may be short or empty
         # A hitting bucket holds an element, so it starts below n: a clamped
         # position past its end rereads an element of the same row that
@@ -114,22 +131,29 @@ class MinMaxFromDomSolver(OnlineSolver):
     def _matrix_side(self, v: np.ndarray) -> np.ndarray:
         """u[i] = min matrix entry in row i that is >= its query coordinate."""
         neg_query = -v
-        hits = np.array([solver.query(neg_query) for solver in self._slice_solvers])
-        return self._scan(hits, self._order, self._m, _repeat_rows(v, self.n))
+        answers = (solver.query(neg_query) for solver in self._slice_solvers)
+        return self._scan(answers, self._order, self._m, _repeat_rows(v, self.n))
 
     def _query_side(self, v: np.ndarray) -> np.ndarray:
         """w[i] = min query coordinate that is >= its matrix entry in row i."""
-        n = self.n
+        n, size = self.n, self.bucket_size
         order = np.argsort(v, kind="stable")
-        bucket_of = np.empty(n, dtype=np.int64)
-        bucket_of[order] = np.arange(n) // self.bucket_size
-        masked = np.where(bucket_of == np.arange(self.t)[:, None], v, np.nan)
-        hits = np.array([self._matrix_solver.query(query) for query in masked])
-        return self._scan(hits, _repeat_rows(order, n), _repeat_rows(v, n), self._m)
+        answers = (
+            self._matrix_solver.query(_masked(v, order[l * size : (l + 1) * size]))
+            for l in range(self.t)
+        )
+        return self._scan(answers, _repeat_rows(order, n), _repeat_rows(v, n), self._m)
 
     def _answer(self, v: np.ndarray) -> np.ndarray:
         v = np.ascontiguousarray(v)  # _repeat_rows views its buffer
         return np.minimum(self._matrix_side(v), self._query_side(v))
+
+
+def _masked(v: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """v at ``columns`` and NaN, which dominates nothing, everywhere else."""
+    query = np.full(len(v), np.nan)
+    query[columns] = v[columns]
+    return query
 
 
 def _repeat_rows(v: np.ndarray, n: int) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 from omv.bmmp_from_eq import BmmpFromEqSolver
 from omv.chains import ALT_BOOL_CHAIN, FULL_CYCLE, LINKS, build_solver
 from omv.core import Matrix, ReductionConfig, Vector
-from omv.folklore import RankMap, rank_bit_count, tilt_matrix, tilt_query
+from omv.folklore import DomFromEqSolver, rank_bit_count, tilt_matrix, tilt_query
 from omv.harness import BatchingMockSolver, InstanceSpec, gen_instance
 from omv.oracle import NaiveSolver
 
@@ -160,10 +160,10 @@ def test_criterion_5_bit_trick_and_rank_embedding():
     for size in range(1, len(span) + 1):
         for values in itertools.combinations(span, size):
             cells = list(values) + [values[-1]] * (16 - size)
-            rank_map = RankMap(Matrix([cells[i * 4 : (i + 1) * 4] for i in range(4)]))
-            for a in values:
+            solver = DomFromEqSolver(Matrix([cells[i * 4 : (i + 1) * 4] for i in range(4)]))
+            for rank, a in enumerate(values, start=1):  # 1 + the values below a
                 for b in range(-6, 7):
-                    assert (a <= b) == (rank_map.rank(a) <= rank_map.query_rank(b))
+                    assert (a <= b) == (rank <= solver.query_rank(b))
             checked += 1
     assert checked == 511
     _report(

@@ -9,7 +9,6 @@ from omv.folklore import (
     BoolFromBmmpSolver,
     DomFromEqSolver,
     MinWitnessFromMinMaxSolver,
-    RankMap,
     rank_bit_count,
     tilt_matrix,
     tilt_query,
@@ -20,14 +19,19 @@ from omv.oracle import NaiveSolver
 from referees import bool_mv, dom_exists_mv, minplus_mv, run_stream
 
 
+def _rank(entries, a):
+    """The rank dom<-eq gives a matrix entry a: 1 + the number of distinct
+    non-NaN ``entries`` below a."""
+    return 1 + len({x for x in entries if x < a})
+
+
 def test_rank_map_frozen_example():
     # matrix values {3, 7, 7, 10}: for 8 the deepest value at most 8 is 7
-    rank_map = RankMap(Matrix([[3, 7], [7, 10]]))
-    assert rank_map.values.tolist() == [3, 7, 10]
-    assert rank_map.rank(7) == 2
-    assert rank_map.query_rank(8) == 2
-    assert rank_map.rank(10) == 3
-    assert rank_map.query_rank(2) == 0  # below everything
+    solver = DomFromEqSolver(Matrix([[3, 7], [7, 10]]))
+    assert solver.values[:-1].tolist() == [3, 7, 10] and np.isnan(solver.values[-1])
+    assert solver.query_rank(8) == 2
+    assert solver.query_rank(10) == 3
+    assert solver.query_rank(2) == 0  # below everything
 
 
 def test_rank_map_order_embedding_exhaustive():
@@ -35,11 +39,11 @@ def test_rank_map_order_embedding_exhaustive():
     for _ in range(150):
         n = rng.randint(1, 4)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        rank_map = RankMap(Matrix(rows))
+        solver = DomFromEqSolver(Matrix(rows))
         entries = {v for row in rows for v in row}
         for a in entries:
             for b in range(-6, 7):
-                assert (a <= b) == (rank_map.rank(a) <= rank_map.query_rank(b)), (
+                assert (a <= b) == (_rank(entries, a) <= solver.query_rank(b)), (
                     rows,
                     a,
                     b,
@@ -47,21 +51,21 @@ def test_rank_map_order_embedding_exhaustive():
 
 
 def test_rank_map_handles_infinities():
-    rank_map = RankMap(Matrix([[NEG_INF, 0], [INF, 0]]))
-    assert rank_map.rank(NEG_INF) == 1
-    assert rank_map.query_rank(NEG_INF) == 1
-    assert rank_map.rank(INF) == 3
-    assert rank_map.query_rank(INF) == 3
-    assert rank_map.query_rank(5) == 2
+    entries = [NEG_INF, 0, INF]
+    solver = DomFromEqSolver(Matrix([[NEG_INF, 0], [INF, 0]]))
+    assert solver.query_rank(NEG_INF) == 1 == _rank(entries, NEG_INF)
+    assert solver.query_rank(INF) == 3 == _rank(entries, INF)
+    assert solver.query_rank(5) == 2
 
 
 def test_rank_map_nan_is_absent():
+    # a NaN coordinate takes query rank D + 1, past every rank, and reads
+    # the all-NaN probe column, so it equals no slice value at any level
     nan = float("nan")
-    rank_map = RankMap(np.array([[nan, 0.0], [INF, nan]]))
-    assert rank_map.query_rank(nan) == 0
-    # a NaN entry ranks above every query rank, +inf's included
-    assert rank_map.rank(nan) > rank_map.query_rank(INF)
-    assert rank_map.query_rank(np.array([nan, NEG_INF, 0.0, INF])).tolist() == [0, 0, 1, 2]
+    solver = DomFromEqSolver(np.array([[nan, 0.0], [INF, nan]]))
+    assert solver.query_rank(np.array([nan, NEG_INF, 0.0, INF])).tolist() == [3, 0, 1, 2]
+    assert np.isnan(solver._probes[:, 3]).all()
+    assert not np.isnan(solver._probes[:, :3]).all(axis=0).any()
 
 
 @pytest.mark.parametrize("chain", [["naive"], ["dom<-eq", "eq<-bool", "naive"]])
@@ -84,7 +88,7 @@ def test_dom_nan_entries_and_coordinates_compare_true_with_nothing(chain):
 
 def test_dom_from_eq_slices_carry_the_rank_map_ranks():
     # the build ranks entries from one np.unique; each level block of the
-    # one eq instance it hands down must be the slice RankMap.rank gives,
+    # one eq instance it hands down must be the slice of the rank _rank gives,
     # +/-inf included, with NaN in the cells that can never hit: a NaN
     # entry's, and those whose rank has bit l set
     nan = float("nan")
@@ -100,9 +104,10 @@ def test_dom_from_eq_slices_carry_the_rank_map_ranks():
             return NaiveSolver(matrix, config, problem=problem)
 
         solver = DomFromEqSolver(m, make_inner=factory)
-        rank_map = RankMap(m)
-        assert np.array_equal(solver.rank_map.values, rank_map.values, equal_nan=True)
-        ranks = rank_map.rank(m)
+        entries = m.ravel().tolist()
+        present = sorted({x for x in entries if x == x})
+        assert np.array_equal(solver.values, [*present, nan], equal_nan=True)
+        ranks = np.array([[_rank(entries, a) for a in row] for row in m.tolist()])
         (blocks,) = handed
         assert blocks.shape == (n, solver.levels * n) and blocks.dtype == np.float32
         for level in range(solver.levels):

@@ -22,13 +22,10 @@ PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
 #: Public methods that only the tests call, on purpose: the negative
 #: control's flush, whose answers the tests compare with the oracle's to
-#: show that the mock only defers its work; RankMap.rank, the reference that
-#: test_dom_from_eq_slices_carry_the_rank_map_ranks and criterion 5 compare
-#: the dom<-eq slices against; and CounterLedger.since, the per-query counter
-#: delta that accounting_check in tests/referees.py reads.
+#: show that the mock only defers its work; and CounterLedger.since, the
+#: per-query counter delta that accounting_check in tests/referees.py reads.
 TEST_ONLY = {
     "core.CounterLedger.since",
-    "folklore.RankMap.rank",
     "harness.BatchingMockSolver.flush",
 }
 

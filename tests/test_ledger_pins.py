@@ -64,17 +64,19 @@ def _zeros(**counts):
 # (chain name, n) -> (queries, head snapshot, child calls, per-link totals).
 # Child calls are the sorted query counts of the head's direct inner
 # solvers: one boolean leaf answers all of eq<-bool's slices in one call,
-# dom<-eq asks one equality instance holding side by side only the bit
-# levels its ranks can reach (4 of the 8 it books at n = 9), bmmp<-eq takes
-# at most n distinct hitting columns (all 9 at n = 9, where
-# ceil(3 * delta * ln n) is 20), builds their
-# eq<-bool solvers only when a row can be oversize (never here: the cap
-# c*n/delta of both bmmp instances is at least n, while it books 40 inner
-# queries per column; STEP_TWO_PIN covers the other side), and the short
-# boolean route builds a fresh min-plus solver for every epoch of n queries.
-# Per-link totals sum the counter snapshots of every solver of that link in
-# the built tree, in the order (inner_queries, scan_length_total,
-# multiset_updates, candidates_enumerated, rmq_queries).
+# minmax<-dom asks each side's buckets in order only until every row has
+# hit (at n = 9 its query-side solver answers 11 of the 15 bucket queries it
+# books, and its three bucket solvers 13 of 15), dom<-eq asks one equality
+# instance holding side by side only the bit levels its ranks can reach (4
+# of the 8 it books at n = 9), bmmp<-eq takes at most n distinct hitting
+# columns (all 9 at n = 9, where ceil(3 * delta * ln n) is 20), builds
+# their eq<-bool solvers only when a row can be oversize (never here: the
+# cap c*n/delta of both bmmp instances is at least n, while it books 40
+# inner queries per column; STEP_TWO_PIN covers the other side), and the
+# short boolean route builds a fresh min-plus solver for every epoch of n
+# queries.  Per-link totals sum the counter snapshots of every solver of
+# that link in the built tree, in the order (inner_queries,
+# scan_length_total, multiset_updates, candidates_enumerated, rmq_queries).
 # The n = 1 short boolean route stops at two queries and its tree totals
 # are not pinned: its inner min-plus solver restarts every n queries.
 PINS = {
@@ -95,10 +97,10 @@ PINS = {
     ("minmax", 9): (
         5,
         _zeros(inner_queries=30, scan_length_total=178),
-        [5, 5, 5, 15],
+        [3, 5, 5, 11],
         {
-            "eq<-bool": (90, 0, 0, 0, 0),
-            "dom<-eq": (240, 0, 0, 0, 0),
+            "eq<-bool": (72, 0, 0, 0, 0),
+            "dom<-eq": (192, 0, 0, 0, 0),
             "minmax<-dom": (30, 178, 0, 0, 0),
         },
     ),
@@ -113,8 +115,8 @@ PINS = {
         },
     ),
     ("minwit", 9): (5, _zeros(inner_queries=5), [5], {
-        "eq<-bool": (90, 0, 0, 0, 0),
-        "dom<-eq": (240, 0, 0, 0, 0),
+        "eq<-bool": (36, 0, 0, 0, 0),
+        "dom<-eq": (96, 0, 0, 0, 0),
         "minmax<-dom": (30, 137, 0, 0, 0),
         "minwit<-minmax": (5, 0, 0, 0, 0),
     }),
@@ -136,8 +138,8 @@ PINS = {
         "bmmp<-eq": (0, 0, 0, 5, 5),
     }),
     ("bool", 9): (5, _zeros(inner_queries=5), [5], {
-        "eq<-bool": (90, 0, 0, 0, 0),
-        "dom<-eq": (240, 0, 0, 0, 0),
+        "eq<-bool": (51, 0, 0, 0, 0),
+        "dom<-eq": (136, 0, 0, 0, 0),
         "minmax<-dom": (30, 144, 0, 0, 0),
         "minwit<-minmax": (5, 0, 0, 0, 0),
         "bool<-minwit": (5, 0, 0, 0, 0),

@@ -6,6 +6,8 @@ from omv.core import INF, NEG_INF, Matrix, ReductionConfig, Vector, ceil_div
 from omv.minmax_from_dom import MinMaxFromDomSolver
 from omv.oracle import NaiveSolver
 
+from referees import DEFINITIONS
+
 
 def _buckets(solver, matrix, i):
     """Row i's buckets as (value, column) lists, read off the solver's order."""
@@ -98,3 +100,91 @@ def test_counters_exact_inner_queries_and_scan_cap():
             delta = solver.counters.since(snap)
             assert delta["inner_queries"] == 2 * t
             assert delta["scan_length_total"] <= 2 * n * ceil_div(n, t)
+
+
+def _recording_factory(calls):
+    """Naive inner solvers that log each query as (build position, query,
+    answer); minmax<-dom builds its query-side solver first (position 0),
+    then bucket l's solver at position l + 1."""
+    built = []
+
+    def factory(problem, matrix, config):
+        position = len(built)
+        solver = NaiveSolver(matrix, config, problem=problem)
+        built.append(solver)
+        answer = solver.query
+
+        def query(v):
+            hits = answer(v)
+            calls.append((position, np.array(v), hits))
+            return hits
+
+        solver.query = query
+        return solver
+
+    return factory
+
+
+def _asked_prefix(answers, t, n):
+    """Check that a side asking len(answers) of its t buckets stopped at the
+    first bucket after which every row had hit, or asked all t; return
+    whether every row hit."""
+    hit = np.zeros(n, dtype=bool)
+    for answer in answers[:-1]:
+        hit |= answer
+    assert not hit.all(), "a bucket was asked after every row had hit"
+    if answers:
+        hit |= answers[-1]
+    assert len(answers) == t or hit.all()
+    return bool(hit.all())
+
+
+def test_each_side_asks_its_buckets_until_every_row_has_hit():
+    # the ledger books t per side whatever is asked; each side asks its
+    # buckets in order and stops once every row has hit, so a row no bucket
+    # serves forces all t: a -inf row on the matrix side and a +inf row on
+    # the query side, against a finite query
+    rng = random.Random(61)
+    seen = {"early": 0, "matrix forced": 0, "query forced": 0}
+    for trial in range(120):
+        n = rng.randint(1, 12)
+        rows = [[_extended_value(rng) for _ in range(n)] for _ in range(n)]
+        unserved = (None, NEG_INF, INF)[trial % 3]
+        if unserved is not None:
+            rows[rng.randrange(n)] = [unserved] * n
+        matrix = Matrix(rows)
+        config = ReductionConfig(t=rng.choice([1, 2, 3, None, n]))
+        calls = []
+        solver = MinMaxFromDomSolver(matrix, config, make_inner=_recording_factory(calls))
+        t, size = solver.t, solver.bucket_size
+        for _ in range(4):
+            finite = rng.random() < 0.5
+            draw = (lambda: rng.randint(-9, 9)) if finite else (lambda: _extended_value(rng))
+            vector = Vector([draw() for _ in range(n)])
+            v = np.array(vector.entries, dtype=float)
+            calls.clear()
+            snap = solver.counters.snapshot()
+            assert solver.query(vector).entries == DEFINITIONS["minmax"](matrix, vector).entries
+            assert solver.counters.since(snap)["inner_queries"] == 2 * t
+            # the matrix side asks bucket l's solver with -v, in bucket order
+            matrix_side = [call for call in calls if call[0] > 0]
+            assert [call[0] for call in matrix_side] == list(range(1, len(matrix_side) + 1))
+            assert all(np.array_equal(query, -v) for _, query, _ in matrix_side)
+            # the query side asks bucket l as v on the sorted positions
+            # l*size .. (l+1)*size - 1 and NaN elsewhere, in bucket order
+            order = np.argsort(v, kind="stable")
+            query_side = [(query, hits) for position, query, hits in calls if position == 0]
+            for bucket, (query, _) in enumerate(query_side):
+                want = np.full(n, np.nan)
+                columns = order[bucket * size : (bucket + 1) * size]
+                want[columns] = v[columns]
+                assert np.array_equal(query, want, equal_nan=True), (bucket, query, want)
+            sides = {
+                NEG_INF: _asked_prefix([hits for _, _, hits in matrix_side], t, n),
+                INF: _asked_prefix([hits for _, hits in query_side], t, n),
+            }
+            seen["early"] += (len(matrix_side) < t) + (len(query_side) < t)
+            if finite and unserved is not None:
+                assert not sides[unserved]
+                seen["matrix forced" if unserved == NEG_INF else "query forced"] += 1
+    assert min(seen.values()) >= 20, seen
