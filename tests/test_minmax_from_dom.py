@@ -1,6 +1,7 @@
 import random
 
 import numpy as np
+import pytest
 
 from omv.core import INF, NEG_INF, Matrix, ReductionConfig, Vector, ceil_div
 from omv.minmax_from_dom import MinMaxFromDomSolver
@@ -72,7 +73,8 @@ def test_differential_including_infinities():
         n = rng.randint(2, 16)
         rows = [[_extended_value(rng) for _ in range(n)] for _ in range(n)]
         matrix = Matrix(rows)
-        t = rng.choice([1, 2, None, n])
+        # t = n + 3 leaves the last three buckets empty
+        t = rng.choice([1, 2, None, n, n + 3])
         solver = MinMaxFromDomSolver(matrix, ReductionConfig(t=t))
         reference = NaiveSolver(matrix, problem="minmax")
         for _ in range(n):
@@ -81,6 +83,11 @@ def test_differential_including_infinities():
                 rows,
                 v.entries,
             )
+        # an ndarray query that is a strided view of a larger buffer
+        big = np.array([_extended_value(rng) for _ in range(2 * n)])
+        strided = big[::2]
+        assert not strided.flags.c_contiguous
+        assert np.array_equal(solver.query(strided), reference.query(strided)), (rows, big)
 
 
 def test_all_infinite_matrix_answers_inf():
@@ -188,3 +195,56 @@ def test_each_side_asks_its_buckets_until_every_row_has_hit():
                 assert not sides[unserved]
                 seen["matrix forced" if unserved == NEG_INF else "query forced"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def _lying_factory(side, bucket):
+    """Inner solvers that report every row hitting bucket ``bucket`` of
+    ``side`` ("matrix" or "query") and no row hitting its other buckets;
+    the other side's answers are true.  minmax<-dom builds its query-side
+    solver first (position 0) and asks it bucket by bucket, so within one
+    outer query its k-th call is bucket k; bucket l's solver is position
+    l + 1."""
+    built = []
+    query_calls = []
+
+    def factory(problem, matrix, config):
+        position = len(built)
+        solver = NaiveSolver(matrix, config, problem=problem)
+        built.append(solver)
+        if side == "matrix" and position > 0:
+            solver.query = lambda v: np.full(len(v), position - 1 == bucket)
+        elif side == "query" and position == 0:
+
+            def query(v):
+                query_calls.append(v)
+                return np.full(len(v), len(query_calls) - 1 == bucket)
+
+            solver.query = query
+        return solver
+
+    return factory
+
+
+def test_scan_rejects_a_hit_on_a_bucket_without_a_qualifying_element():
+    # the scan checks that each hitting row's first hitting bucket holds a
+    # qualifying element; the inner solvers here lie about one bucket, and
+    # each solver answers one outer query
+    cases = [
+        # bucket 0 of every row holds no qualifying element: no M[i, k] >= 1
+        ("matrix", 0, [[0] * 4] * 4, [1] * 4, 2),
+        # nor any v[k] >= 1
+        ("query", 0, [[1] * 4] * 4, [0] * 4, 2),
+        # n = 5, t = 4: buckets of 2, 2, 1 and 0 elements.  Bucket 3 is
+        # empty; its clamped positions reread sorted position 4, a column
+        # that qualifies, and only the ``inside`` mask keeps it out.
+        ("matrix", 3, [[0, 1, 2, 3, 4]] * 5, [-9] * 5, 4),
+        ("query", 3, [[0] * 5] * 5, [1, 2, 3, 4, 5], 4),
+    ]
+    for side, bucket, rows, v, t in cases:
+        solver = MinMaxFromDomSolver(
+            Matrix(rows), ReductionConfig(t=t), make_inner=_lying_factory(side, bucket)
+        )
+        if t == 4:  # bucket 3 starts at position 6, past n = 5
+            assert solver.bucket_size == 2
+        with pytest.raises(AssertionError, match="no qualifying element"):
+            solver.query(Vector(v))
