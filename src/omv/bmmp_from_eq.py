@@ -26,7 +26,9 @@ hits at k = r, so the sums M[i,r] + v[r] bound each row without a query,
 and a probe whose sum lies below delta times a row's rounded minimum, or
 at or above the row's bound so far, cannot change that row.  The answers
 are those of asking every offset; each hitting solver still receives its
-probes one at a time, in increasing offset.
+probes one at a time, in increasing offset.  At cap >= n no row is
+oversize and no hitting solver is built (the ledger books the same count);
+below it the auto |R| is at least 1, although ceil(3 * delta * ln 1) = 0.
 
 Step one is the solver's own list_candidates, the same code in every
 monotonicity direction: one [n, n] key table MH + vh, its row minima, and
@@ -64,7 +66,6 @@ from .core import (
     OnlineSolver,
     ReductionConfig,
     SolverFactory,
-    StreamOrderError,
     as_array,
     validate,
     validate_query,
@@ -92,8 +93,9 @@ class BmmpFromEqSolver(OnlineSolver):
     once, MH = floor(M/delta), and each query lists the columns within one
     of each row's rounded minimum for every row that has at most
     ``row_cap`` = floor(c*n/delta) of them.  The case picks which of the
-    paper's structural counts the ledger books, and the stream case also
-    rejects a query with a coordinate below the last accepted query's.
+    paper's structural counts the ledger books.  A query is checked by
+    validate_query, handed the last accepted query, so a stream-case query
+    whose coordinate falls below it is rejected before any state moves.
 
     Step two books |R| * (3*delta - 1) inner queries per query and asks
     only the (column, offset) probes that can lower an oversize row.
@@ -128,13 +130,14 @@ class BmmpFromEqSolver(OnlineSolver):
         self.m_hat = (m // self.delta).astype(np.int64)
         self.row_cap = (self.config.bound_constant * n) // self.delta
         # the stream starts from an implicit all-zero query (entries are >= 0);
-        # the order check reads the raw coordinates, the ledger their rounding
+        # validate_query's order check reads the raw coordinates, the ledger their rounding
         self._previous = np.zeros(n)
         size = self.config.resolve_hitting(n, self.delta)
+        if self.config.hitting_set_size is None and self.row_cap < n:
+            size = max(size, 1)  # a 1 x 1 row can be oversize
         self.hitting_columns = sorted(random.Random(self.config.seed).sample(range(n), size))
         self._columns = np.array(self.hitting_columns, dtype=np.int64)
-        # one equality solver per hitting column r, on the shifted M[i,k] - M[i,r];
-        # none when row_cap >= n, where no row is oversize and step two asks nothing
+        # one equality solver per hitting column r, on the shifted M[i,k] - M[i,r]
         self._hitting_solvers = [
             make_inner("eq", m - m[:, r : r + 1], self.config) for r in self.hitting_columns
         ] if self.row_cap < n else []
@@ -143,12 +146,6 @@ class BmmpFromEqSolver(OnlineSolver):
     def _book(self, values: np.ndarray, v_hat: np.ndarray) -> None:
         n = len(v_hat)
         if self.case == "stream":
-            fell = np.flatnonzero(values < self._previous)
-            if fell.size:
-                k = fell[0]
-                raise StreamOrderError(
-                    f"coordinate {k + 1} fell from {self._previous[k]:.0f} to {values[k]:.0f}"
-                )
             grew = np.count_nonzero(v_hat > self._previous // self.delta)
             self.counters.multiset_updates += n * int(grew)
             self._previous = values
@@ -160,7 +157,7 @@ class BmmpFromEqSolver(OnlineSolver):
             self.counters.rmq_queries += n * _runs(v_hat)
 
     def list_candidates(self, vector) -> list[CandidateReport]:
-        """Step-one listing for one query (advances state in the stream case)."""
+        """Step-one listing for one unchecked query (advances state in the stream case)."""
         values = np.array(vector, dtype=np.float64)  # a copy: the stream case keeps it
         v_hat = (values // self.delta).astype(np.int64)
         self._book(values, v_hat)
@@ -217,11 +214,7 @@ class BmmpFromEqSolver(OnlineSolver):
 
     def _answer(self, v: np.ndarray) -> np.ndarray:
         violation = validate_query(
-            v,
-            "bmmp",
-            self.n,
-            monotone=self.case,
-            bound_constant=self.config.bound_constant,
+            v, "bmmp", self.n, self.case, self.config.bound_constant, previous=self._previous
         )
         if violation is not None:
             raise ValueError(f"invalid bmmp query: {violation}")

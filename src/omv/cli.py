@@ -27,7 +27,6 @@ from .core import (
     MONOTONE_CASES,
     PROBLEMS,
     ReductionConfig,
-    StreamOrderError,
     Vector,
     validate,
     validate_query,
@@ -92,11 +91,11 @@ def _check(violation, what: str, error: type[ValueError] = ValueError) -> None:
 
 def _load_instance(path: str, bound: int) -> formats.Instance:
     instance = formats.parse_instance(_read_text(path))
-    matrix = instance.matrix
+    matrix, queries = instance.matrix, instance.queries
     _check(validate(matrix, instance.problem, bound_constant=bound), "matrix")
-    for j, query in enumerate(instance.queries, start=1):
+    for j, (previous, query) in enumerate(zip([None, *queries], queries), start=1):
         violation = validate_query(
-            query, instance.problem, matrix.n, monotone=matrix.monotone, bound_constant=bound
+            query, instance.problem, matrix.n, matrix.monotone, bound, previous=previous
         )
         _check(violation, f"query {j}")
     return instance
@@ -152,6 +151,7 @@ def cmd_protocol(args) -> int:
     chain = parse_chain(args.chain)
     solver = build_solver(chain, problem, matrix, _config_from_args(args))
     may_skip_count = True  # piped instance files carry a "queries <q>" line
+    previous = None
     while True:
         line = sys.stdin.readline()
         if line == "":
@@ -168,13 +168,11 @@ def cmd_protocol(args) -> int:
         except formats.ParseError as exc:
             raise ProtocolError(str(exc)) from exc
         violation = validate_query(
-            query, problem, matrix.n, monotone=matrix.monotone, bound_constant=bound
+            query, problem, matrix.n, matrix.monotone, bound, previous=previous
         )
         _check(violation, "query", ProtocolError)
-        try:
-            answer = solver.query(query)
-        except StreamOrderError as exc:
-            raise ProtocolError(str(exc)) from exc
+        answer = solver.query(query)
+        previous = query
         print(" ".join(formats.format_value(v) for v in answer), flush=True)
     _print_counters(solver)
     return EXIT_OK

@@ -72,10 +72,6 @@ class DimensionMismatch(ValueError):
     """Query vector length does not match the solver's matrix dimension."""
 
 
-class StreamOrderError(ValueError):
-    """A stream-monotone query regressed below the previous query."""
-
-
 @dataclass(frozen=True)
 class Violation:
     """First offending position found by validate(); indices are 1-based."""
@@ -247,8 +243,11 @@ def validate_query(
     n: int,
     monotone: Optional[str] = None,
     bound_constant: int = DEFAULT_BOUND_CONSTANT,
+    previous: Optional[Vector | np.ndarray] = None,
 ) -> Optional[Violation]:
-    """Check one query vector against a problem kind (and the query case)."""
+    """Check one query vector against a problem kind (and the query case).
+    ``previous``, the last accepted query, is read by the stream case alone:
+    a raw coordinate below it is a violation, even within one delta-bucket."""
     if problem not in PROBLEMS:
         return Violation(None, None, f"unknown problem {problem!r}")
     if len(vector) != n:
@@ -262,6 +261,13 @@ def validate_query(
         drops = values[:-1] > values[1:]
         if drops.any():
             return Violation(None, int(drops.argmax()) + 2, "query vector not nondecreasing")
+    if problem == "bmmp" and monotone == "stream" and previous is not None:
+        before = _values_array(previous.entries if isinstance(previous, Vector) else previous)
+        fell = values < before
+        if fell.any():
+            k = int(fell.argmax())
+            reason = f"stream coordinate fell from {before[k]:.0f} to {values[k]:.0f}"
+            return Violation(None, k + 1, reason)
     return None
 
 

@@ -13,7 +13,6 @@ from omv.core import (
     Matrix,
     OnlineSolver,
     ReductionConfig,
-    StreamOrderError,
     Vector,
 )
 from omv.harness import InstanceSpec, gen_instance
@@ -137,25 +136,35 @@ def test_stream_lister_rejects_regression():
     # at delta = 2, 5 and 4 round alike: the raw coordinate still falls
     for delta, accepted, falling in [(1, [2, 2], [1, 2]), (2, [5, 1], [4, 1])]:
         lister = _lister(matrix, delta, bound_constant=4)
-        lister.list_candidates(Vector(accepted))
-        with pytest.raises(StreamOrderError):
-            lister.list_candidates(Vector(falling))
+        lister.query(Vector(accepted))
+        with pytest.raises(ValueError, match="stream coordinate fell"):
+            lister.query(Vector(falling))
 
 
 def test_rejected_stream_query_leaves_the_lister_as_it_was():
     # [3, 0, 1] grows coordinate 1 before coordinate 2 falls; the rejection
-    # must not move the lister off the last accepted query [1, 1, 1]
+    # must not move the solver off the last accepted query [1, 1, 1]
     matrix = Matrix([[0, 1, 2], [1, 1, 1], [2, 0, 0]], monotone="stream")
     lister = _lister(matrix, 1)
-    lister.list_candidates(Vector([1, 1, 1]))
-    with pytest.raises(StreamOrderError):
-        lister.list_candidates(Vector([3, 0, 1]))
-    got = lister.list_candidates(Vector([2, 1, 1]))
+    lister.query(Vector([1, 1, 1]))
+    with pytest.raises(ValueError, match="stream coordinate fell from 1 to 0 at column 2"):
+        lister.query(Vector([3, 0, 1]))
+    got = lister.query(Vector([2, 1, 1]))
 
     fresh = _lister(matrix, 1)
-    fresh.list_candidates(Vector([1, 1, 1]))
-    assert got == fresh.list_candidates(Vector([2, 1, 1]))
+    fresh.query(Vector([1, 1, 1]))
+    assert got == fresh.query(Vector([2, 1, 1]))
     assert lister.counters.snapshot() == fresh.counters.snapshot()
+    assert lister.query_index == fresh.query_index == 3
+
+
+def test_auto_hitting_set_covers_an_oversize_one_by_one_row():
+    # c = 0 gives cap = 0 < n = 1, and the auto |R| = ceil(3 * ln 1) is 0
+    matrix = Matrix([[0]], tag="bounded", monotone="rows")
+    chain = parse_chain("bmmp<-eq,eq<-bool")
+    solver = build_solver(chain, "bmmp", matrix, ReductionConfig(bound_constant=0))
+    assert solver.hitting_columns == [0]
+    assert solver.query(Vector([0])).entries == [0]
 
 
 def test_default_hitting_set_size():

@@ -301,7 +301,52 @@ def test_protocol_falling_stream_coordinate_is_protocol_error():
     result = _protocol(text, "--chain", "bmmp<-eq,naive", "--delta", "2", "--hitting", "full")
     assert result.returncode == 4
     assert result.stdout.splitlines() == ["2 4"]
-    assert "coordinate 1 fell from 5 to 4" in result.stderr
+    assert "stream coordinate fell from 5 to 4 at column 1" in result.stderr
+
+
+FALLING_STREAM = "OMV 1\nproblem bmmp\nn 2\nmonotone stream\n0 1\n1 2\nqueries 2\n3 3\n1 3\n"
+
+
+@pytest.mark.parametrize(
+    "command, chain, code",
+    [
+        ("solve", "naive", 3),
+        ("solve", "bmmp<-eq,eq<-bool", 3),
+        ("verify", None, 3),
+        ("protocol", "naive", 4),
+        ("protocol", "bmmp<-eq,eq<-bool", 4),
+    ],
+)
+def test_falling_stream_is_rejected_whatever_the_chain(tmp_path, capsys, command, chain, code):
+    # query 2 lowers coordinate 1 from 3 to 1; the answers are right, so
+    # only the stream-order check can reject the instance
+    if command == "protocol":
+        result = _protocol(FALLING_STREAM, "--chain", chain)
+        got, out, err = result.returncode, result.stdout, result.stderr
+        assert out.splitlines() == ["3 4"]  # query 1 is answered before query 2 is read
+    else:
+        inst = tmp_path / "inst.txt"
+        ans = tmp_path / "ans.txt"
+        inst.write_text(FALLING_STREAM)
+        ans.write_text("3 4\n1 2\n")
+        args = [str(ans)] if command == "verify" else ["--chain", chain]
+        got, out, err = run_cli([command, str(inst), *args], capsys)
+    assert got == code
+    assert "stream coordinate fell from 3 to 1 at column 1" in err
+
+
+def test_solve_one_by_one_bmmp_at_bound_constant_zero(tmp_path, capsys):
+    # cap = floor(0 * 1 / 1) = 0 < n: the row is oversize, yet the auto
+    # |R| = ceil(3 * ln 1) = 0 would leave no column to hit it
+    inst = tmp_path / "inst.txt"
+    ans = tmp_path / "ans.txt"
+    gen = ["gen", "bmmp", "1", "--monotone", "rows", "--bound-constant", "0", "-o", str(inst)]
+    assert main(gen) == 0
+    chain = ["--chain", "bmmp<-eq,eq<-bool", "--bound-constant", "0"]
+    assert main(["solve", str(inst), *chain, "-o", str(ans)]) == 0
+    assert ans.read_text() == "0\n"
+    code, out, _ = run_cli(["verify", str(inst), str(ans), "--bound-constant", "0"], capsys)
+    assert code == 0 and "ok" in out
 
 
 def test_verify_takes_the_bound_constant(tmp_path, capsys):

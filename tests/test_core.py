@@ -109,6 +109,26 @@ def test_validate_query_shape_and_case():
     assert validate_query(Vector([1, 2]), "bmmp", 2, monotone="query") is None
 
 
+def test_validate_query_stream_order():
+    def check(query, previous, problem="bmmp", monotone="stream"):
+        return validate_query(Vector(query), problem, 3, monotone=monotone, previous=previous)
+
+    assert check([3, 1, 2], None) is None
+    assert check([3, 1, 2], Vector([3, 1, 2])) is None  # equal coordinates do not fall
+    assert check([3, 1, 2], np.array([0.0, 1.0, 1.0])) is None
+    violation = check([3, 1, 2], Vector([3, 2, 5]))  # columns 2 and 3 fall
+    assert violation.col == 2
+    assert str(violation) == "stream coordinate fell from 2 to 1 at column 2"
+    # the raw values count: at delta = 2, 5 and 4 round to the same bucket
+    violation = validate_query(Vector([4, 1]), "bmmp", 2, monotone="stream", previous=Vector([5, 1]))
+    assert violation.col == 1
+    for case in ("rows", "cols", "query"):
+        assert check([1, 1, 2], Vector([5, 5, 5]), monotone=case) is None
+    for problem in ("bool", "eq", "dom", "minwit", "minmax"):
+        assert check([0, 1, 1], Vector([1, 1, 1]), problem, monotone=None) is None
+        assert check([0, 1, 1], Vector([1, 1, 1]), problem) is None
+
+
 def test_config_auto_resolution():
     cfg = ReductionConfig()
     assert cfg.resolve_t(16) == 4
