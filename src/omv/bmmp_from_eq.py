@@ -16,8 +16,8 @@ equality solver on the shifted matrix M[i,k] - M[i,r], and for an offset
 d in {0, ..., 3*delta - 2} the query  v[r] - v[k] - d  asks whether some k
 has M[i,k] + v[k] = M[i,r] + v[r] - d.  Every equality hit is a genuine
 sum, so the minimum over both steps never undershoots; it can only
-overshoot when some large C_i escapes R entirely, which with
-|R| = min(ceil(3 * delta * ln n), n) happens for any fixed query with
+overshoot when some large C_i escapes R entirely, which with the auto |R|
+of ReductionConfig.resolve_hitting happens for any fixed query with
 probability at most 1/n^2 over all rows combined, and never at |R| = n.
 
 The ledger books all |R| * (3*delta - 1) of those queries, but step two
@@ -27,8 +27,7 @@ and a probe whose sum lies below delta times a row's rounded minimum, or
 at or above the row's bound so far, cannot change that row.  The answers
 are those of asking every offset; each hitting solver still receives its
 probes one at a time, in increasing offset.  At cap >= n no row is
-oversize and no hitting solver is built (the ledger books the same count);
-below it the auto |R| is at least 1, although ceil(3 * delta * ln 1) = 0.
+oversize and no hitting solver is built (the ledger books the same count).
 
 Step one is the solver's own list_candidates, the same code in every
 monotonicity direction: one [n, n] key table MH + vh, its row minima, and
@@ -101,13 +100,13 @@ class BmmpFromEqSolver(OnlineSolver):
     only the (column, offset) probes that can lower an oversize row.
 
     Exact whenever every candidate set is small or hit by R, a sample of
-    |R| = config.resolve_hitting(n, delta) distinct columns drawn without
-    replacement from ``config.seed``.  Such a sample misses a fixed set no
-    more often than one drawn with replacement, so with the default
-    |R| = min(ceil(3 * delta * ln n), n) a whole n-query stream is answered
-    without any error with probability at least 1 - 1/n.  |R| = n
-    (hitting_set_size="full") takes every column and never misses.  The
-    matrix must be a Matrix: it carries the declared monotonicity case.
+    |R| = config.resolve_hitting(n, delta, row_cap) distinct columns drawn
+    without replacement from ``config.seed``.  Such a sample misses a fixed
+    set no more often than one drawn with replacement, so with the auto |R|
+    a whole n-query stream is answered without any error with probability
+    at least 1 - 1/n.  |R| = n (hitting_set_size="full") takes every column
+    and never misses.  The matrix must be a Matrix: it carries the declared
+    monotonicity case.
     """
 
     problem = "bmmp"
@@ -132,9 +131,7 @@ class BmmpFromEqSolver(OnlineSolver):
         # the stream starts from an implicit all-zero query (entries are >= 0);
         # validate_query's order check reads the raw coordinates, the ledger their rounding
         self._previous = np.zeros(n)
-        size = self.config.resolve_hitting(n, self.delta)
-        if self.config.hitting_set_size is None and self.row_cap < n:
-            size = max(size, 1)  # a 1 x 1 row can be oversize
+        size = self.config.resolve_hitting(n, self.delta, self.row_cap)
         self.hitting_columns = sorted(random.Random(self.config.seed).sample(range(n), size))
         self._columns = np.array(self.hitting_columns, dtype=np.int64)
         # one equality solver per hitting column r, on the shifted M[i,k] - M[i,r]

@@ -75,8 +75,6 @@ def _config_from_args(args) -> ReductionConfig:
 
 def cmd_gen(args) -> int:
     knobs = {field.name: getattr(args, field.name) for field in dataclasses.fields(InstanceSpec)}
-    if args.problem == "bmmp" and args.bound_constant is None:
-        knobs["bound_constant"] = DEFAULT_BOUND_CONSTANT
     matrix, queries = gen_instance(InstanceSpec(**knobs))
     text = formats.print_instance(formats.Instance(args.problem, matrix, queries))
     _write_text(args.out, text)
@@ -203,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--density", type=float, default=None)
     gen.add_argument("--inf-prob", dest="inf_prob", type=float, default=None)
     gen.add_argument("--monotone", choices=MONOTONE_CASES, default=None)
-    add_bound_flag(gen, default=None)  # bmmp only; DEFAULT_BOUND_CONSTANT there
+    add_bound_flag(gen, default=None)  # bmmp only; InstanceSpec resolves the default
     gen.add_argument("--queries", type=int, default=None)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("-o", "--out", default=None)

@@ -293,17 +293,18 @@ class ReductionConfig:
 
     ``t``, ``delta`` and ``hitting_set_size`` default to None meaning
     "auto": t = ceil(sqrt(n)), delta = ceil(n^(1/3)) and
-    |R| = ceil(3 * delta * ln n), resolved when a solver preprocesses its
-    matrix.  ``hitting_set_size`` may also be the string "full", meaning
-    every column; |R| is clamped to n, and |R| = n (forced-hit mode) makes
-    the randomized min-plus reduction deterministic.  t and delta must be
-    ints of at least 1, an int |R| and ``bound_constant`` ints of at least
-    0; a bool is not an int here.  ``bound_constant`` is the c in the
-    [0, c*n] value bound accepted by the bmmp solver, and ``seed`` seeds
-    the bmmp solver's hitting set.  How a reduction builds
-    its inner solvers is not a setting: each link takes a ``make_inner``
-    factory (the naive solver when built alone), and chains.build_solver
-    is the one place that wires deeper chains.
+    |R| = min(ceil(3 * delta * ln n), n), but at least 1 when the bmmp row
+    cap floor(c*n/delta) is below n (a 1 x 1 row can then be oversize),
+    resolved when a solver preprocesses its matrix.  ``hitting_set_size``
+    may also be the string "full", meaning every column; |R| is clamped to
+    n, and |R| = n (forced-hit mode) makes the randomized min-plus
+    reduction deterministic.  t and delta must be ints of at least 1, an
+    int |R| and ``bound_constant`` ints of at least 0; a bool is not an int
+    here.  ``bound_constant`` is the c in the [0, c*n] value bound accepted
+    by the bmmp solver, and ``seed`` seeds the bmmp solver's hitting set.
+    How a reduction builds its inner solvers is not a setting: each link
+    takes a ``make_inner`` factory (the naive solver when built alone), and
+    chains.build_solver is the one place that wires deeper chains.
     """
 
     t: Optional[int] = None
@@ -332,10 +333,10 @@ class ReductionConfig:
     def resolve_delta(self, n: int) -> int:
         return self.delta if self.delta is not None else ceil_cbrt(n)
 
-    def resolve_hitting(self, n: int, delta: int) -> int:
+    def resolve_hitting(self, n: int, delta: int, cap: int) -> int:
         size = self.hitting_set_size
         if size is None:
-            size = math.ceil(3 * delta * math.log(n))
+            size = max(math.ceil(3 * delta * math.log(n)), int(cap < n))
         return n if size == "full" else min(size, n)
 
 

@@ -20,7 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import INF, NEG_INF, Matrix, OnlineSolver, Value, Vector, to_vector, validate
+from .core import (
+    DEFAULT_BOUND_CONSTANT, INF, NEG_INF, Matrix, OnlineSolver, Value, Vector, to_vector, validate,
+)
 from .oracle import NaiveSolver
 
 
@@ -39,7 +41,7 @@ class InstanceSpec:
     density: Optional[float] = None  # 1-probability for boolean entries, default 0.5
     inf_prob: Optional[float] = None  # per-entry infinity chance, default 0
     monotone: Optional[str] = None  # bmmp case
-    bound_constant: Optional[int] = None  # bmmp value bound [0, c*n], default 1
+    bound_constant: Optional[int] = None  # bmmp value bound [0, c*n], default 4
     queries: Optional[int] = None  # default n
     seed: int = 0
 
@@ -56,7 +58,7 @@ def _resolved(spec: InstanceSpec) -> InstanceSpec:
     """``spec`` with its unset knobs at their defaults."""
     defaults = {
         "distribution": "uniform", "lo": 0, "hi": spec.n, "density": 0.5, "inf_prob": 0.0,
-        "bound_constant": 1,
+        "bound_constant": DEFAULT_BOUND_CONSTANT,
     }
     return replace(spec, **{k: d for k, d in defaults.items() if getattr(spec, k) is None})
 
@@ -149,7 +151,7 @@ class BatchingMockSolver(OnlineSolver):
     placeholders diverge from the oracle, which is exactly the point.
     """
 
-    def __init__(self, matrix: Matrix, config=None, problem: str = "bool"):
+    def __init__(self, matrix: Matrix, config=None, *, problem: str):
         super().__init__(matrix, config)
         self.matrix = matrix
         self.problem = problem

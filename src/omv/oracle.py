@@ -38,7 +38,8 @@ class NaiveSolver(OnlineSolver):
         self,
         matrix: Matrix | np.ndarray,
         config: Optional[ReductionConfig] = None,
-        problem: str = "bool",
+        *,
+        problem: str,
     ):
         super().__init__(matrix, config)
         self.problem = problem

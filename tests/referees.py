@@ -268,14 +268,16 @@ def adaptive_session(
 ) -> list[tuple[int, int]]:
     """Drive a solver with hash-chained queries; return 1-based mismatch spots.
 
-    Either a chain or a custom solver factory must be given.  Because each
-    query is derived from the solver's previous answer, a correct solver
-    reproduces the oracle run on the very stream it induced; a solver that
-    defers answers derails the stream and is caught.
+    Either a chain or a custom solver factory must be given; without
+    ``config`` it is built at the spec's seed and bound constant.  Because
+    each query is derived from the solver's previous answer, a correct
+    solver reproduces the oracle run on the very stream it induced; a solver
+    that defers answers derails the stream and is caught.
     """
     matrix, _ = gen_instance(spec)
     spec = _resolved(spec)
-    config = config if config is not None else ReductionConfig(seed=spec.seed)
+    if config is None:
+        config = ReductionConfig(seed=spec.seed, bound_constant=spec.bound_constant)
     if make_solver is not None:
         solver = make_solver(matrix, config)
     elif chain is not None:
@@ -306,9 +308,11 @@ def accounting_check(
     spec: InstanceSpec,
     config: Optional[ReductionConfig] = None,
 ) -> AccountingResult:
-    """Assert the head link's per-query structural counts over one stream."""
+    """Assert the head link's per-query structural counts over one stream.
+    Without ``config`` the chain runs at the spec's seed and bound constant."""
     matrix, queries = gen_instance(spec)
-    config = config if config is not None else ReductionConfig(seed=spec.seed)
+    if config is None:
+        config = ReductionConfig(seed=spec.seed, bound_constant=_resolved(spec).bound_constant)
     solver = build_solver(chain, spec.problem, matrix, config)
     n = spec.n
     head = chain[0]

@@ -15,7 +15,7 @@ import numpy as np
 
 from omv.bmmp_from_eq import BmmpFromEqSolver
 from omv.chains import ALT_BOOL_CHAIN, FULL_CYCLE, LINKS, build_solver
-from omv.core import Matrix, ReductionConfig, Vector
+from omv.core import DEFAULT_BOUND_CONSTANT, Matrix, ReductionConfig, Vector
 from omv.folklore import DomFromEqSolver, rank_bit_count, tilt_matrix, tilt_query
 from omv.harness import BatchingMockSolver, InstanceSpec, gen_instance
 from omv.oracle import NaiveSolver
@@ -184,11 +184,11 @@ def test_criterion_6_counter_accounting():
             (["dom<-eq", "naive"], InstanceSpec(problem="dom", n=n, seed=n + 2)),
             (
                 ["bmmp<-eq", "naive"],
-                InstanceSpec(problem="bmmp", n=n, monotone="cols", seed=n + 3),
+                InstanceSpec(problem="bmmp", n=n, monotone="cols", bound_constant=1, seed=n + 3),
             ),
             (
                 ["bmmp<-eq", "naive"],
-                InstanceSpec(problem="bmmp", n=n, monotone="stream", seed=n + 4),
+                InstanceSpec(problem="bmmp", n=n, monotone="stream", bound_constant=1, seed=n + 4),
             ),
         ]
         for chain, spec in plans:
@@ -204,16 +204,19 @@ def test_criterion_7_full_cycles_reproduce_every_oracle():
     rng = random.Random(71)
     chains = list(FULL_CYCLE.items()) + [("bool", ALT_BOOL_CHAIN)]
     for problem, chain in chains:
+        bmmp = problem == "bmmp"
+        c = 1 if bmmp else DEFAULT_BOUND_CONSTANT
         for trial in range(50):
             n = rng.randint(2, 24)
             spec = InstanceSpec(
                 problem=problem,
                 n=n,
-                monotone="rows" if problem == "bmmp" else None,
+                monotone="rows" if bmmp else None,
+                bound_constant=1 if bmmp else None,
                 seed=rng.randrange(2**30),
             )
             matrix, queries = gen_instance(spec)
-            config = ReductionConfig(hitting_set_size="full", seed=trial)
+            config = ReductionConfig(hitting_set_size="full", seed=trial, bound_constant=c)
             solver = build_solver(chain, problem, matrix, config)
             reference = NaiveSolver(matrix, problem=problem)
             mismatches = run_stream(solver, reference, queries)
@@ -229,14 +232,17 @@ def test_criterion_8_online_adaptive_sessions():
     for name, link in LINKS.items():
         problem = link.problem
         chain = [name, "naive"]
+        bmmp = problem == "bmmp"
+        c = 1 if bmmp else DEFAULT_BOUND_CONSTANT
         for session in range(20):
             spec = InstanceSpec(
                 problem=problem,
                 n=8,
-                monotone="stream" if problem == "bmmp" else None,
+                monotone="stream" if bmmp else None,
+                bound_constant=1 if bmmp else None,
                 seed=1000 + session,
             )
-            config = ReductionConfig(hitting_set_size="full", seed=session)
+            config = ReductionConfig(hitting_set_size="full", seed=session, bound_constant=c)
             mismatches = adaptive_session(spec, rounds=8, chain=chain, config=config)
             assert not mismatches, (name, session, mismatches[:5])
 

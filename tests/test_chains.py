@@ -14,7 +14,16 @@ from omv.chains import (
     parse_chain,
     validate_chain,
 )
-from omv.core import INF, NEG_INF, VALUE_LIMIT, Matrix, ReductionConfig, Vector, validate
+from omv.core import (
+    DEFAULT_BOUND_CONSTANT,
+    INF,
+    NEG_INF,
+    VALUE_LIMIT,
+    Matrix,
+    ReductionConfig,
+    Vector,
+    validate,
+)
 from omv.harness import InstanceSpec, gen_instance
 from omv.oracle import NaiveSolver
 
@@ -105,11 +114,13 @@ def test_full_cycle_long_streams(problem, monotone, n):
         distribution="skewed" if problem in ("eq", "dom", "minmax") else None,
         inf_prob=0.2 if problem in ("dom", "minmax") else None,
         monotone=monotone,
+        bound_constant=1 if monotone else None,
         queries=3 * n,
         seed=80 + n,
     )
     matrix, queries = gen_instance(spec)
-    config = ReductionConfig(hitting_set_size="full", seed=n)
+    c = 1 if monotone else DEFAULT_BOUND_CONSTANT
+    config = ReductionConfig(hitting_set_size="full", seed=n, bound_constant=c)
     solver = build_solver(FULL_CYCLE[problem], problem, matrix, config)
     for v in queries:
         assert solver.query(v).entries == DEFINITIONS[problem](matrix, v).entries

@@ -136,12 +136,21 @@ def test_config_auto_resolution():
     assert cfg.resolve_delta(27) == 3
     assert cfg.resolve_delta(28) == 4
     # ceil(3 * 2 * ln 16) = ceil(16.63...) = 17, clamped to n = 16
-    assert cfg.resolve_hitting(16, 2) == 16
-    assert cfg.resolve_hitting(64, 4) == 50
-    assert cfg.resolve_hitting(1, 3) == 0
+    assert cfg.resolve_hitting(16, 2, 32) == 16
+    assert cfg.resolve_hitting(64, 4, 64) == 50
+    assert cfg.resolve_hitting(1, 3, 1) == 0
     assert ReductionConfig(t=2, delta=5).resolve_t(100) == 2
-    assert ReductionConfig(hitting_set_size="full").resolve_hitting(8, 2) == 8
-    assert ReductionConfig(hitting_set_size=20).resolve_hitting(8, 2) == 8
+    assert ReductionConfig(hitting_set_size="full").resolve_hitting(8, 2, 16) == 8
+    assert ReductionConfig(hitting_set_size=20).resolve_hitting(8, 2, 16) == 8
+
+
+def test_auto_hitting_set_is_at_least_one_below_the_cap():
+    # ceil(3 * delta * ln 1) = 0, but a 1 x 1 row is oversize at cap 0
+    assert ReductionConfig().resolve_hitting(1, 1, 0) == 1
+    assert ReductionConfig().resolve_hitting(1, 1, 1) == 0
+    # explicit sizes are taken as given
+    assert ReductionConfig(hitting_set_size=0).resolve_hitting(1, 1, 0) == 0
+    assert ReductionConfig(hitting_set_size="full").resolve_hitting(1, 1, 0) == 1
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from omv.chains import FULL_CYCLE, build_solver
-from omv.core import Matrix, ReductionConfig, Vector, validate
+from omv.core import DEFAULT_BOUND_CONSTANT, Matrix, ReductionConfig, Vector, validate
 from omv.eq_from_bool import EqFromBoolSolver
 from omv.harness import BatchingMockSolver, InstanceSpec, gen_instance
 from omv.oracle import NaiveSolver
@@ -38,7 +38,7 @@ def test_generated_instances_validate():
             assert len(queries) == 5
             produced += 1
         for case in ("rows", "cols", "query", "stream"):
-            spec = InstanceSpec(problem="bmmp", n=5, monotone=case, seed=seed)
+            spec = InstanceSpec(problem="bmmp", n=5, monotone=case, bound_constant=1, seed=seed)
             matrix, _ = gen_instance(spec)
             assert validate(matrix, "bmmp", bound_constant=1) is None
             produced += 1
@@ -48,23 +48,23 @@ def test_generated_instances_validate():
 def test_bmmp_generator_respects_each_case():
     for seed in range(10):
         matrix, _ = gen_instance(
-            InstanceSpec(problem="bmmp", n=6, monotone="rows", seed=seed)
+            InstanceSpec(problem="bmmp", n=6, monotone="rows", bound_constant=1, seed=seed)
         )
         for row in matrix.rows:
             assert all(row[k] <= row[k + 1] for k in range(5))
         matrix, _ = gen_instance(
-            InstanceSpec(problem="bmmp", n=6, monotone="cols", seed=seed)
+            InstanceSpec(problem="bmmp", n=6, monotone="cols", bound_constant=1, seed=seed)
         )
         for k in range(6):
             col = [row[k] for row in matrix.rows]
             assert all(col[i] <= col[i + 1] for i in range(5))
         _, queries = gen_instance(
-            InstanceSpec(problem="bmmp", n=6, monotone="query", seed=seed)
+            InstanceSpec(problem="bmmp", n=6, monotone="query", bound_constant=1, seed=seed)
         )
         for v in queries:
             assert all(v[k] <= v[k + 1] for k in range(5))
         _, queries = gen_instance(
-            InstanceSpec(problem="bmmp", n=6, monotone="stream", seed=seed)
+            InstanceSpec(problem="bmmp", n=6, monotone="stream", bound_constant=1, seed=seed)
         )
         for j in range(len(queries) - 1):
             assert all(queries[j][k] <= queries[j + 1][k] for k in range(6))
@@ -117,13 +117,17 @@ def test_unsatisfiable_specs_raise():
 
 def test_adaptive_session_accepts_correct_solvers():
     for problem, chain in FULL_CYCLE.items():
+        bmmp = problem == "bmmp"
         spec = InstanceSpec(
             problem=problem,
             n=6,
-            monotone="rows" if problem == "bmmp" else None,
+            monotone="rows" if bmmp else None,
+            bound_constant=1 if bmmp else None,
             seed=5,
         )
-        config = ReductionConfig(hitting_set_size="full", seed=5)
+        config = ReductionConfig(
+            hitting_set_size="full", seed=5, bound_constant=1 if bmmp else DEFAULT_BOUND_CONSTANT
+        )
         mismatches = adaptive_session(spec, rounds=6, chain=chain, config=config)
         assert not mismatches, (problem, mismatches)
 
@@ -187,11 +191,11 @@ def test_accounting_check_all_heads():
         (["dom<-eq", "naive"], InstanceSpec(problem="dom", n=8, seed=3)),
         (
             ["bmmp<-eq", "naive"],
-            InstanceSpec(problem="bmmp", n=8, monotone="cols", seed=4),
+            InstanceSpec(problem="bmmp", n=8, monotone="cols", bound_constant=1, seed=4),
         ),
         (
             ["bmmp<-eq", "naive"],
-            InstanceSpec(problem="bmmp", n=8, monotone="stream", seed=5),
+            InstanceSpec(problem="bmmp", n=8, monotone="stream", bound_constant=1, seed=5),
         ),
         # -inf-heavy: every -inf entry goes through the buckets, within the scan cap
         (
