@@ -12,22 +12,28 @@ whose candidate set is small (at most cap = floor(c*n/delta) elements,
 with c the value-bound constant) and takes the true minimum over the
 listed columns.  Step two covers the large candidate sets by randomness:
 R is a sample of |R| <= n distinct columns, each r in R carries an
-equality solver on the shifted matrix M[i,k] - M[i,r], and for an offset
+equality instance on the shifted matrix M[i,k] - M[i,r], and for an offset
 d in {0, ..., 3*delta - 2} the query  v[r] - v[k] - d  asks whether some k
-has M[i,k] + v[k] = M[i,r] + v[r] - d.  Every equality hit is a genuine
-sum, so the minimum over both steps never undershoots; it can only
-overshoot when some large C_i escapes R entirely, which with the auto |R|
-of ReductionConfig.resolve_hitting happens for any fixed query with
-probability at most 1/n^2 over all rows combined, and never at |R| = n.
+has M[i,k] + v[k] = M[i,r] + v[r] - d.  The |R| instances form one
+stacked equality instance (see OnlineSolver), built with one inner factory
+call.  Every equality hit is a genuine sum, so the minimum over both steps
+never undershoots; it can only overshoot when some large C_i escapes R
+entirely, which with the auto |R| of ReductionConfig.resolve_hitting
+happens for any fixed query with probability at most 1/n^2 over all rows
+combined, and never at |R| = n.
 
 The ledger books all |R| * (3*delta - 1) of those queries, but step two
 asks only the ones whose answer can lower an oversize row: offset 0 always
 hits at k = r, so the sums M[i,r] + v[r] bound each row without a query,
 and a probe whose sum lies below delta times a row's rounded minimum, or
 at or above the row's bound so far, cannot change that row.  The answers
-are those of asking every offset; each hitting solver still receives its
-probes one at a time, in increasing offset.  At cap >= n no row is
-oversize and no hitting solver is built (the ledger books the same count).
+are those of asking every offset.  Step two asks the stack once per
+offset d = 1, ..., 3*delta - 2 that some instance wants, in increasing
+order, each call carrying the probe  v[r] - v - d  for every instance that
+wants d and NaN for the others, so each instance still receives its
+probes one at a time, in increasing offset: at most 3*delta - 2 calls per
+query.  At cap >= n no row is oversize and, as at |R| = 0, no stack is
+built (the ledger books the same count).
 
 Step one is the solver's own list_candidates, the same code in every
 monotonicity direction: one [n, n] key table MH + vh, its row minima, and
@@ -97,7 +103,8 @@ class BmmpFromEqSolver(OnlineSolver):
     whose coordinate falls below it is rejected before any state moves.
 
     Step two books |R| * (3*delta - 1) inner queries per query and asks
-    only the (column, offset) probes that can lower an oversize row.
+    only the (column, offset) probes that can lower an oversize row, one
+    stacked call per offset.
 
     Exact whenever every candidate set is small or hit by R, a sample of
     |R| = config.resolve_hitting(n, delta, row_cap) distinct columns drawn
@@ -134,10 +141,15 @@ class BmmpFromEqSolver(OnlineSolver):
         size = self.config.resolve_hitting(n, self.delta, self.row_cap)
         self.hitting_columns = sorted(random.Random(self.config.seed).sample(range(n), size))
         self._columns = np.array(self.hitting_columns, dtype=np.int64)
-        # one equality solver per hitting column r, on the shifted M[i,k] - M[i,r]
-        self._hitting_solvers = [
-            make_inner("eq", m - m[:, r : r + 1], self.config) for r in self.hitting_columns
-        ] if self.row_cap < n else []
+        # one stacked equality instance: instance p is the shifted matrix
+        # M[i,k] - M[i,r] of the p-th hitting column r, its entries in
+        # [-max M, max M] held in the smallest integer type that holds them
+        self._hitting = None
+        if self.row_cap < n and size:
+            shifted = np.empty((size, n, n), dtype=np.min_scalar_type(-1 - int(m.max())))
+            for p, r in enumerate(self.hitting_columns):
+                np.subtract(m, m[:, r : r + 1], out=shifted[p], casting="unsafe")
+            self._hitting = make_inner("eq", shifted, self.config)
         self._offsets = np.arange(1, 3 * self.delta - 1, dtype=np.int32)  # offset 0 needs no query
 
     def _book(self, values: np.ndarray, v_hat: np.ndarray) -> None:
@@ -200,13 +212,14 @@ class BmmpFromEqSolver(OnlineSolver):
         above = (sums[:, oversize] - floor)[:, :, None]
         over = (sums[:, oversize] - upper[oversize])[:, :, None]
         wanted = ((over < offsets) & (offsets <= above)).any(axis=1)
-        positions, slots = np.nonzero(wanted)  # row by row: each solver's offsets ascend
-        probes = (v[columns[positions]] - offsets[slots])[:, None] - v[None, :]
-        hits = np.zeros((len(columns), len(offsets), self.n), dtype=bool)
-        for p, slot, probe in zip(positions.tolist(), slots.tolist(), probes):
-            hits[p, slot] = self._hitting_solvers[p].query(probe)
-        # the deepest offset that hit, 0 (the sum itself) where none did
-        deepest = (hits * offsets[:, None]).max(axis=1, initial=0)
+        # one stacked call per wanted offset, in increasing order: an instance
+        # not asked gets a NaN row, so each sees its probes one at a time
+        shifted = v[columns][:, None] - v[None, :]  # shifted[p] = v[r] - v
+        deepest = np.zeros((len(columns), self.n))  # the deepest offset that hit, 0 where none did
+        for slot in np.flatnonzero(wanted.any(axis=0)).tolist():
+            asked = wanted[:, slot, None]
+            hits = self._hitting.query(np.where(asked, shifted - offsets[slot], np.nan))
+            deepest[hits] = offsets[slot]
         return np.minimum(best, (sums - deepest).min(axis=0, initial=INF))
 
     def _answer(self, v: np.ndarray) -> np.ndarray:

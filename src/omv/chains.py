@@ -55,14 +55,16 @@ class BoolFromMinWitSolver(OnlineSolver):
 class BlockUnionSolver(OnlineSolver):
     """Boolean product of an n x m matrix as the OR of its square column blocks.
 
-    eq<-bool hands its pairs to one n x m boolean instance.  The naive leaf
-    takes it whole; the links that solve the boolean problem take square
-    matrices only, so a chain that continues with a link splits the matrix
-    into ceil(m/n) n x n column blocks, the last one padded with zero
-    columns, builds one solver per block, and ORs their answers to the
-    matching pieces of the query (zero-padded alike: a zero coordinate
-    selects nothing).  Its own ledger stays empty: eq<-bool already books
-    every slice query.
+    eq<-bool hands its pairs to one n x m boolean instance, or to a stack of
+    them (see OnlineSolver) when it answers a stack itself.  The naive leaf
+    takes either whole; the links that solve the boolean problem take one
+    square matrix only, so a chain that continues with a link splits the
+    stack into its instances and each instance into ceil(m/n) n x n column
+    blocks, the last one padded with zero columns, builds one solver per
+    block, and ORs their answers to the matching pieces of the instance's
+    query (zero-padded alike: a zero coordinate selects nothing).  An
+    instance whose query row selects nothing is not asked.  Its own ledger
+    stays empty: eq<-bool already books every slice query.
     """
 
     problem = "bool"
@@ -75,17 +77,24 @@ class BlockUnionSolver(OnlineSolver):
     ):
         super().__init__(matrix, config)
         n = self.n
-        padded = np.zeros((n, ceil_div(self.m, n) * n), dtype=matrix.dtype)
-        padded[:, : self.m] = matrix
-        self._blocks = [build(padded[:, start : start + n]) for start in range(0, padded.shape[1], n)]
+        padded = np.zeros((*matrix.shape[:-1], ceil_div(self.m, n) * n), dtype=matrix.dtype)
+        padded[..., : self.m] = matrix
+        starts = range(0, padded.shape[-1], n)
+        self._blocks = [
+            [build(instance[:, start : start + n]) for start in starts]
+            for instance in padded.reshape(-1, *padded.shape[-2:])
+        ]
 
     def _answer(self, v: np.ndarray) -> np.ndarray:
-        padded = np.zeros(len(self._blocks) * self.n, dtype=v.dtype)
-        padded[: self.m] = v
-        out = np.zeros(self.n, dtype=bool)
-        for solver, piece in zip(self._blocks, padded.reshape(-1, self.n)):
-            out |= solver.query(piece)
-        return out
+        block = v.reshape(len(self._blocks), self.m)
+        padded = np.zeros((len(block), len(self._blocks[0]) * self.n), dtype=v.dtype)
+        padded[:, : self.m] = block
+        out = np.zeros((len(block), self.n), dtype=bool)
+        for solvers, pieces, row in zip(self._blocks, padded.reshape(len(block), -1, self.n), out):
+            if pieces.any():
+                for solver, piece in zip(solvers, pieces):
+                    row |= solver.query(piece)
+        return out.reshape(*v.shape[:-1], self.n)
 
 
 LINKS: dict[str, type[OnlineSolver]] = {
@@ -170,8 +179,11 @@ def build_solver(
     if head == "naive":
         return NaiveSolver(matrix, config, problem=problem)
     link = LINKS[head]
-    # eq<-bool takes an n x m matrix; the boolean links take square ones only,
-    # and a boolean instance arrives rectangular from eq<-bool
-    if link.problem == "bool" and isinstance(matrix, np.ndarray) and matrix.shape[0] != matrix.shape[1]:
+    # eq<-bool takes an n x m matrix or a stack; the boolean links take one
+    # square matrix only, and a boolean instance arrives rectangular, or
+    # stacked, from eq<-bool
+    if link.problem == "bool" and isinstance(matrix, np.ndarray) and (
+        matrix.ndim > 2 or matrix.shape[0] != matrix.shape[1]
+    ):
         return BlockUnionSolver(matrix, config, lambda block: link(block, config, make_inner=factory))
     return link(matrix, config, make_inner=factory)

@@ -29,7 +29,10 @@ Two representations, one per side of a solver:
   rejects it, and every non-integer finite value, in outside input.  One
   matrix travels as float32: the rank bits dom<-eq hands to eq<-bool,
   integers below 2^24, exact in float32 at half the memory (as_array
-  keeps a float32 array as it is).
+  keeps a float32 array as it is).  One stack travels as integers: the
+  shifted matrices bmmp<-eq hands its equality instance, in the smallest
+  signed type that holds them (int8 when every entry is below 128), which
+  the equality solvers convert with as_array one instance at a time.
 
 OnlineSolver.query converts once per outer query: a Vector in gives a
 Vector out (ints and infinity sentinels), an ndarray in gives an ndarray
@@ -346,11 +349,12 @@ class CounterLedger:
 
     Five integers.  inner_queries counts the inner queries a link's cost
     accounting charges per query, however many calls answer them.  Four
-    links ask fewer: eq<-bool books t and asks its one stacked instance
-    once; dom<-eq books rank_bit_count(n) and asks its one rectangular
-    instance once; minmax<-dom books 2t and asks a prefix of the t buckets
-    per side, until every row has hit; bmmp<-eq books |R| * (3*delta - 1)
-    and asks only the probes that can lower an oversize row.
+    links ask fewer: eq<-bool books t per call and asks its one instance
+    of stacked slices once; dom<-eq books rank_bit_count(n) and asks its
+    one rectangular instance once; minmax<-dom books 2t and asks a prefix
+    of the t buckets per side, until every row has hit; bmmp<-eq books
+    |R| * (3*delta - 1) and asks only the probes that can lower an
+    oversize row, in at most 3*delta - 2 calls of its hitting stack.
     scan_length_total counts the rare entries of eq<-bool that matched
     their query coordinate (not the cells compared) and the elements
     examined in minmax<-dom's bucket scans; candidates_enumerated counts
@@ -392,12 +396,21 @@ class OnlineSolver:
     column count, the query length.  Outer instances are square; inside a
     chain dom<-eq hands eq<-bool an n x (levels * n) matrix, and eq<-bool
     hands its boolean instance an n x P one (see those modules).
+
+    A stack is a [b, n, m] array of b independent instances, which bmmp<-eq
+    hands its inner equality solver (its hitting instances) and eq<-bool
+    hands on.  A query block [b, m] gives each instance at most one query
+    per call, and the answer is [b, n].  A row of NaN (for the boolean
+    problem, a row of zeros) is an instance not asked this call: it
+    matches nothing, so its answer row is all False.  Each instance still
+    sees its own queries one at a time.  n and m are read from the last
+    two axes, and query() checks the last axis of the query.
     """
 
     problem: str = ""
 
     def __init__(self, matrix: Matrix | np.ndarray, config: Optional[ReductionConfig] = None):
-        self.n, self.m = (matrix.n, matrix.n) if isinstance(matrix, Matrix) else np.shape(matrix)
+        self.n, self.m = (matrix.n, matrix.n) if isinstance(matrix, Matrix) else np.shape(matrix)[-2:]
         self.config = config if config is not None else ReductionConfig()
         self.counters = CounterLedger()
         self._query_index = 1
@@ -408,8 +421,9 @@ class OnlineSolver:
 
     def query(self, vector: Vector | np.ndarray) -> Vector | np.ndarray:
         array = isinstance(vector, np.ndarray)
-        if len(vector) != self.m:
-            raise DimensionMismatch(f"query length {len(vector)} against {self.n}x{self.m} matrix")
+        width = vector.shape[-1] if array else len(vector)
+        if width != self.m:
+            raise DimensionMismatch(f"query length {width} against {self.n}x{self.m} matrix")
         if array:
             answer = self._answer(vector)
         else:

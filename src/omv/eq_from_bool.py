@@ -30,22 +30,31 @@ column into words, so its transposed read costs no copy.
   s * m, the cells of columns with fewer than s values included (their
   leaf columns are all zero), the rare table keeps all m columns, and a
   query compares both tables with v by broadcast, as a square table needs
-  no gather.
+  no gather.  This layout also takes a stack of b instances (see
+  OnlineSolver; a plain matrix is a stack of one): each instance is
+  built in turn into the preallocated [b, s, m] table, s the largest
+  slice count, and the boolean instance is the stack of the b pair
+  matrices.  The rare table is [b, W, m], and a rare entry holds its row
+  of the flat [b, n] answer, so the hits of all instances scatter at once.
 * Several blocks would pad each other to the largest slice count, so
   ``top_values`` keeps only the P pairs that hold a value, ``_top_at``
   their columns, and the rare table only the columns with a rare entry;
   a query gathers the query coordinates of those columns.  The upper
   levels of dom<-eq, with few distinct values, take little room this way.
 
-A query asks the inner instance once, with the P vector of pair matches.
-The ledger still books the t inner queries of the reduction's cost
-accounting per query (the product of an all-zero slice is all zeros, so
-empty slices are never built).  The ledger's scan_length_total grows by
-the number of rare entries that match, at most m * ceil(n/t) per query.
+A query asks the inner instance once, with the P vector of pair matches
+(a [b, P] block for a stack, an instance not asked getting a NaN row,
+which matches no pair and no rare entry).  The ledger books the t inner
+queries of the reduction's cost accounting per call it answers, however
+many instances the call asks (the product of an all-zero slice is all
+zeros, so empty slices are never built).  The ledger's scan_length_total
+grows by the number of rare entries that match, at most m * ceil(n/t) per
+instance query.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -111,70 +120,100 @@ class EqFromBoolSolver(OnlineSolver):
         make_inner: SolverFactory = naive_factory,
     ):
         super().__init__(matrix, config)
-        n = self.n
-        columns = np.ascontiguousarray(as_array(matrix).T)  # columns[k, i] = M[i, k]
+        n, m = self.n, self.m
+        values = matrix if isinstance(matrix, np.ndarray) else as_array(matrix)
+        lead = values.shape[:-2]  # (b,) for a stack of b instances, () for one
+        stack = values.reshape(math.prod(lead), n, m)
+
+        def columns(j: int) -> np.ndarray:
+            """columns(j)[k, i] = M_j[i, k]: one contiguous copy of instance j
+            transposed (none when the instance is a transposed view of one)."""
+            return np.ascontiguousarray(as_array(stack[j]).T)
+
         self.t = self.config.resolve_t(n)
-        starts = range(0, self.m, n)
-        tables = [_top_values(columns[start : start + n], self.t) for start in starts]
-        held = [~np.isnan(table) for table in tables]  # the cells that hold a value
-        # one block is kept whole and read by broadcast: v[slice(None)] is v
-        whole = len(tables) == 1
+        starts = range(0, m, n)
+        # rare[j, k, i]: M_j[i, k] is a value, and no frequent value of its column k
+        rare = np.zeros((len(stack), m, n), dtype=bool)
+        whole = m <= n
         if whole:
-            (self.top_values,) = tables
-            self._top_at = slice(None)
+            # one block per instance, kept whole and read by broadcast: v[:] is
+            # v, and a stack's block v[:, None, :] sets each query against its
+            # own instance's tables; every table is padded with NaN to the
+            # largest slice count
+            tables = [_top_values(columns(j), self.t) for j in range(len(stack))]
+            self.top_values = np.full((*lead, max(map(len, tables)), m), np.nan)
+            tops = self.top_values.reshape(len(stack), *self.top_values.shape[-2:])
+            for top, table in zip(tops, tables):
+                top[: len(table)] = table
+            del tables
+            self._top_at = np.s_[:, None, :] if lead else slice(None)
+            # pairs[j, p, i]: row i of instance j holds its pair p, slice by slice;
+            # pairs[j] as [s, m, n] holds at [l, k, i] whether M_j[i, k] is column k's l-th value
+            pairs = np.empty((len(stack), tops[0].size, n), dtype=bool)
+            for j, top in enumerate(tops):
+                cols = columns(j)
+                slices = pairs[j].reshape(*top.shape, n)
+                np.equal(cols, top[:, :, None], out=slices)
+                if len(top) == self.t:  # only a column with more than t values has rare ones
+                    rare[j] = ~(slices.any(axis=0) | np.isnan(cols))
+            del slices  # a view of pairs
         else:
+            # one instance whose blocks would pad each other to the largest
+            # slice count: only the P cells that hold a value make pairs
+            cols = columns(0)
+            tables = [_top_values(cols[start : start + n], self.t) for start in starts]
+            held = [~np.isnan(table) for table in tables]
             self.top_values = np.concatenate([table[h] for table, h in zip(tables, held)])
             self._top_at = np.concatenate([start + np.nonzero(h)[1] for start, h in zip(starts, held)])
-        # pairs[p, i]: row i holds pair p, block by block, each block's slice by slice
-        pairs = np.empty((self.top_values.size, n), dtype=bool)
-        # rare[k, i]: M[i, k] is a value, and no frequent value of column k
-        rare = np.zeros_like(columns, dtype=bool)
-        at = 0
-        for start, table, h in zip(starts, tables, held):
-            block = columns[start : start + n]
-            # stack[l, k, i]: M[i, k] is column k's l-th value; kept whole, it is pairs itself
-            if whole:
-                stack = np.equal(block, table[:, :, None], out=pairs.reshape(*table.shape, n))
-            else:
-                stack = block == table[:, :, None]
+            pairs = np.empty((1, len(self.top_values), n), dtype=bool)  # block by block
+            at = 0
+            for start, table, h in zip(starts, tables, held):
+                block = cols[start : start + n]
+                slices = block == table[:, :, None]
                 count = int(h.sum())
-                np.compress(h.ravel(), stack.reshape(-1, n), axis=0, out=pairs[at : at + count])
+                np.compress(h.ravel(), slices.reshape(-1, n), axis=0, out=pairs[0, at : at + count])
                 at += count
-            if len(table) == self.t:  # only a column with more than t values has rare ones
-                rare[start : start + n] = ~(stack.any(axis=0) | np.isnan(block))
-        self._inner = make_inner("bool", pairs.T, self.config)
+                if len(table) == self.t:
+                    rare[0, start : start + n] = ~(slices.any(axis=0) | np.isnan(block))
+        self._inner = make_inner("bool", pairs.reshape(*lead, -1, n).swapaxes(-1, -2), self.config)
         del pairs  # the leaf packs its own copy; release it before the rare table is built
 
-        # _rare_values[w, c]: the w-th rare entry of the c-th kept column, top
-        # to bottom (NaN past the column's last one); _rare_rows[w, c]: its
-        # row.  Built from the nonzeros of the column-major rare mask, so
-        # that no n x m index array (an argsort, say) outlives the build.
-        at = np.flatnonzero(rare)
-        rare_cols, rare_rows = np.divmod(at, n)
-        counts = np.bincount(rare_cols, minlength=self.m)
+        # _rare_values[j, w, c]: the w-th rare entry of instance j's c-th kept
+        # column, top to bottom (NaN past the column's last one);
+        # _rare_rows[j, w, c]: its row of the flat [b, n] answer, j * n + i.
+        # Filled instance by instance from the nonzeros of the column-major
+        # rare mask, so that no index array of the whole stack (an argsort,
+        # say) outlives one instance.
+        counts = np.count_nonzero(rare, axis=-1)
         kept = (counts > 0) | whole
-        self._rare_at = slice(None) if whole else np.flatnonzero(kept)
-        # slot: each rare entry's position among its column's rare entries,
-        # place: its column's among the kept ones
-        slot = np.arange(len(rare_cols)) - (counts.cumsum() - counts)[rare_cols]
-        place = (kept.cumsum() - 1)[rare_cols]
-        shape = (int(counts.max(initial=0)), int(kept.sum()))
-        self._rare_values = np.full(shape, np.nan)
-        self._rare_values[slot, place] = columns.take(at)
-        self._rare_rows = np.zeros(shape, dtype=np.int32)
-        self._rare_rows[slot, place] = rare_rows
+        self._rare_at = self._top_at if whole else np.flatnonzero(kept[0])
+        width = int(counts.max(initial=0))
+        self._rare_values = np.full((*lead, width, m if whole else len(self._rare_at)), np.nan)
+        self._rare_rows = np.zeros(self._rare_values.shape, dtype=np.int32)
+        rare_values = self._rare_values.reshape(len(stack), *self._rare_values.shape[-2:])
+        rare_rows = self._rare_rows.reshape(rare_values.shape)
+        for j in np.flatnonzero(counts.any(axis=-1)).tolist():
+            at = np.flatnonzero(rare[j])
+            cols, rows = np.divmod(at, n)
+            # slot: each rare entry's position among its column's rare entries,
+            # place: its column's among the kept ones
+            slot = np.arange(len(at)) - (counts[j].cumsum() - counts[j])[cols]
+            place = (kept[j].cumsum() - 1)[cols]
+            rare_values[j, slot, place] = columns(j).take(at)
+            rare_rows[j, slot, place] = j * n + rows
 
     def _answer(self, v: np.ndarray) -> np.ndarray:
-        out = self._inner.query((self.top_values == v[self._top_at]).ravel())
+        cells = self.top_values == v[self._top_at]
+        out = self._inner.query(cells.reshape(v.shape[:-1] + (self._inner.m,)))
         # All t slices count as asked; one call answers the pairs of all of them.
         self.counters.inner_queries += self.t
 
         # An empty table would yield no rows too, but skipping it saves
         # about 2 us a call: on the minmax-deep workload only the lowest
         # levels of dom<-eq's matrix instance hold rare entries.
-        if len(self._rare_values):
-            # the rows of the rare entries equal to their query coordinate
+        if self._rare_values.shape[-2]:
+            # the answer rows of the rare entries equal to their query coordinate
             rows = self._rare_rows[self._rare_values == v[self._rare_at]]
-            out[rows] = True
+            out.put(rows, True)
             self.counters.scan_length_total += len(rows)
         return out

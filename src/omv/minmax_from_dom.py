@@ -77,6 +77,7 @@ class MinMaxFromDomSolver(OnlineSolver):
         self._matrix_solver = make_inner("dom", np.where(m == INF, np.nan, m), self.config)
 
         self._order = np.argsort(m, axis=1, kind="stable")
+        self._sorted = np.take_along_axis(m, self._order, axis=1)  # each row in _order order
         bucket_of = np.empty((n, n), dtype=np.int64)
         np.put_along_axis(bucket_of, self._order, np.arange(n) // self.bucket_size, axis=1)
 
@@ -122,8 +123,13 @@ class MinMaxFromDomSolver(OnlineSolver):
         # position past its end rereads a column of the same row that
         # ``inside`` already masks out, and cannot change the answer.
         positions = np.minimum(positions, self.n - 1)
-        columns = order[rows[:, None], positions] if order.ndim == 2 else order[positions]
-        entries, coordinates = self._m[rows[:, None], columns], v[columns]
+        if order.ndim == 2:  # row i's bucket positions, in row i's order and in _sorted
+            at = rows[:, None] * self.n + positions
+            columns, entries = order.take(at), self._sorted.take(at)
+        else:
+            columns = order[positions]
+            entries = self._m.take(rows[:, None] * self.n + columns)
+        coordinates = v[columns]
         block, floor = (entries, coordinates) if matrix_wins else (coordinates, entries)
         ok = inside & (block >= floor)
         if not ok.any(axis=1).all():

@@ -170,24 +170,22 @@ class AllOffsetsBmmpSolver(BmmpFromEqSolver):
     """``bmmp<-eq`` whose step two asks every hitting column r at every
     offset d in 0, ..., 3*delta - 2 and takes every hit M[i,r] + v[r] - d.
 
-    Same listing, hitting sample and ledger as the solver it extends, so its
-    answers, wrong rows of a candidate set that escaped R included, are the
-    ones the solver's probe selection must give.
+    Same listing, hitting sample, stacked hitting instance and ledger as the
+    solver it extends, so its answers, wrong rows of a candidate set that
+    escaped R included, are the ones the solver's probe selection must
+    give.  One stacked call per offset asks every instance.
     """
 
     def _step2(self, v: np.ndarray, best: np.ndarray) -> np.ndarray:
         columns = self._columns
         offsets = np.arange(3 * self.delta - 1)
-        # probes[p, d] asks whether some k has M[i,k] + v[k] = M[i,r] + v[r] - d
-        # for the p-th hitting column r and offset d.
-        shifted = v[columns][:, None] - v[None, :]
-        probes = shifted[:, None, :] - offsets[None, :, None]
-        # deepest[p, i]: the largest offset that hit row i through column p
+        # deepest[p, i]: the largest offset that hit row i through column p;
+        # offset d asks whether some k has M[i,k] + v[k] = M[i,r] + v[r] - d
         deepest = np.full((len(columns), self.n), -1.0)
-        for position, solver in enumerate(self._hitting_solvers):
-            row = deepest[position]
-            for offset, probe in enumerate(probes[position]):
-                row[solver.query(probe)] = offset
+        if self._hitting is not None:
+            shifted = v[columns][:, None] - v[None, :]
+            for offset in offsets:
+                deepest[self._hitting.query(shifted - offset)] = offset
         self.counters.inner_queries += len(columns) * len(offsets)
         sums = self._m[:, columns].T + v[columns][:, None]  # sums[p, i] = M[i,r] + v[r]
         hits = np.where(deepest >= 0, sums - deepest, INF).min(axis=0, initial=INF)

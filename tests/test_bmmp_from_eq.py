@@ -349,8 +349,10 @@ def test_shifted_matrices_zero_their_own_column():
         ReductionConfig(hitting_set_size="full", bound_constant=1),
         make_inner=factory,
     )
-    assert len(captured) == len(solver.hitting_columns) == 3
-    for r, inner in zip(solver.hitting_columns, captured):
+    # one stacked instance, instance p shifted by the p-th hitting column
+    (stack,) = captured
+    assert len(stack) == len(solver.hitting_columns) == 3
+    for r, inner in zip(solver.hitting_columns, stack):
         assert all(inner[i, r] == 0 for i in range(3))
 
 
@@ -421,9 +423,10 @@ def test_offset_range_suffices_in_forced_hit_mode():
 
 def test_step2_hits_are_genuine_sums():
     # step 2 takes every equality hit for a genuine sum M[i,k] + v[k] =
-    # M[i,r] + v[r] - d; a checking inner factory holds each answer of an
-    # eq<-bool chain against the shifted matrix it was built on.  The
-    # narrow-band rows are oversize at c = 1, so step 2 has probes to ask.
+    # M[i,r] + v[r] - d; a checking inner factory holds each answer of a
+    # stacked eq<-bool chain against the shifted matrices it was built on,
+    # instance by instance (a NaN row, an instance not asked, hits nothing).
+    # The narrow-band rows are oversize at c = 1, so step 2 has probes to ask.
     matrix, queries = _ties_instance(random.Random(5), 16, 4, queries=4)
     checked = []
 
@@ -435,9 +438,9 @@ def test_step2_hits_are_genuine_sums():
             self.shifted = shifted
             self.inner = build_solver(["eq<-bool", "naive"], "eq", shifted, config)
 
-        def _answer(self, probe):
-            bits = self.inner.query(probe)
-            assert np.array_equal(bits, (self.shifted == probe).any(axis=1))
+        def _answer(self, probes):
+            bits = self.inner.query(probes)
+            assert np.array_equal(bits, (self.shifted == probes[:, None, :]).any(axis=2))
             checked.append(int(bits.sum()))
             return bits
 
@@ -455,18 +458,18 @@ def test_step2_hits_are_genuine_sums():
 
 
 class RecordingEq(OnlineSolver):
-    """A naive equality solver that keeps the probes it is asked."""
+    """A naive stacked equality solver that keeps the query blocks it is asked."""
 
     problem = "eq"
 
     def __init__(self, shifted, config):
         super().__init__(shifted, config)
         self.inner = NaiveSolver(shifted, config, problem="eq")
-        self.probes = []
+        self.blocks = []
 
-    def _answer(self, probe):
-        self.probes.append(probe.copy())
-        return self.inner.query(probe)
+    def _answer(self, block):
+        self.blocks.append(block.copy())
+        return self.inner.query(block)
 
 
 def _differential_instances():
@@ -493,9 +496,12 @@ def _differential_instances():
 def test_step2_matches_the_all_offsets_referee():
     # Asking only the probes that can lower an oversize row gives the
     # all-offsets answers entry for entry, rows that escaped R included.
-    # Each hitting solver gets an increasing run of offsets 1 .. 3*delta - 2
-    # (a subsequence of the referee's 0 .. 3*delta - 2, without 0), and the
-    # head still books every offset.
+    # The hitting instances form one stack, asked at most 3*delta - 2 times
+    # per query, once per offset; each call gives every instance at most one
+    # probe (its row, or NaN when not asked), each instance gets an
+    # increasing run of offsets 1 .. 3*delta - 2 (a subsequence of the
+    # referee's 0 .. 3*delta - 2, without 0), and the head still books every
+    # offset.
     escaped = asked = 0
     for matrix, queries, config in _differential_instances():
         recorders = []
@@ -507,7 +513,10 @@ def test_step2_matches_the_all_offsets_referee():
         solver = BmmpFromEqSolver(matrix, config, make_inner=recording)
         referee = AllOffsetsBmmpSolver(matrix, config)
         reference = NaiveSolver(matrix, problem="bmmp")
-        booked = len(solver.hitting_columns) * (3 * solver.delta - 1)
+        columns = solver.hitting_columns
+        booked = len(columns) * (3 * solver.delta - 1)
+        assert len(recorders) <= 1
+        blocks = recorders[0].blocks if recorders else []
         for query in queries:
             v = np.asarray(query, dtype=np.float64)
             snap = solver.counters.snapshot()
@@ -515,14 +524,21 @@ def test_step2_matches_the_all_offsets_referee():
             assert np.array_equal(got, referee.query(v))
             assert solver.counters.since(snap)["inner_queries"] == booked
             escaped += int(np.count_nonzero(got != reference.query(v)))
-            for r, recorder in zip(solver.hitting_columns, recorders):
-                depths = [v[r] - v[0] - probe[0] for probe in recorder.probes]
-                for d, probe in zip(depths, recorder.probes):
+            assert len(blocks) <= 3 * solver.delta - 2
+            depths = [[] for _ in columns]
+            for block in blocks:
+                assert block.shape == (len(columns), solver.n)
+                for r, probe, column_depths in zip(columns, block, depths):
+                    if np.isnan(probe).all():
+                        continue  # not asked this call
+                    d = v[r] - v[0] - probe[0]
                     assert np.array_equal(probe, v[r] - v - d)
-                assert depths == sorted(set(depths))
-                assert all(d in range(1, 3 * solver.delta - 1) for d in depths)
-                asked += len(depths)
-                recorder.probes.clear()
+                    column_depths.append(d)
+            for column_depths in depths:
+                assert column_depths == sorted(set(column_depths))
+                assert all(d in range(1, 3 * solver.delta - 1) for d in column_depths)
+                asked += len(column_depths)
+            blocks.clear()
         assert solver.counters.snapshot() == referee.counters.snapshot()
     assert escaped > 0 and asked > 0
 

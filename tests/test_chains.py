@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -282,19 +283,30 @@ def test_rectangular_instances_through_a_link(text, n):
 PROJECTIONS = {"minwit<-minmax", "bool<-bmmp", "bool<-minwit"}
 
 
+class CountingNaive(NaiveSolver):
+    """A naive solver that counts the instance queries it answers: one per
+    call on a plain matrix, one per asked (not all-NaN) row on a stack."""
+
+    asked = 0
+
+    def _answer(self, v):
+        self.asked += int(np.count_nonzero(~np.isnan(v).all(axis=-1)))
+        return super()._answer(v)
+
+
 def _asked_and_booked(link, matrix, queries, config):
-    """(queries its naive inner solvers answered, inner queries its ledger
-    booked) of ``link`` built on ``matrix`` and asked ``queries``."""
-    inner: list[NaiveSolver] = []
+    """(instance queries its naive inner solvers answered, inner queries its
+    ledger booked) of ``link`` built on ``matrix`` and asked ``queries``."""
+    inner: list[CountingNaive] = []
 
     def factory(problem, inner_matrix, cfg):
-        inner.append(NaiveSolver(inner_matrix, cfg, problem=problem))
+        inner.append(CountingNaive(inner_matrix, cfg, problem=problem))
         return inner[-1]
 
     solver = LINKS[link](matrix, config, make_inner=factory)
     for v in queries:
         solver.query(v)
-    return sum(node.query_index - 1 for node in inner), solver.counters.inner_queries
+    return sum(node.asked for node in inner), solver.counters.inner_queries
 
 
 @pytest.mark.parametrize("link", sorted(LINKS))
@@ -319,3 +331,28 @@ def test_bmmp_step_two_asks_at_most_what_it_books(case):
     config = ReductionConfig(hitting_set_size="full", bound_constant=1)
     asked, booked = _asked_and_booked("bmmp<-eq", matrix, queries, config)
     assert 0 < asked <= booked, (asked, booked)
+
+
+def test_boolean_link_under_a_stacked_eq_from_bool():
+    # bmmp<-eq hands its hitting instances to eq<-bool as one stack, and
+    # eq<-bool hands a boolean stack to the boolean link below, which takes
+    # one square matrix: the chain splits the stack per instance.  Rows
+    # spanning three values at c = 1 (delta = 3, cap = 3) are oversize, so
+    # step two asks the stack; |R| = n (the auto size at n = 9) makes the
+    # answers exact.
+    n = 9
+    rng = random.Random(9)
+    rows = []
+    for _ in range(n):
+        base = rng.randint(0, n - 2)
+        rows.append(sorted(rng.randint(base, base + 2) for _ in range(n)))
+    stream = [Vector([rng.randint(0, 2) for _ in range(n)]) for _ in range(3)]
+    matrix = Matrix(rows, tag="bounded", monotone="rows")
+    chain = parse_chain("bmmp<-eq,eq<-bool,bool<-minwit,minwit<-minmax,minmax<-dom,dom<-eq,eq<-bool,naive")
+    solver = build_solver(chain, "bmmp", matrix, ReductionConfig(bound_constant=1, seed=5))
+    assert len(solver.hitting_columns) == n and solver.row_cap < n
+    split = solver._hitting._inner
+    assert len(split._blocks) == n  # one list of square block solvers per instance
+    for v in stream:
+        assert solver.query(v).entries == minplus_mv(matrix, v).entries
+    assert split.query_index > 1

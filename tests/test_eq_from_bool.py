@@ -331,3 +331,42 @@ def test_hypothesis_differential_and_scan_count(stream):
         assert solver.query(v).entries == eq_exists_mv(matrix, v).entries
         hits = sum(1 for i, k in rare if rows[i][k] == q[k])
         assert solver.counters.scan_length_total - before == hits
+
+
+@pytest.mark.parametrize("n", [1, 9, 64, 65])
+def test_stacked_instances_answer_each_instance_alone(n):
+    # eq<-bool on a [b, n, n] stack: each answer row is that instance's own
+    # answer (an eq<-bool solver built on it alone and asked only its rows),
+    # a NaN row (an instance not asked) answers all False, and a stack of
+    # one answers as the plain matrix does.  Columns mix frequent values
+    # with rare ones and +/-2^40; queries hit both.
+    rng = np.random.default_rng(n)
+    b, big = 5, 2**40
+    stack = rng.integers(-n, n + 1, size=(b, n, n)).astype(np.float64)
+    stack[rng.random((b, n, n)) < 0.4] = 0
+    stack[rng.random((b, n, n)) < 0.1] = big
+    stack[rng.random((b, n, n)) < 0.1] = -big
+    config = ReductionConfig()
+    stacked = EqFromBoolSolver(stack, config)
+    alone = [EqFromBoolSolver(instance, config) for instance in stack]
+    one, plain = EqFromBoolSolver(stack[:1], config), EqFromBoolSolver(stack[0], config)
+    assert stacked.top_values.shape[0] == b and stacked._rare_values.shape[0] == b
+    for _ in range(6):
+        # a coordinate is some row's entry in its column, 7 (rare or absent) or -2^40
+        rows = rng.integers(0, n, size=(b, n))
+        block = np.take_along_axis(stack, rows[:, None, :], axis=1)[:, 0]
+        block[rng.random((b, n)) < 0.2] = 7
+        block[rng.random((b, n)) < 0.1] = -big
+        skipped = rng.random(b) < 0.3
+        block[skipped] = np.nan
+        snap = stacked.counters.snapshot()
+        got = stacked.query(block)
+        assert got.shape == (b, n)
+        assert stacked.counters.since(snap)["inner_queries"] == stacked.t  # t per call
+        for j in range(b):
+            assert np.array_equal(got[j], (stack[j] == block[j]).any(axis=1))
+            if skipped[j]:
+                assert not got[j].any()
+            else:
+                assert np.array_equal(got[j], alone[j].query(block[j]))
+        assert np.array_equal(one.query(block[:1]), plain.query(block[0])[None])

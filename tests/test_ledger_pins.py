@@ -70,7 +70,7 @@ def _zeros(**counts):
 # instance holding side by side only the bit levels its ranks can reach (4
 # of the 8 it books at n = 9), bmmp<-eq takes at most n distinct hitting
 # columns (all 9 at n = 9, where ceil(3 * delta * ln n) is 20), builds
-# their eq<-bool solvers only when a row can be oversize (never here: the
+# their stacked eq<-bool solver only when a row can be oversize (never here: the
 # cap c*n/delta of both bmmp instances is at least n, while it books 40
 # inner queries per column; STEP_TWO_PIN covers the other side), and the
 # short boolean route builds a fresh min-plus solver for every epoch of n
@@ -185,13 +185,15 @@ def _narrow_band_instance() -> tuple[Matrix, list[Vector], ReductionConfig]:
 
 
 # Step two's call pattern on the narrow-band instance: no column is listed
-# (candidates_enumerated = 0, every row oversize), and each of the 9
-# hitting solvers answers only the probes that can lower some row.
+# (candidates_enumerated = 0, every row oversize), and the one stacked
+# hitting instance of the 9 hitting columns is asked once per offset that
+# some column wants, 30 calls over the 5 queries (at most 3 * delta - 2 = 7
+# each), its eq<-bool booking t = 3 per call.
 STEP_TWO_PIN = (
     _zeros(inner_queries=360, rmq_queries=75),
-    [11, 11, 11, 11, 11, 11, 11, 11, 15],
+    [30],
     {
-        "eq<-bool": (309, 0, 0, 0, 0),
+        "eq<-bool": (90, 0, 0, 0, 0),
         "bmmp<-eq": (360, 0, 0, 0, 75),
     },
 )

@@ -193,3 +193,56 @@ def test_float_query_on_a_bool_matrix_matches_bool_mv(n):
         answer = solver.query(np.array(ones, dtype=np.float64))
         assert answer.shape == (n,)
         assert answer.astype(int).tolist() == bool_mv(Matrix(rows), Vector(ones)).entries
+
+
+BIG = 2**40
+
+
+def _stack_and_blocks(problem, rng, b, n, m):
+    """A [b, n, m] stack of ``problem`` and query blocks [b, m] for it, a
+    drawn subset of the rows not asked: NaN, or for bool also all zeros."""
+    if problem == "bool":
+        stack = rng.random((b, n, m)) < 0.3
+        draw = lambda size: (rng.random(size) < 0.2).astype(np.float64)  # noqa: E731
+    else:
+        pool = np.array([-BIG, -2, -1, 0, 1, 2, BIG], dtype=np.float64)
+        stack = rng.choice(pool, size=(b, n, m))
+        draw = lambda size: rng.choice(pool, size=size)  # noqa: E731
+    blocks = []
+    for trial in range(6):
+        block = draw((b, m))
+        skipped = rng.random(b) < 0.3
+        block[skipped] = np.nan
+        if problem == "bool" and trial % 2:
+            block = np.nan_to_num(block).astype(bool)  # a skipped row of zeros
+        blocks.append((block, skipped))
+    return stack, blocks
+
+
+@pytest.mark.parametrize("m_over_n", [1, 3])
+@pytest.mark.parametrize("n", [1, 9, 64, 65])
+@pytest.mark.parametrize("problem", ["eq", "bool"])
+def test_naive_stack_answers_each_instance_alone(problem, n, m_over_n):
+    # each row of a stacked answer is that instance's answer on its own (its
+    # own solver asked only its own rows), a row not asked answers all
+    # False, and a stack of one answers as the plain matrix does; n = 65
+    # spans two words per packed column
+    rng = np.random.default_rng(1000 * n + m_over_n + (problem == "bool"))
+    b, m = 4, m_over_n * n
+    stack, blocks = _stack_and_blocks(problem, rng, b, n, m)
+    stacked = NaiveSolver(stack, problem=problem)
+    alone = [NaiveSolver(instance, problem=problem) for instance in stack]
+    one, plain = NaiveSolver(stack[:1], problem=problem), NaiveSolver(stack[0], problem=problem)
+    for block, skipped in blocks:
+        got = stacked.query(block)
+        assert got.shape == (b, n) and got.dtype == np.bool_
+        for j in range(b):
+            if skipped[j]:
+                assert not got[j].any()
+            else:
+                assert np.array_equal(got[j], alone[j].query(block[j]))
+        assert np.array_equal(one.query(block[:1]), plain.query(block[0])[None])
+    with pytest.raises(DimensionMismatch):
+        stacked.query(np.zeros((b, m + 1)))
+    with pytest.raises(ValueError):  # one query row per instance
+        stacked.query(np.zeros((b + 1, m)))
