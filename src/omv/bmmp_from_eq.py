@@ -27,13 +27,14 @@ asks only the ones whose answer can lower an oversize row: offset 0 always
 hits at k = r, so the sums M[i,r] + v[r] bound each row without a query,
 and a probe whose sum lies below delta times a row's rounded minimum, or
 at or above the row's bound so far, cannot change that row.  The answers
-are those of asking every offset.  Step two asks the stack once per
-offset d = 1, ..., 3*delta - 2 that some instance wants, in increasing
-order, each call carrying the probe  v[r] - v - d  for every instance that
-wants d and NaN for the others, so each instance still receives its
-probes one at a time, in increasing offset: at most 3*delta - 2 calls per
-query.  At cap >= n no row is oversize and, as at |R| = 0, no stack is
-built (the ledger books the same count).
+are those of asking every offset.  Step two asks the stack in rounds:
+each instance's wanted offsets among d = 1, ..., 3*delta - 2 are taken in
+increasing order, and call j carries the probe  v[r] - v - d  of its j-th
+one for every instance that wants more than j, and NaN for the others.
+So each instance still receives its probes one at a time, in increasing
+offset, and a query makes as many calls as the most probes any one
+instance wants: at most 3*delta - 2.  At cap >= n no row is oversize and,
+as at |R| = 0, no stack is built (the ledger books the same count).
 
 Step one is the solver's own list_candidates, the same code in every
 monotonicity direction: one [n, n] key table MH + vh, its row minima, and
@@ -103,8 +104,8 @@ class BmmpFromEqSolver(OnlineSolver):
     whose coordinate falls below it is rejected before any state moves.
 
     Step two books |R| * (3*delta - 1) inner queries per query and asks
-    only the (column, offset) probes that can lower an oversize row, one
-    stacked call per offset.
+    only the (column, offset) probes that can lower an oversize row, in
+    rounds: stacked call j carries each column's j-th wanted offset.
 
     Exact whenever every candidate set is small or hit by R, a sample of
     |R| = config.resolve_hitting(n, delta, row_cap) distinct columns drawn
@@ -212,14 +213,18 @@ class BmmpFromEqSolver(OnlineSolver):
         above = (sums[:, oversize] - floor)[:, :, None]
         over = (sums[:, oversize] - upper[oversize])[:, :, None]
         wanted = ((over < offsets) & (offsets <= above)).any(axis=1)
-        # one stacked call per wanted offset, in increasing order: an instance
-        # not asked gets a NaN row, so each sees its probes one at a time
+        # rounds[j, p]: instance p's j-th wanted offset, in increasing order,
+        # NaN past its last; call j asks every instance its j-th probe (a NaN
+        # offset makes a NaN row, an instance not asked), so each sees its
+        # probes one at a time, in as many calls as the most any one wants
+        instance, slot = np.nonzero(wanted)
+        rank = wanted.cumsum(axis=1)[instance, slot] - 1
+        rounds = np.full((rank.max(initial=-1) + 1, len(columns)), np.nan)
+        rounds[rank, instance] = offsets[slot]
         shifted = v[columns][:, None] - v[None, :]  # shifted[p] = v[r] - v
         deepest = np.zeros((len(columns), self.n))  # the deepest offset that hit, 0 where none did
-        for slot in np.flatnonzero(wanted.any(axis=0)).tolist():
-            asked = wanted[:, slot, None]
-            hits = self._hitting.query(np.where(asked, shifted - offsets[slot], np.nan))
-            deepest[hits] = offsets[slot]
+        for depth in rounds[:, :, None]:
+            np.copyto(deepest, depth, where=self._hitting.query(shifted - depth))
         return np.minimum(best, (sums - deepest).min(axis=0, initial=INF))
 
     def _answer(self, v: np.ndarray) -> np.ndarray:

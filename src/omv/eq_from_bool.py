@@ -42,6 +42,13 @@ column into words, so its transposed read costs no copy.
   a query gathers the query coordinates of those columns.  The upper
   levels of dom<-eq, with few distinct values, take little room this way.
 
+Both tables hold the instance's values in np.result_type(instance dtype,
+float32): float32 for bmmp<-eq's int8 stack and dom<-eq's float32
+slices, float64 for a Matrix, whose entries up to +-2^40 float32 would
+round.  A query of another dtype is cast to it once per call, and a
+coordinate the cast would change becomes NaN: it equals no entry of the
+instance, which the tables hold exactly.
+
 A query asks the inner instance once, with the P vector of pair matches
 (a [b, P] block for a stack, an instance not asked getting a NaN row,
 which matches no pair and no rare entry).  The ledger books the t inner
@@ -66,7 +73,8 @@ from .oracle import naive_factory
 def _top_values(columns: np.ndarray, t: int) -> np.ndarray:
     """[s, b] table of each column's s most frequent values.
 
-    ``columns`` is [b, n], row k holding matrix column k.  s = min(t,
+    ``columns`` is a floating [b, n] array, row k holding matrix column k,
+    and the table has its dtype.  s = min(t,
     largest number of distinct values in a column), so every row of the
     table has a value in some column.  Column k of the table lists column
     k's values most frequent first, frequency ties broken by smaller value;
@@ -102,7 +110,7 @@ def _top_values(columns: np.ndarray, t: int) -> np.ndarray:
     runs = np.bincount(col, minlength=b)
     rank = np.arange(len(col)) - (runs.cumsum() - runs)[col]
     keep = rank < t
-    table = np.full((min(t, int(runs.max())), b), np.nan)
+    table = np.full((min(t, int(runs.max())), b), np.nan, dtype=columns.dtype)
     table[rank[keep], col[keep]] = flat[first[order[keep]]]
     return table
 
@@ -124,11 +132,13 @@ class EqFromBoolSolver(OnlineSolver):
         values = matrix if isinstance(matrix, np.ndarray) else as_array(matrix)
         lead = values.shape[:-2]  # (b,) for a stack of b instances, () for one
         stack = values.reshape(math.prod(lead), n, m)
+        dtype = np.result_type(values.dtype, np.float32)  # the tables' dtype: see the module docstring
 
         def columns(j: int) -> np.ndarray:
             """columns(j)[k, i] = M_j[i, k]: one contiguous copy of instance j
-            transposed (none when the instance is a transposed view of one)."""
-            return np.ascontiguousarray(as_array(stack[j]).T)
+            transposed, in the tables' dtype (none when the instance is a
+            transposed view of such an array)."""
+            return np.ascontiguousarray(stack[j].T, dtype=dtype)
 
         self.t = self.config.resolve_t(n)
         starts = range(0, m, n)
@@ -141,7 +151,7 @@ class EqFromBoolSolver(OnlineSolver):
             # own instance's tables; every table is padded with NaN to the
             # largest slice count
             tables = [_top_values(columns(j), self.t) for j in range(len(stack))]
-            self.top_values = np.full((*lead, max(map(len, tables)), m), np.nan)
+            self.top_values = np.full((*lead, max(map(len, tables)), m), np.nan, dtype)
             tops = self.top_values.reshape(len(stack), *self.top_values.shape[-2:])
             for top, table in zip(tops, tables):
                 top[: len(table)] = table
@@ -188,7 +198,7 @@ class EqFromBoolSolver(OnlineSolver):
         kept = (counts > 0) | whole
         self._rare_at = self._top_at if whole else np.flatnonzero(kept[0])
         width = int(counts.max(initial=0))
-        self._rare_values = np.full((*lead, width, m if whole else len(self._rare_at)), np.nan)
+        self._rare_values = np.full((*lead, width, m if whole else len(self._rare_at)), np.nan, dtype)
         self._rare_rows = np.zeros(self._rare_values.shape, dtype=np.int32)
         rare_values = self._rare_values.reshape(len(stack), *self._rare_values.shape[-2:])
         rare_rows = self._rare_rows.reshape(rare_values.shape)
@@ -203,6 +213,12 @@ class EqFromBoolSolver(OnlineSolver):
             rare_rows[j, slot, place] = j * n + rows
 
     def _answer(self, v: np.ndarray) -> np.ndarray:
+        if v.dtype != self.top_values.dtype:
+            # narrowed once; a coordinate the cast would change equals no
+            # table value, so it becomes NaN, which matches nothing
+            narrow = v.astype(self.top_values.dtype)
+            narrow[narrow != v] = np.nan
+            v = narrow
         cells = self.top_values == v[self._top_at]
         out = self._inner.query(cells.reshape(v.shape[:-1] + (self._inner.m,)))
         # All t slices count as asked; one call answers the pairs of all of them.

@@ -124,8 +124,9 @@ class DomFromEqSolver(OnlineSolver):
         self._inner = make_inner("eq", high.reshape(-1, self.n).T, self.config)
         # _probes[l, q]: level l's probe for query rank q, the bits above l of
         # q + 1 where bit l is 1; the last column, rank D + 1 of a NaN
-        # coordinate, is the grid's column r = 0, whose bits are all 0: NaN
-        self._probes = np.roll(np.where(bits == 1, above, np.nan), -1, axis=1)
+        # coordinate, is the grid's column r = 0, whose bits are all 0: NaN.
+        # Held in the slices' dtype, so eq<-bool compares them without a cast
+        self._probes = np.roll(np.where(bits == 1, above, np.nan).astype(dtype), -1, axis=1)
 
     def query_rank(self, v: np.ndarray) -> np.ndarray:
         """Each coordinate's query rank: the number of distinct non-NaN

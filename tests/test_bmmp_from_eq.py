@@ -496,12 +496,13 @@ def _differential_instances():
 def test_step2_matches_the_all_offsets_referee():
     # Asking only the probes that can lower an oversize row gives the
     # all-offsets answers entry for entry, rows that escaped R included.
-    # The hitting instances form one stack, asked at most 3*delta - 2 times
-    # per query, once per offset; each call gives every instance at most one
-    # probe (its row, or NaN when not asked), each instance gets an
-    # increasing run of offsets 1 .. 3*delta - 2 (a subsequence of the
-    # referee's 0 .. 3*delta - 2, without 0), and the head still books every
-    # offset.
+    # The hitting instances form one stack, asked in rounds: each call gives
+    # every instance at most one probe (its row, or NaN when not asked),
+    # each instance gets an increasing run of offsets 1 .. 3*delta - 2 (a
+    # subsequence of the referee's 0 .. 3*delta - 2, without 0), and a query
+    # makes exactly as many calls as the most probes any one instance gets
+    # (at most 3*delta - 2; one call per offset that some instance wants
+    # would make more).  The head still books every offset.
     escaped = asked = 0
     for matrix, queries, config in _differential_instances():
         recorders = []
@@ -538,6 +539,7 @@ def test_step2_matches_the_all_offsets_referee():
                 assert column_depths == sorted(set(column_depths))
                 assert all(d in range(1, 3 * solver.delta - 1) for d in column_depths)
                 asked += len(column_depths)
+            assert len(blocks) == max(map(len, depths), default=0)
             blocks.clear()
         assert solver.counters.snapshot() == referee.counters.snapshot()
     assert escaped > 0 and asked > 0

@@ -1,4 +1,5 @@
 import random
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from omv.core import DimensionMismatch, Matrix, ReductionConfig, Vector, ceil_div
+from omv.core import INF, NEG_INF, DimensionMismatch, Matrix, ReductionConfig, Vector, ceil_div
 from omv.eq_from_bool import EqFromBoolSolver, _top_values
+from omv.folklore import DomFromEqSolver
 from omv.oracle import NaiveSolver
 
 from referees import bool_mv, eq_exists_mv
@@ -370,3 +372,76 @@ def test_stacked_instances_answer_each_instance_alone(n):
             else:
                 assert np.array_equal(got[j], alone[j].query(block[j]))
         assert np.array_equal(one.query(block[:1]), plain.query(block[0])[None])
+
+
+@pytest.mark.parametrize("column", [[2**24] * 4, [0, 0, 0, 2**24]], ids=["frequent", "rare"])
+def test_float32_instance_narrows_a_query_only_where_it_is_exact(column):
+    # 2^24 + 1 is no float32 number: cast, it would read 2^24.  The table
+    # holds 2^24 as a frequent value of column 0 (t = 1) or as a rare one
+    # (column 0 has two values, 0 the frequent one)
+    matrix = np.zeros((4, 4), dtype=np.float32)
+    matrix[:, 0] = column
+    solver = EqFromBoolSolver(matrix, ReductionConfig(t=1))
+    assert solver.top_values.dtype == np.float32
+    assert solver._rare_values.shape[-2] == (column[0] == 0)
+    v = np.full(4, -1.0)  # a float64 query, -1 in no column
+    v[0] = 2**24 + 1
+    assert not solver.query(v).any()
+    v[0] = 2**24
+    assert np.array_equal(solver.query(v), np.array(column) == 2**24)
+
+
+def test_int8_stack_answers_like_its_float64_copy():
+    # bmmp<-eq hands down an int8 stack; its tables are float32 and each
+    # float64 query block is narrowed once.  Queries mix entries, values
+    # between or beyond them (1 + 2^-30 reads 1 as a float32), +/-2^40,
+    # +/-inf and rows not asked
+    rng = np.random.default_rng(8)
+    b, n = 6, 16
+    stack = rng.integers(-n, n + 1, size=(b, n, n)).astype(np.int8)
+    stack[rng.random((b, n, n)) < 0.4] = 0
+    config = ReductionConfig(t=2)  # a small t leaves rare entries in every column
+    narrow, wide = EqFromBoolSolver(stack, config), EqFromBoolSolver(stack.astype(np.float64), config)
+    assert narrow.top_values.dtype == narrow._rare_values.dtype == np.float32
+    assert wide.top_values.dtype == np.float64
+    extremes = [2.0**40, -(2.0**40), INF, NEG_INF, 2.0**24 + 1, 0.5, 1 + 2.0**-30]
+    for _ in range(8):
+        rows = rng.integers(0, n, size=(b, n))
+        block = np.take_along_axis(stack, rows[:, None, :], axis=1)[:, 0].astype(np.float64)
+        odd = rng.random((b, n)) < 0.3
+        block[odd] = rng.choice(extremes, size=int(odd.sum()))
+        block[rng.random(b) < 0.3] = np.nan
+        got = narrow.query(block)
+        assert np.array_equal(got, wide.query(block))
+        assert np.array_equal(got, (stack == block[:, None, :]).any(axis=2))
+
+
+def test_tables_are_held_at_the_precision_of_their_instance():
+    # float32 for dom<-eq's slices (and its probes, so no query is cast),
+    # float64 for a Matrix, whose entries may reach +/-2^40
+    handed = []
+
+    def factory(problem, matrix, config):
+        handed.append(EqFromBoolSolver(matrix, config))
+        return handed[-1]
+
+    rng = np.random.default_rng(3)
+    dom = DomFromEqSolver(rng.integers(0, 9, size=(12, 12)).astype(np.float64), make_inner=factory)
+    (inner,) = handed
+    assert inner.top_values.dtype == inner._rare_values.dtype == dom._probes.dtype == np.float32
+    big = 2**40
+    matrix = Matrix([[big, -big, 1], [big - 1, 0, 2], [3, -big + 1, big]])
+    solver = EqFromBoolSolver(matrix, ReductionConfig(t=1))
+    assert solver.top_values.dtype == solver._rare_values.dtype == np.float64
+    assert solver.query(Vector([big - 1, -big + 1, big])).entries == [0, 1, 1]
+
+
+def test_narrowing_raises_no_warning_at_the_value_limits():
+    big = 2.0**40
+    stack = np.array([[[1, -2], [3, 4]], [[0, 0], [5, -6]]], dtype=np.int8)
+    solver = EqFromBoolSolver(stack)
+    block = np.array([[big, -big], [INF, NEG_INF]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not solver.query(block).any()
+        assert not solver.query(block[::-1].copy()).any()

@@ -186,14 +186,15 @@ def _narrow_band_instance() -> tuple[Matrix, list[Vector], ReductionConfig]:
 
 # Step two's call pattern on the narrow-band instance: no column is listed
 # (candidates_enumerated = 0, every row oversize), and the one stacked
-# hitting instance of the 9 hitting columns is asked once per offset that
-# some column wants, 30 calls over the 5 queries (at most 3 * delta - 2 = 7
-# each), its eq<-bool booking t = 3 per call.
+# hitting instance of the 9 hitting columns is asked in rounds, call j
+# carrying each column's j-th wanted offset: as many calls per query as the
+# most offsets any one column wants, 15 over the 5 queries (asking once per
+# offset that some column wants took 30), its eq<-bool booking t = 3 per call.
 STEP_TWO_PIN = (
     _zeros(inner_queries=360, rmq_queries=75),
-    [30],
+    [15],
     {
-        "eq<-bool": (90, 0, 0, 0, 0),
+        "eq<-bool": (45, 0, 0, 0, 0),
         "bmmp<-eq": (360, 0, 0, 0, 75),
     },
 )

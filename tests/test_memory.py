@@ -71,3 +71,27 @@ def test_minmax_chain_at_n128_builds_under_4mb():
     # rectangular eq instance must be built block by block
     _, peak = _trace_build(_minmax_chain_at_n128())
     assert peak < 4 * 2**20
+
+
+def _bmmp_chain_at_n64():
+    # c = 1 at n = 64: delta = 4 and cap = 16 < n.  Half the rows keep their
+    # entries inside one delta-bucket, so their candidate sets are oversize
+    # and step two's stacked hitting instance (|R| = 50) is built
+    n, delta = 64, 4
+    rng = np.random.default_rng(4)
+    values = rng.integers(0, n + 1, size=(n, n))
+    narrow = rng.permutation(n)[: n // 2]
+    base = rng.integers(0, n // delta, size=(len(narrow), 1)) * delta
+    values[narrow] = base + rng.integers(0, delta, size=(len(narrow), n))
+    matrix = Matrix(values.tolist(), monotone="stream")
+    return lambda: build_solver(FULL_CYCLE["bmmp"], "bmmp", matrix, ReductionConfig(bound_constant=1))
+
+
+def test_bmmp_chain_at_n64_holds_under_1_4mib():
+    # eq<-bool holds the int8 hitting stack's [50, 8, 64] frequent and
+    # [50, 31, 64] rare tables in float32 (1.12 MiB in all); in float64
+    # they would hold 1.59 MiB
+    build = _bmmp_chain_at_n64()
+    assert build()._hitting.top_values.shape[0] == 50
+    held, _ = _trace_build(build)
+    assert held < 1.4 * 2**20
