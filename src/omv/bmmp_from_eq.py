@@ -143,13 +143,15 @@ class BmmpFromEqSolver(OnlineSolver):
         self.hitting_columns = sorted(random.Random(self.config.seed).sample(range(n), size))
         self._columns = np.array(self.hitting_columns, dtype=np.int64)
         # one stacked equality instance: instance p is the shifted matrix
-        # M[i,k] - M[i,r] of the p-th hitting column r, its entries in
-        # [-max M, max M] held in the smallest integer type that holds them
+        # M[i,k] - M[i,r] of the p-th hitting column r.  Its entries lie in
+        # [-c*n, c*n] and its probes v[r] - v[k] - d in [-c*n - 3*delta, c*n]:
+        # float32 while all are integers within +-2^24, exact there, float64 otherwise
+        self._dtype = np.float32 if self.config.bound_constant * n + 3 * self.delta <= 2**24 else np.float64
         self._hitting = None
         if self.row_cap < n and size:
-            shifted = np.empty((size, n, n), dtype=np.min_scalar_type(-1 - int(m.max())))
+            shifted = np.empty((size, n, n), dtype=self._dtype)
             for p, r in enumerate(self.hitting_columns):
-                np.subtract(m, m[:, r : r + 1], out=shifted[p], casting="unsafe")
+                np.subtract(m, m[:, r : r + 1], out=shifted[p])
             self._hitting = make_inner("eq", shifted, self.config)
         self._offsets = np.arange(1, 3 * self.delta - 1, dtype=np.int32)  # offset 0 needs no query
 
@@ -219,9 +221,10 @@ class BmmpFromEqSolver(OnlineSolver):
         # probes one at a time, in as many calls as the most any one wants
         instance, slot = np.nonzero(wanted)
         rank = wanted.cumsum(axis=1)[instance, slot] - 1
-        rounds = np.full((rank.max(initial=-1) + 1, len(columns)), np.nan)
+        rounds = np.full((rank.max(initial=-1) + 1, len(columns)), np.nan, self._dtype)
         rounds[rank, instance] = offsets[slot]
-        shifted = v[columns][:, None] - v[None, :]  # shifted[p] = v[r] - v
+        exact = v.astype(self._dtype)  # the stack's dtype holds every probe exactly
+        shifted = exact[columns][:, None] - exact[None, :]  # shifted[p] = v[r] - v
         deepest = np.zeros((len(columns), self.n))  # the deepest offset that hit, 0 where none did
         for depth in rounds[:, :, None]:
             np.copyto(deepest, depth, where=self._hitting.query(shifted - depth))

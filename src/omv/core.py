@@ -26,13 +26,12 @@ Two representations, one per side of a solver:
   (below 2^41) and the rank and position encodings all stay below 2^53,
   and the infinities stay infinities.  NaN is the absent value inside a
   chain (it equals nothing and is dominated by nothing); validate()
-  rejects it, and every non-integer finite value, in outside input.  One
-  matrix travels as float32: the rank bits dom<-eq hands to eq<-bool,
-  integers below 2^24, exact in float32 at half the memory (as_array
-  keeps a float32 array as it is).  One stack travels as integers: the
-  shifted matrices bmmp<-eq hands its equality instance, in the smallest
-  signed type that holds them (int8 when every entry is below 128), which
-  the equality solvers convert with as_array one instance at a time.
+  rejects it, and every non-integer finite value, in outside input.
+  Values travel as float32 instead where their producer knows them to be
+  integers within +-2^24, exact in float32 at half the memory: the rank
+  slices dom<-eq hands to eq<-bool and the hitting stack bmmp<-eq hands
+  its equality instance, each with its probes (as_array keeps a float32
+  array as it is).
 
 OnlineSolver.query converts once per outer query: a Vector in gives a
 Vector out (ints and infinity sentinels), an ndarray in gives an ndarray

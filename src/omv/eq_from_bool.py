@@ -42,12 +42,11 @@ column into words, so its transposed read costs no copy.
   a query gathers the query coordinates of those columns.  The upper
   levels of dom<-eq, with few distinct values, take little room this way.
 
-Both tables hold the instance's values in np.result_type(instance dtype,
-float32): float32 for bmmp<-eq's int8 stack and dom<-eq's float32
-slices, float64 for a Matrix, whose entries up to +-2^40 float32 would
-round.  A query of another dtype is cast to it once per call, and a
-coordinate the cast would change becomes NaN: it equals no entry of the
-instance, which the tables hold exactly.
+Both tables hold the instance's values in its own dtype, as as_array
+hands it over (see omv.core): float32 for bmmp<-eq's hitting stack and
+dom<-eq's slices, float64 otherwise.  Both producers send their queries
+in the same dtype; a query of another dtype is still compared exactly,
+numpy promoting the two arrays to the wider one.
 
 A query asks the inner instance once, with the P vector of pair matches
 (a [b, P] block for a stack, an instance not asked getting a NaN row,
@@ -129,16 +128,16 @@ class EqFromBoolSolver(OnlineSolver):
     ):
         super().__init__(matrix, config)
         n, m = self.n, self.m
-        values = matrix if isinstance(matrix, np.ndarray) else as_array(matrix)
+        values = as_array(matrix)
         lead = values.shape[:-2]  # (b,) for a stack of b instances, () for one
         stack = values.reshape(math.prod(lead), n, m)
-        dtype = np.result_type(values.dtype, np.float32)  # the tables' dtype: see the module docstring
+        dtype = values.dtype  # the tables' dtype: see the module docstring
 
         def columns(j: int) -> np.ndarray:
             """columns(j)[k, i] = M_j[i, k]: one contiguous copy of instance j
-            transposed, in the tables' dtype (none when the instance is a
-            transposed view of such an array)."""
-            return np.ascontiguousarray(stack[j].T, dtype=dtype)
+            transposed (none when the instance is a transposed view of such
+            an array)."""
+            return np.ascontiguousarray(stack[j].T)
 
         self.t = self.config.resolve_t(n)
         starts = range(0, m, n)
@@ -213,12 +212,6 @@ class EqFromBoolSolver(OnlineSolver):
             rare_rows[j, slot, place] = j * n + rows
 
     def _answer(self, v: np.ndarray) -> np.ndarray:
-        if v.dtype != self.top_values.dtype:
-            # narrowed once; a coordinate the cast would change equals no
-            # table value, so it becomes NaN, which matches nothing
-            narrow = v.astype(self.top_values.dtype)
-            narrow[narrow != v] = np.nan
-            v = narrow
         cells = self.top_values == v[self._top_at]
         out = self._inner.query(cells.reshape(v.shape[:-1] + (self._inner.m,)))
         # All t slices count as asked; one call answers the pairs of all of them.

@@ -160,9 +160,8 @@ class MinWitnessFromMinMaxSolver(OnlineSolver):
         return np.where(values == 1, self._positions, INF)
 
     def _answer(self, v: np.ndarray) -> np.ndarray:
-        answer = self._inner.query(self._encode(v))
         self.counters.inner_queries += 1
-        return np.where(answer <= self.n, answer, INF)
+        return self._inner.query(self._encode(v))
 
 
 def tilt_matrix(matrix: Matrix | np.ndarray) -> Matrix:

@@ -545,6 +545,43 @@ def test_step2_matches_the_all_offsets_referee():
     assert escaped > 0 and asked > 0
 
 
+def test_hitting_stack_and_probes_are_float32_while_float32_is_exact():
+    # The stack's entries M[i,k] - M[i,r] and its probes v[r] - v[k] - d are
+    # integers within +-(c*n + 3*delta): float32 up to c*n + 3*delta = 2^24,
+    # float64 one above.  At n = 64 a c below delta keeps the cap
+    # floor(c*n/delta) below n, so the stack is built
+    n = 64
+    handed = []
+
+    def factory(problem, shifted, config):
+        handed.append(shifted.dtype)
+        return NaiveSolver(shifted, config, problem="eq")
+
+    for bound, dtype in ((2**24, np.float32), (2**24 + 1, np.float64)):
+        delta = next(d for d in itertools.count(bound // (n + 3) + 1) if (bound - 3 * d) % n == 0)
+        config = ReductionConfig(delta=delta, bound_constant=(bound - 3 * delta) // n)
+        solver = BmmpFromEqSolver(Matrix([[0] * n] * n, monotone="rows"), config, make_inner=factory)
+        assert config.bound_constant * n + 3 * delta == bound and solver.row_cap < n
+        assert handed.pop() == dtype
+    # the bmmp-ties shape (n = 64, c = 1, delta = 4, half the rows oversize):
+    # the stack and every probe block reach eq<-bool as float32
+    matrix, queries = _ties_instance(random.Random(2), n, 4, queries=3)
+    config = ReductionConfig(bound_constant=1)
+    solver = build_solver(parse_chain("bmmp<-eq,eq<-bool"), "bmmp", matrix, config)
+    assert solver._hitting.top_values.dtype == solver._hitting._rare_values.dtype == np.float32
+    recorders = []
+
+    def recording(problem, shifted, cfg):
+        recorders.append(RecordingEq(shifted, cfg))
+        return recorders[-1]
+
+    solver = BmmpFromEqSolver(matrix, config, make_inner=recording)
+    for v in queries:
+        solver.query(v)
+    (recorder,) = recorders
+    assert recorder.blocks and {block.dtype for block in recorder.blocks} == {np.dtype(np.float32)}
+
+
 def test_step2_never_undershoots():
     rng = random.Random(99)
     for trial in range(25):

@@ -38,9 +38,10 @@ def test_parse_chain_appends_naive_terminal():
     assert parse_chain("naive") == ["naive"]
 
 
-def test_parse_chain_rejects_unknown_links():
-    with pytest.raises(ChainError):
-        parse_chain("eq<-nonsense")
+def test_unknown_links_and_empty_chains_are_rejected():
+    chain = parse_chain("eq<-nonsense")
+    with pytest.raises(ChainError, match="unknown chain link 'eq<-nonsense'"):
+        build_solver(chain, "eq", Matrix([[1]]), ReductionConfig())
     with pytest.raises(ChainError):
         parse_chain("")
 

@@ -10,6 +10,7 @@ from omv.core import (
     OnlineSolver,
     ReductionConfig,
     Vector,
+    Violation,
     ceil_cbrt,
     ceil_div,
     ceil_sqrt,
@@ -93,6 +94,19 @@ def test_validate_bmmp_bounds():
 
 def test_validate_bmmp_requires_case():
     assert validate(Matrix([[1]]), "bmmp") is not None
+
+
+@pytest.mark.parametrize(
+    "matrix,problem,reason",
+    [
+        (Matrix([[1]]), "nonsense", "unknown problem 'nonsense'"),
+        (Matrix([[1]], monotone="rows"), "eq", "monotone case only applies to bmmp"),
+        (Matrix([]), "eq", "matrix dimension must be positive"),
+    ],
+    ids=["unknown-problem", "monotone-not-bmmp", "empty"],
+)
+def test_validate_rejects_what_no_entry_names(matrix, problem, reason):
+    assert validate(matrix, problem) == Violation(None, None, reason)
 
 
 def test_validate_ragged_row_names_its_row():

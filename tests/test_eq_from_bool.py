@@ -375,7 +375,7 @@ def test_stacked_instances_answer_each_instance_alone(n):
 
 
 @pytest.mark.parametrize("column", [[2**24] * 4, [0, 0, 0, 2**24]], ids=["frequent", "rare"])
-def test_float32_instance_narrows_a_query_only_where_it_is_exact(column):
+def test_float32_instance_compares_a_float64_query_exactly(column):
     # 2^24 + 1 is no float32 number: cast, it would read 2^24.  The table
     # holds 2^24 as a frequent value of column 0 (t = 1) or as a rare one
     # (column 0 has two values, 0 the frequent one)
@@ -391,14 +391,14 @@ def test_float32_instance_narrows_a_query_only_where_it_is_exact(column):
     assert np.array_equal(solver.query(v), np.array(column) == 2**24)
 
 
-def test_int8_stack_answers_like_its_float64_copy():
-    # bmmp<-eq hands down an int8 stack; its tables are float32 and each
-    # float64 query block is narrowed once.  Queries mix entries, values
-    # between or beyond them (1 + 2^-30 reads 1 as a float32), +/-2^40,
-    # +/-inf and rows not asked
+def test_float32_stack_answers_like_its_float64_copy():
+    # bmmp<-eq hands down a float32 stack; its tables are float32, and a
+    # float64 query block is compared with them exactly.  Queries mix
+    # entries, values between or beyond them (1 + 2^-30 reads 1 as a
+    # float32), +/-2^40, +/-inf and rows not asked
     rng = np.random.default_rng(8)
     b, n = 6, 16
-    stack = rng.integers(-n, n + 1, size=(b, n, n)).astype(np.int8)
+    stack = rng.integers(-n, n + 1, size=(b, n, n)).astype(np.float32)
     stack[rng.random((b, n, n)) < 0.4] = 0
     config = ReductionConfig(t=2)  # a small t leaves rare entries in every column
     narrow, wide = EqFromBoolSolver(stack, config), EqFromBoolSolver(stack.astype(np.float64), config)
@@ -436,9 +436,9 @@ def test_tables_are_held_at_the_precision_of_their_instance():
     assert solver.query(Vector([big - 1, -big + 1, big])).entries == [0, 1, 1]
 
 
-def test_narrowing_raises_no_warning_at_the_value_limits():
+def test_float32_stack_compares_without_warning_at_the_value_limits():
     big = 2.0**40
-    stack = np.array([[[1, -2], [3, 4]], [[0, 0], [5, -6]]], dtype=np.int8)
+    stack = np.array([[[1, -2], [3, 4]], [[0, 0], [5, -6]]], dtype=np.float32)
     solver = EqFromBoolSolver(stack)
     block = np.array([[big, -big], [INF, NEG_INF]])
     with warnings.catch_warnings():

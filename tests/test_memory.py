@@ -88,7 +88,7 @@ def _bmmp_chain_at_n64():
 
 
 def test_bmmp_chain_at_n64_holds_under_1_4mib():
-    # eq<-bool holds the int8 hitting stack's [50, 8, 64] frequent and
+    # eq<-bool holds the float32 hitting stack's [50, 8, 64] frequent and
     # [50, 31, 64] rare tables in float32 (1.12 MiB in all); in float64
     # they would hold 1.59 MiB
     build = _bmmp_chain_at_n64()
