@@ -149,9 +149,7 @@ class BmmpFromEqSolver(OnlineSolver):
         self._dtype = np.float32 if self.config.bound_constant * n + 3 * self.delta <= 2**24 else np.float64
         self._hitting = None
         if self.row_cap < n and size:
-            shifted = np.empty((size, n, n), dtype=self._dtype)
-            for p, r in enumerate(self.hitting_columns):
-                np.subtract(m, m[:, r : r + 1], out=shifted[p])
+            shifted = np.subtract(m, m[:, self._columns].T[:, :, None], dtype=self._dtype)
             self._hitting = make_inner("eq", shifted, self.config)
         self._offsets = np.arange(1, 3 * self.delta - 1, dtype=np.int32)  # offset 0 needs no query
 

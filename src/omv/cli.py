@@ -61,9 +61,10 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 
 def _config_from_args(args) -> ReductionConfig:
-    hitting = args.hitting
-    if hitting not in (None, "full"):
-        hitting = int(hitting)
+    try:
+        hitting = int(args.hitting)
+    except (TypeError, ValueError):  # None, "full" or a bad value the config names
+        hitting = args.hitting
     return ReductionConfig(
         t=args.t,
         delta=args.delta,

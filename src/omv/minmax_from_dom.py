@@ -14,14 +14,17 @@ contains an element >= the query coordinate above it.  The first hitting
 bucket is scanned directly for the smallest qualifying element (only that
 bucket: the column indices of all rows' first hitting buckets form one
 [n, ceil(n/t)] block, at which M and the query are read).  For w the
-roles flip: the query vector is sorted and bucketed, each bucket becomes a
-masked query (NaN outside the bucket) against a single dominance solver on
-the matrix itself, and the first hitting bucket is scanned the same way,
-its columns taken from the one sorted order of the query.  Per query the
-ledger books 2t inner dominance queries, t per side, and the scans read at
-most 2 * n * ceil(n/t) bucket elements.  Since only each row's first
-hitting bucket is scanned, each side asks a prefix of its buckets: in
-bucket order, until every row has hit (all t when some row has no hit).
+roles flip: the query vector is sorted and bucketed into one [t, n] probe
+table per query, row l holding v on bucket l and NaN elsewhere, whose rows
+are asked of a single dominance solver on the matrix itself; the first
+hitting bucket is scanned the same way, its columns taken from the one
+sorted order of the query.  Either side hands the scan its buckets as
+(solver, probe) pairs: t slice solvers with the one probe -v, or the one
+matrix solver with the t rows of the probe table.  Per query the ledger
+books 2t inner dominance queries, t per side, and the scans read at most
+2 * n * ceil(n/t) bucket elements.  Since only each row's first hitting
+bucket is scanned, each side asks a prefix of its buckets: in bucket
+order, until every row has hit (all t when some row has no hit).
 
 NaN is the one absent value of the dominance instances built here: a NaN
 entry is never dominated and a NaN query coordinate dominates nothing, so
@@ -32,6 +35,7 @@ place of +inf: a +inf pair only contributes +inf, the default answer.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterator, Optional
 
 import numpy as np
@@ -78,8 +82,9 @@ class MinMaxFromDomSolver(OnlineSolver):
 
         self._order = np.argsort(m, axis=1, kind="stable")
         self._sorted = np.take_along_axis(m, self._order, axis=1)  # each row in _order order
+        self._bucket = np.arange(n) // self.bucket_size  # the bucket of each sorted position
         bucket_of = np.empty((n, n), dtype=np.int64)
-        np.put_along_axis(bucket_of, self._order, np.arange(n) // self.bucket_size, axis=1)
+        np.put_along_axis(bucket_of, self._order, self._bucket, axis=1)
 
         self._slice_solvers: list[OnlineSolver] = [
             make_inner("dom", np.where(bucket_of == l, -m, np.nan), self.config)
@@ -88,29 +93,31 @@ class MinMaxFromDomSolver(OnlineSolver):
 
     def _scan(
         self,
-        answers: Iterator[np.ndarray],
+        asks: Iterator[tuple[OnlineSolver, np.ndarray]],
         order: np.ndarray,
         v: np.ndarray,
         matrix_wins: bool,
     ) -> np.ndarray:
         """One side of the answer from its buckets' dominance answers.
 
-        ``answers`` yields, in bucket order, bucket l's [n] hit row and asks
-        its inner query only when drawn: row i hits when bucket l of row i
-        holds a qualifying column k, one where M[i, k] >= v[k] when
-        ``matrix_wins`` and v[k] >= M[i, k] otherwise.  Only a row's first
-        hitting bucket is scanned, so the buckets are drawn until every row
-        has hit (all t when some row never does); the ledger books t either
-        way.  ``order`` is the bucketed column order: [n, n], row i's own, on
-        the matrix side and the [n] argsort of v, shared by every row, on
-        the query side.  The scan reads M and v at the columns of each
-        hitting row's first bucket and finds the first qualifying column,
-        whose winning value is that row's answer; rows with no hit get inf.
+        ``asks`` yields, in bucket order, bucket l's (solver, probe) pair;
+        the scan makes that inner call, whose [n] answer says which rows hit:
+        row i hits when bucket l of row i holds a qualifying column k, one
+        where M[i, k] >= v[k] when ``matrix_wins`` and v[k] >= M[i, k]
+        otherwise.  Only a row's first hitting bucket is scanned, so the
+        buckets are asked until every row has hit (all t when some row never
+        does); the ledger books t either way.  ``order`` is the bucketed
+        column order: [n, n], row i's own, on the matrix side and the [n]
+        argsort of v, shared by every row, on the query side.  The scan reads
+        M and v at the columns of each hitting row's first bucket and finds
+        the first qualifying column, whose winning value is that row's
+        answer; rows with no hit get inf.
         """
         self.counters.inner_queries += self.t
         asked = []
         hit = np.zeros(self.n, dtype=bool)
-        for answer in answers:
+        for solver, probe in asks:
+            answer = solver.query(probe)
             asked.append(answer)
             hit |= answer
             if hit.all():
@@ -142,27 +149,16 @@ class MinMaxFromDomSolver(OnlineSolver):
 
     def _matrix_side(self, v: np.ndarray) -> np.ndarray:
         """u[i] = min matrix entry in row i that is >= its query coordinate."""
-        neg_query = -v
-        answers = (solver.query(neg_query) for solver in self._slice_solvers)
-        return self._scan(answers, self._order, v, matrix_wins=True)
+        return self._scan(zip(self._slice_solvers, repeat(-v)), self._order, v, matrix_wins=True)
 
     def _query_side(self, v: np.ndarray) -> np.ndarray:
         """w[i] = min query coordinate that is >= its matrix entry in row i."""
-        size = self.bucket_size
         order = np.argsort(v, kind="stable")
-        answers = (
-            self._matrix_solver.query(_masked(v, order[l * size : (l + 1) * size]))
-            for l in range(self.t)
-        )
-        return self._scan(answers, order, v, matrix_wins=False)
+        # probes[l]: v on bucket l of the sorted query, NaN (dominates nothing) elsewhere
+        probes = np.full((self.t, self.n), np.nan)
+        probes[self._bucket, order] = v[order]
+        return self._scan(zip(repeat(self._matrix_solver), probes), order, v, matrix_wins=False)
 
     def _answer(self, v: np.ndarray) -> np.ndarray:
         return np.minimum(self._matrix_side(v), self._query_side(v))
-
-
-def _masked(v: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """v at ``columns`` and NaN, which dominates nothing, everywhere else."""
-    query = np.full(len(v), np.nan)
-    query[columns] = v[columns]
-    return query
 

@@ -220,6 +220,57 @@ def test_gen_knob_that_does_not_apply_is_a_validation_error(tmp_path, capsys, ge
     assert not inst.exists()
 
 
+@pytest.mark.parametrize(
+    "gen_args, message",
+    [
+        (["eq", "0"], "instance dimension must be positive"),
+        (["bmmp", "3", "--monotone", "rows", "--bound-constant", "-1"], "negative value bound"),
+    ],
+)
+def test_gen_names_an_impossible_instance(tmp_path, capsys, gen_args, message):
+    inst = tmp_path / "inst.txt"
+    code, out, err = run_cli(["gen", *gen_args, "-o", str(inst)], capsys)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+    assert not inst.exists()
+
+
+@pytest.mark.parametrize(
+    "text, code, message",
+    [
+        (
+            "OMV 1\nproblem eq extra\nn 1\n1\nqueries 0\n",
+            2,
+            "expected 'problem <value>', got 'problem eq extra'",
+        ),
+        (
+            "OMV 1\nproblem bmmp\nn 1\nmonotone diagonal\n1\nqueries 0\n",
+            2,
+            "unknown monotone case 'diagonal'",
+        ),
+        ("OMV 1\nproblem eq\nn 1\n1\nqueries -1\n", 2, "query count must be nonnegative"),
+        (
+            "OMV 1\nproblem bool\nn 2\n1 2\n0 1\nqueries 0\n",
+            3,
+            "invalid matrix: boolean entry must be 0 or 1 at (1,2)",
+        ),
+    ],
+    ids=["keyword-line", "monotone-case", "query-count", "boolean-entry"],
+)
+def test_solve_names_a_bad_instance_file(tmp_path, capsys, text, code, message):
+    inst = tmp_path / "inst.txt"
+    inst.write_text(text)
+    got, out, err = run_cli(["solve", str(inst)], capsys)
+    assert (got, out, err) == (code, "", f"error: {message}\n")
+
+
+def test_non_integer_hitting_size_is_named(tmp_path, capsys):
+    inst = tmp_path / "inst.txt"
+    assert main(["gen", "bmmp", "4", "--monotone", "rows", "-o", str(inst)]) == 0
+    code, out, err = run_cli(["solve", str(inst), "--chain", "bmmp<-eq", "--hitting", "abc"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: hitting set size must be 'full' or an int >= 0, got 'abc'\n"
+
+
 def _protocol(input_text, *args):
     return subprocess.run(
         [sys.executable, "-m", "omv.cli", "protocol", *args],
@@ -270,6 +321,8 @@ def test_protocol_interactive_one_answer_per_query(tmp_path):
     finally:
         process.stdin.close()
         process.wait(timeout=60)
+        process.stdout.close()
+        process.stderr.close()
     assert process.returncode == 0
 
 

@@ -64,6 +64,12 @@ def test_validate_eq_rejects_infinities():
     assert validate(Matrix([[NEG_INF]]), "minmax") is None
 
 
+def test_validate_names_an_infinite_bmmp_entry():
+    # an infinite entry is also outside [0, c*n]; the finiteness rule names it
+    matrix = Matrix([[0, INF], [0, 0]], monotone="query")
+    assert validate(matrix, "bmmp") == Violation(1, 2, "min-plus requires finite entries")
+
+
 @pytest.mark.parametrize("problem", ["dom", "minmax"])
 def test_validate_rejects_nan_and_non_integers(problem):
     nan = float("nan")

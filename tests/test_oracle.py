@@ -163,6 +163,11 @@ def test_naive_solver_matches_pure_functions():
                 )
 
 
+def test_naive_solver_rejects_an_unknown_problem():
+    with pytest.raises(ValueError, match="^unknown problem 'nope'$"):
+        NaiveSolver(Matrix([[1]]), problem="nope")
+
+
 def test_naive_solver_query_index_advances():
     solver = NaiveSolver(Matrix([[1, 0], [0, 1]]), problem="bool")
     assert solver.query_index == 1
