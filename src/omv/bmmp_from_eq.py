@@ -76,7 +76,6 @@ from .core import (
     validate,
     validate_query,
 )
-from .oracle import naive_factory
 
 
 @dataclass(frozen=True)
@@ -123,8 +122,8 @@ class BmmpFromEqSolver(OnlineSolver):
     def __init__(
         self,
         matrix: Matrix,
-        config: Optional[ReductionConfig] = None,
-        make_inner: SolverFactory = naive_factory,
+        config: ReductionConfig,
+        make_inner: SolverFactory,
     ):
         super().__init__(matrix, config)
         self.case = getattr(matrix, "monotone", None)

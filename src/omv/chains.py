@@ -6,11 +6,10 @@ left of its arrow by querying inner instances of the problem on the right;
 "naive" is the polymorphic terminal that answers any problem directly.
 Adjacent links must agree on the problem they hand across, mirroring the
 arrows of the reduction diagram; build_solver() checks this and wires the
-solvers together through inner-solver factories.  It is the only place that
-wires a chain: a link constructed on its own gets naive inner solvers.
-
-The minwit-to-bool step is a one-line projection (a witness exists iff the
-boolean product is 1), implemented here rather than as a module of its own.
+solvers together.  Every link takes its config and an inner-solver factory
+(core.SolverFactory) from its caller, with no defaults; in the package,
+build_solver() is the one place that hands them down.  This module only
+composes.
 """
 
 from __future__ import annotations
@@ -20,36 +19,20 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bmmp_from_eq import BmmpFromEqSolver
-from .core import Matrix, OnlineSolver, ReductionConfig, SolverFactory, ceil_div
+from .core import Matrix, OnlineSolver, ReductionConfig, ceil_div
 from .eq_from_bool import EqFromBoolSolver
-from .folklore import BoolFromBmmpSolver, DomFromEqSolver, MinWitnessFromMinMaxSolver
+from .folklore import (
+    BoolFromBmmpSolver,
+    BoolFromMinWitSolver,
+    DomFromEqSolver,
+    MinWitnessFromMinMaxSolver,
+)
 from .minmax_from_dom import MinMaxFromDomSolver
-from .oracle import NaiveSolver, naive_factory
+from .oracle import NaiveSolver
 
 
 class ChainError(ValueError):
     """Malformed or incompatible reduction chain."""
-
-
-class BoolFromMinWitSolver(OnlineSolver):
-    """Trivial projection: the boolean product is 1 iff a witness exists."""
-
-    problem = "bool"
-    inner_problem = "minwit"
-
-    def __init__(
-        self,
-        matrix: Matrix | np.ndarray,
-        config: Optional[ReductionConfig] = None,
-        make_inner: SolverFactory = naive_factory,
-    ):
-        super().__init__(matrix, config)
-        self._inner = make_inner("minwit", matrix, self.config)
-
-    def _answer(self, v: np.ndarray) -> np.ndarray:
-        witnesses = self._inner.query(v)
-        self.counters.inner_queries += 1
-        return witnesses <= self.n
 
 
 class BlockUnionSolver(OnlineSolver):

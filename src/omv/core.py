@@ -305,8 +305,9 @@ class ReductionConfig:
     here.  ``bound_constant`` is the c in the [0, c*n] value bound accepted
     by the bmmp solver, and ``seed`` seeds the bmmp solver's hitting set.
     How a reduction builds its inner solvers is not a setting: each link
-    takes a ``make_inner`` factory (the naive solver when built alone), and
-    chains.build_solver is the one place that wires deeper chains.
+    takes this config and a ``make_inner`` factory (SolverFactory) from its
+    caller, with no defaults, and chains.build_solver is the one place that
+    wires chains.
     """
 
     t: Optional[int] = None
@@ -436,7 +437,7 @@ class OnlineSolver:
 
 #: Builds an inner solver for ``problem`` on ``matrix`` (an ndarray, or a
 #: Matrix where a bmmp instance must carry its monotonicity case);
-#: reductions receive one of these so that chains compose without the
-#: modules knowing each other (oracle.naive_factory is the default).
+#: every link takes one from its caller, chains.build_solver or a test, so
+#: that chains compose while each link module knows only this one.
 SolverFactory = Callable[[str, Matrix | np.ndarray, ReductionConfig], OnlineSolver]
 

@@ -61,12 +61,10 @@ instance query.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
 from .core import Matrix, OnlineSolver, ReductionConfig, SolverFactory, as_array
-from .oracle import naive_factory
 
 
 def _top_values(columns: np.ndarray, t: int) -> np.ndarray:
@@ -123,8 +121,8 @@ class EqFromBoolSolver(OnlineSolver):
     def __init__(
         self,
         matrix: Matrix | np.ndarray,
-        config: Optional[ReductionConfig] = None,
-        make_inner: SolverFactory = naive_factory,
+        config: ReductionConfig,
+        make_inner: SolverFactory,
     ):
         super().__init__(matrix, config)
         n, m = self.n, self.m

@@ -1,4 +1,5 @@
-"""The three light reductions: dom from eq, minwit from minmax, bool from bmmp.
+"""The four light reductions: dom from eq, minwit from minmax, bool from
+minwit, bool from bmmp.
 
 Dominance from equality first replaces values by ranks.  Matrix entries map
 to 1 + (number of distinct matrix values strictly below), query entries to
@@ -24,7 +25,8 @@ instance, once per query: the rectangular variant of OMv
 
 Min-witness from min-max encodes positions as values: mapping 1-entries to
 their own 1-based column index and 0-entries to +inf makes the min-max of
-the encoded pair equal the smallest common 1-position.
+the encoded pair equal the smallest common 1-position.  Boolean from
+min-witness is a projection: the product is 1 iff a witness exists.
 
 Boolean from bounded monotone min-plus tilts the values by their position:
 with rows/columns/queries numbered from 1, matrix entries become
@@ -40,7 +42,6 @@ across the stream, which is the monotonicity promise the inner solver gets.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
 
 import numpy as np
 
@@ -52,7 +53,6 @@ from .core import (
     SolverFactory,
     as_array,
 )
-from .oracle import naive_factory
 
 
 def rank_bit_count(n: int) -> int:
@@ -91,8 +91,8 @@ class DomFromEqSolver(OnlineSolver):
     def __init__(
         self,
         matrix: Matrix | np.ndarray,
-        config: Optional[ReductionConfig] = None,
-        make_inner: SolverFactory = naive_factory,
+        config: ReductionConfig,
+        make_inner: SolverFactory,
     ):
         super().__init__(matrix, config)
         columns = as_array(matrix).T  # columns[k, i] = M[i, k]
@@ -149,8 +149,8 @@ class MinWitnessFromMinMaxSolver(OnlineSolver):
     def __init__(
         self,
         matrix: Matrix | np.ndarray,
-        config: Optional[ReductionConfig] = None,
-        make_inner: SolverFactory = naive_factory,
+        config: ReductionConfig,
+        make_inner: SolverFactory,
     ):
         super().__init__(matrix, config)
         self._positions = np.arange(1.0, self.n + 1)
@@ -162,6 +162,27 @@ class MinWitnessFromMinMaxSolver(OnlineSolver):
     def _answer(self, v: np.ndarray) -> np.ndarray:
         self.counters.inner_queries += 1
         return self._inner.query(self._encode(v))
+
+
+class BoolFromMinWitSolver(OnlineSolver):
+    """Trivial projection: the boolean product is 1 iff a witness exists."""
+
+    problem = "bool"
+    inner_problem = "minwit"
+
+    def __init__(
+        self,
+        matrix: Matrix | np.ndarray,
+        config: ReductionConfig,
+        make_inner: SolverFactory,
+    ):
+        super().__init__(matrix, config)
+        self._inner = make_inner("minwit", matrix, self.config)
+
+    def _answer(self, v: np.ndarray) -> np.ndarray:
+        witnesses = self._inner.query(v)
+        self.counters.inner_queries += 1
+        return witnesses <= self.n
 
 
 def tilt_matrix(matrix: Matrix | np.ndarray) -> Matrix:
@@ -195,8 +216,8 @@ class BoolFromBmmpSolver(OnlineSolver):
     def __init__(
         self,
         matrix: Matrix | np.ndarray,
-        config: Optional[ReductionConfig] = None,
-        make_inner: SolverFactory = naive_factory,
+        config: ReductionConfig,
+        make_inner: SolverFactory,
     ):
         super().__init__(matrix, config)
         self._make_inner = make_inner

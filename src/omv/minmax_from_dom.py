@@ -36,7 +36,7 @@ place of +inf: a +inf pair only contributes +inf, the default answer.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from .core import (
     as_array,
     ceil_div,
 )
-from .oracle import naive_factory
 
 
 class MinMaxFromDomSolver(OnlineSolver):
@@ -62,8 +61,8 @@ class MinMaxFromDomSolver(OnlineSolver):
     def __init__(
         self,
         matrix: Matrix | np.ndarray,
-        config: Optional[ReductionConfig] = None,
-        make_inner: SolverFactory = naive_factory,
+        config: ReductionConfig,
+        make_inner: SolverFactory,
     ):
         super().__init__(matrix, config)
         n = self.n

@@ -42,8 +42,7 @@ class NaiveSolver(OnlineSolver):
     turns into the [b, n] answer.  A plain matrix ORs its selected words
     with one ``reduce``: building and locating the runs costs about 2 us a
     call, which the many single-instance calls of the minmax chain would
-    pay for nothing.  Through naive_factory it is the inner solver of every
-    link built on its own.
+    pay for nothing.
     """
 
     def __init__(
@@ -119,10 +118,3 @@ class NaiveSolver(OnlineSolver):
 
     def _bmmp_answer(self, v: np.ndarray) -> np.ndarray:
         return (self._m + v).min(axis=1)
-
-
-def naive_factory(
-    problem: str, matrix: Matrix | np.ndarray, config: ReductionConfig
-) -> NaiveSolver:
-    """SolverFactory building a NaiveSolver; the terminal link of every chain."""
-    return NaiveSolver(matrix, config, problem=problem)

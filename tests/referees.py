@@ -4,6 +4,7 @@ The module-level ``*_mv`` functions are the six products' definitions
 enumerated in plain Python; they are the ground truth and stay
 deliberately dumb.  ``NaiveSolver`` answers the same products in numpy and
 is the leaf of every chain; the tests cross-check the two.
+``naive_factory`` hands a link built on its own naive inner solvers.
 ``candidate_set_bruteforce`` and ``bit_trick_predicate`` spell out, by
 enumeration, what the min-plus listing and the dominance-through-equality
 route must reproduce.  ``AllOffsetsBmmpSolver`` is ``bmmp<-eq`` asking
@@ -47,6 +48,15 @@ from omv.core import (
 from omv.folklore import rank_bit_count
 from omv.harness import _INTEGER, InstanceSpec, _resolved, gen_instance
 from omv.oracle import NaiveSolver
+
+
+def naive_factory(
+    problem: str, matrix: Matrix | np.ndarray, config: ReductionConfig
+) -> NaiveSolver:
+    """SolverFactory building a NaiveSolver: a link built with it is the
+    chain ``[link, "naive"]``."""
+    return NaiveSolver(matrix, config, problem=problem)
+
 
 def _check_dims(matrix: Matrix, vector: Vector) -> int:
     if len(vector) != matrix.n:

@@ -25,6 +25,7 @@ from referees import (
     adaptive_session,
     bit_trick_predicate,
     candidate_set_bruteforce,
+    naive_factory,
     run_stream,
     success_rate_experiment,
 )
@@ -118,7 +119,7 @@ def test_criterion_3_candidate_listing_matches_bruteforce():
             )
             matrix, queries = gen_instance(spec)
             config = ReductionConfig(delta=delta, bound_constant=1, hitting_set_size=0)
-            solver = BmmpFromEqSolver(matrix, config)
+            solver = BmmpFromEqSolver(matrix, config, make_inner=naive_factory)
             for v in queries:
                 for i, report in enumerate(solver.list_candidates(v)):
                     want = candidate_set_bruteforce(matrix, v, delta, i)
@@ -160,7 +161,11 @@ def test_criterion_5_bit_trick_and_rank_embedding():
     for size in range(1, len(span) + 1):
         for values in itertools.combinations(span, size):
             cells = list(values) + [values[-1]] * (16 - size)
-            solver = DomFromEqSolver(Matrix([cells[i * 4 : (i + 1) * 4] for i in range(4)]))
+            solver = DomFromEqSolver(
+                Matrix([cells[i * 4 : (i + 1) * 4] for i in range(4)]),
+                ReductionConfig(),
+                make_inner=naive_factory,
+            )
             for rank, a in enumerate(values, start=1):  # 1 + the values below a
                 for b in range(-6, 7):
                     assert (a <= b) == (rank <= solver.query_rank(b))

@@ -18,7 +18,7 @@ from omv.core import (
 from omv.harness import InstanceSpec, gen_instance
 from omv.oracle import NaiveSolver
 
-from referees import AllOffsetsBmmpSolver, candidate_set_bruteforce, run_stream
+from referees import AllOffsetsBmmpSolver, candidate_set_bruteforce, naive_factory, run_stream
 
 
 def test_rounding_stays_within_two_deltas():
@@ -34,7 +34,7 @@ def test_rounding_stays_within_two_deltas():
 def _lister(matrix, delta, bound_constant=1):
     """A solver with |R| = 0: it lists candidates and builds no eq solver."""
     config = ReductionConfig(delta=delta, bound_constant=bound_constant, hitting_set_size=0)
-    return BmmpFromEqSolver(matrix, config)
+    return BmmpFromEqSolver(matrix, config, make_inner=naive_factory)
 
 
 def test_rows_case_frozen_example():
@@ -171,7 +171,7 @@ def test_default_hitting_set_size():
     # ceil(6 * ln 16) = 17 columns would exceed n: R is every column
     spec = InstanceSpec(problem="bmmp", n=16, monotone="rows", bound_constant=1, seed=0)
     matrix, _ = gen_instance(spec)
-    solver = BmmpFromEqSolver(matrix, ReductionConfig(delta=2, bound_constant=1))
+    solver = BmmpFromEqSolver(matrix, ReductionConfig(delta=2, bound_constant=1), make_inner=naive_factory)
     assert math.ceil(6 * math.log(16)) == 17
     assert solver.hitting_columns == list(range(16))
 
@@ -180,7 +180,7 @@ def test_auto_hitting_set_at_n32_is_every_column():
     # delta = ceil(32^(1/3)) = 4 and ceil(12 * ln 32) = 42 > 32
     spec = InstanceSpec(problem="bmmp", n=32, monotone="rows", bound_constant=1, seed=0)
     matrix, _ = gen_instance(spec)
-    solver = BmmpFromEqSolver(matrix, ReductionConfig(bound_constant=1, seed=97))
+    solver = BmmpFromEqSolver(matrix, ReductionConfig(bound_constant=1, seed=97), make_inner=naive_factory)
     assert solver.delta == 4
     assert solver.hitting_columns == list(range(32))
 
@@ -213,11 +213,13 @@ def test_sampling_regime_n64_draws_distinct_columns():
     config = ReductionConfig(delta=delta, bound_constant=1)
     for seed in (641, 642, 643):
         matrix, queries = _ties_instance(random.Random(seed), n, delta, queries=n)
-        solver = BmmpFromEqSolver(matrix, replace(config, seed=seed))
+        solver = BmmpFromEqSolver(matrix, replace(config, seed=seed), make_inner=naive_factory)
         columns = solver.hitting_columns
         assert len(set(columns)) == 50 and columns == sorted(columns)
-        assert BmmpFromEqSolver(matrix, replace(config, seed=seed)).hitting_columns == columns
-        assert BmmpFromEqSolver(matrix, replace(config, seed=seed + 1)).hitting_columns != columns
+        again = BmmpFromEqSolver(matrix, replace(config, seed=seed), make_inner=naive_factory)
+        other = BmmpFromEqSolver(matrix, replace(config, seed=seed + 1), make_inner=naive_factory)
+        assert again.hitting_columns == columns
+        assert other.hitting_columns != columns
         lister = _lister(matrix, delta)
         reference = NaiveSolver(matrix, problem="bmmp")
         for v in queries:
@@ -241,7 +243,7 @@ def test_escapes_match_the_sampling_bound():
     escaped_streams = wrong_streams = 0
     for seed in range(seeds):
         config = ReductionConfig(delta=delta, bound_constant=1, hitting_set_size=size, seed=seed)
-        solver = BmmpFromEqSolver(matrix, config)
+        solver = BmmpFromEqSolver(matrix, config, make_inner=naive_factory)
         oversize = np.array([r.candidates is None for r in solver.list_candidates(v)])
         escaped = oversize & ~near[:, solver.hitting_columns].any(axis=1)
         got = solver.query(v)
@@ -329,7 +331,7 @@ def test_adaptive_replay_fails_on_the_oblivious_seeds():
 def test_forced_hit_uses_every_column_once():
     matrix = Matrix([[1, 2], [2, 2]], monotone="rows")
     solver = BmmpFromEqSolver(
-        matrix, ReductionConfig(hitting_set_size="full", bound_constant=4)
+        matrix, ReductionConfig(hitting_set_size="full", bound_constant=4), make_inner=naive_factory
     )
     assert solver.hitting_columns == [0, 1]
 
@@ -393,14 +395,14 @@ def test_forced_hit_differential(case):
             bound_constant=1,
             seed=trial,
         )
-        solver = BmmpFromEqSolver(matrix, config)
+        solver = BmmpFromEqSolver(matrix, config, make_inner=naive_factory)
         reference = NaiveSolver(matrix, problem="bmmp")
         assert run_stream(solver, reference, queries) == []
 
 
 def test_single_row_instance_is_exact():
     matrix = Matrix([[1]], monotone="rows")
-    solver = BmmpFromEqSolver(matrix, ReductionConfig(bound_constant=1))
+    solver = BmmpFromEqSolver(matrix, ReductionConfig(bound_constant=1), make_inner=naive_factory)
     assert solver.query(Vector([1])).entries == [2]
 
 
@@ -512,7 +514,7 @@ def test_step2_matches_the_all_offsets_referee():
             return recorders[-1]
 
         solver = BmmpFromEqSolver(matrix, config, make_inner=recording)
-        referee = AllOffsetsBmmpSolver(matrix, config)
+        referee = AllOffsetsBmmpSolver(matrix, config, make_inner=naive_factory)
         reference = NaiveSolver(matrix, problem="bmmp")
         columns = solver.hitting_columns
         booked = len(columns) * (3 * solver.delta - 1)
@@ -588,7 +590,7 @@ def test_step2_never_undershoots():
         n = rng.randint(2, 12)
         matrix, queries = _case_instance(rng, n, "rows")
         solver = BmmpFromEqSolver(
-            matrix, ReductionConfig(bound_constant=1, seed=trial)
+            matrix, ReductionConfig(bound_constant=1, seed=trial), make_inner=naive_factory
         )
         reference = NaiveSolver(matrix, problem="bmmp")
         for v in queries:
@@ -603,7 +605,7 @@ def test_exact_inner_query_count():
     for n in (8, 16):
         matrix, queries = _case_instance(rng, n, "rows")
         config = ReductionConfig(bound_constant=1, seed=1)
-        solver = BmmpFromEqSolver(matrix, config)
+        solver = BmmpFromEqSolver(matrix, config, make_inner=naive_factory)
         expected = len(solver.hitting_columns) * (3 * solver.delta - 1)
         for v in queries[:4]:
             snap = solver.counters.snapshot()
@@ -616,7 +618,7 @@ def test_frozen_inner_query_count_n16_delta2():
     # equality queries each
     rng = random.Random(112)
     matrix, queries = _case_instance(rng, 16, "rows")
-    solver = BmmpFromEqSolver(matrix, ReductionConfig(delta=2, bound_constant=1))
+    solver = BmmpFromEqSolver(matrix, ReductionConfig(delta=2, bound_constant=1), make_inner=naive_factory)
     assert len(solver.hitting_columns) == 16
     snap = solver.counters.snapshot()
     solver.query(queries[0])
@@ -628,7 +630,7 @@ def test_multiset_update_caps():
     n = 16
     matrix, queries = _case_instance(rng, n, "cols")
     config = ReductionConfig(bound_constant=1, seed=2)
-    solver = BmmpFromEqSolver(matrix, config)
+    solver = BmmpFromEqSolver(matrix, config, make_inner=naive_factory)
     cap = config.bound_constant * n * n / solver.delta
     for v in queries:
         snap = solver.counters.snapshot()
@@ -636,7 +638,7 @@ def test_multiset_update_caps():
         assert solver.counters.since(snap)["multiset_updates"] <= cap
 
     matrix, queries = _case_instance(rng, n, "stream")
-    solver = BmmpFromEqSolver(matrix, config)
+    solver = BmmpFromEqSolver(matrix, config, make_inner=naive_factory)
     for v in queries:
         solver.query(v)
     assert solver.counters.multiset_updates / len(queries) <= cap
@@ -644,17 +646,18 @@ def test_multiset_update_caps():
 
 def test_rejects_undeclared_or_invalid_instances():
     with pytest.raises(ValueError, match="requires a monotone case, got None"):
-        BmmpFromEqSolver(Matrix([[1]]), ReductionConfig())
+        BmmpFromEqSolver(Matrix([[1]]), ReductionConfig(), make_inner=naive_factory)
     with pytest.raises(ValueError):
         BmmpFromEqSolver(
             Matrix([[5, 1], [1, 1]], monotone="rows"),
             ReductionConfig(bound_constant=1),
+            make_inner=naive_factory,
         )
 
 
 def test_rejects_out_of_bound_queries():
     matrix = Matrix([[1, 1], [1, 2]], monotone="rows")
-    solver = BmmpFromEqSolver(matrix, ReductionConfig(bound_constant=1))
+    solver = BmmpFromEqSolver(matrix, ReductionConfig(bound_constant=1), make_inner=naive_factory)
     with pytest.raises(ValueError):
         solver.query(Vector([5, 5]))
 
@@ -666,7 +669,7 @@ def test_zero_hitting_set_with_oversize_candidates_fails_openly():
     n = 8
     matrix = Matrix([[0] * n for _ in range(n)], monotone="rows")
     solver = BmmpFromEqSolver(
-        matrix, ReductionConfig(hitting_set_size=0, delta=2, bound_constant=1)
+        matrix, ReductionConfig(hitting_set_size=0, delta=2, bound_constant=1), make_inner=naive_factory
     )
     assert solver.query(Vector([0] * n)).entries == [INF] * n
 

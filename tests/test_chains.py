@@ -9,7 +9,7 @@ from omv.chains import (
     ALT_BOOL_CHAIN,
     FULL_CYCLE,
     LINKS,
-    BoolFromMinWitSolver,
+    BlockUnionSolver,
     ChainError,
     build_solver,
     parse_chain,
@@ -21,14 +21,16 @@ from omv.core import (
     NEG_INF,
     VALUE_LIMIT,
     Matrix,
+    OnlineSolver,
     ReductionConfig,
     Vector,
     validate,
 )
+from omv.folklore import BoolFromMinWitSolver
 from omv.harness import InstanceSpec, gen_instance
 from omv.oracle import NaiveSolver
 
-from referees import DEFINITIONS, eq_exists_mv, minplus_mv
+from referees import DEFINITIONS, eq_exists_mv, minplus_mv, naive_factory
 
 
 def test_parse_chain_appends_naive_terminal():
@@ -75,7 +77,7 @@ def test_links_declare_consistent_signatures():
 
 def test_minwit_projection():
     matrix = Matrix([[0, 1], [0, 0]], tag="boolean")
-    solver = BoolFromMinWitSolver(matrix)
+    solver = BoolFromMinWitSolver(matrix, ReductionConfig(), make_inner=naive_factory)
     assert solver.query(Vector([1, 1])).entries == [1, 0]
     assert solver.query(Vector([0, 0])).entries == [0, 0]
 
@@ -357,3 +359,53 @@ def test_boolean_link_under_a_stacked_eq_from_bool():
     for v in stream:
         assert solver.query(v).entries == minplus_mv(matrix, v).entries
     assert split.query_index > 1
+
+
+def _solvers(value):
+    """The solvers ``value`` holds: itself, or those of a list at any depth."""
+    if isinstance(value, OnlineSolver):
+        return [value]
+    if isinstance(value, list):
+        return [solver for item in value for solver in _solvers(item)]
+    return []
+
+
+def _paths(solver):
+    """The root-to-leaf paths below ``solver`` as tuples of classes,
+    BlockUnionSolver nodes skipped; a node's children are the solvers its
+    attributes hold."""
+    children = [child for value in vars(solver).values() for child in _solvers(value)]
+    below = set().union(*map(_paths, children)) if children else {()}
+    here = () if isinstance(solver, BlockUnionSolver) else (type(solver),)
+    return {here + path for path in below}
+
+
+#: (problem, chain, queries asked before the walk).  At n = 4, c = 4 (the
+#: default, and what bool<-bmmp hands down) and delta = 5 give bmmp<-eq the
+#: cap floor(c*n/delta) = 3 < n, so it builds its hitting stack (at the auto
+#: delta = 2 it builds none).  The short boolean cycle is asked n + 1
+#: queries, so bool<-bmmp has rebuilt its inner solver for a second epoch.
+WIRED_CHAINS = [(problem, chain, 0) for problem, chain in FULL_CYCLE.items()]
+WIRED_CHAINS += [("bool", ALT_BOOL_CHAIN, 5)]
+WIRED_CHAINS += [
+    ("dom", chain, 0) for chain in map(parse_chain, RECTANGULAR_CHAINS) if chain != FULL_CYCLE["dom"]
+]
+WIRED_CHAINS += [
+    ("eq", parse_chain("eq<-bool,bool<-minwit,minwit<-minmax,minmax<-dom,dom<-eq,eq<-bool,naive"), 0)
+]
+
+
+@pytest.mark.parametrize(
+    "problem,chain,queries", WIRED_CHAINS, ids=[",".join(chain) for _, chain, _ in WIRED_CHAINS]
+)
+def test_build_solver_wires_every_link_of_the_chain(problem, chain, queries):
+    # every path from the head down visits the chain's links in order and
+    # ends at the naive leaf: no link got its inner solvers from elsewhere
+    spec = InstanceSpec(
+        problem=problem, n=4, monotone="stream" if problem == "bmmp" else None, queries=queries, seed=4
+    )
+    matrix, stream = gen_instance(spec)
+    solver = build_solver(chain, problem, matrix, ReductionConfig(delta=5))
+    for v in stream:
+        solver.query(v)
+    assert _paths(solver) == {tuple(LINKS[name] for name in chain[:-1]) + (NaiveSolver,)}

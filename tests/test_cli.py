@@ -402,6 +402,31 @@ def test_solve_one_by_one_bmmp_at_bound_constant_zero(tmp_path, capsys):
     assert code == 0 and "ok" in out
 
 
+TIES = Path(__file__).parent / "data" / "ties.txt"
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [
+        "bmmp<-eq,naive",
+        "bmmp<-eq,eq<-bool",
+        "bmmp<-eq,eq<-bool,bool<-minwit,minwit<-minmax,minmax<-dom,dom<-eq,eq<-bool",
+    ],
+)
+def test_solve_ties_instance_at_bound_constant_one(tmp_path, capsys, chain):
+    # 0/1 entries at c = 1 and n = 8: delta = 2 and cap = 4 < n, so every
+    # row is oversize and step two asks the stacked hitting instance; the
+    # auto |R| is every column, so the answers are exact.  The head books
+    # |R| * (3 * delta - 1) = 40 inner queries on each of the 5 queries.
+    ans = tmp_path / "ans.txt"
+    code, _, err = run_cli(
+        ["solve", str(TIES), "--bound-constant", "1", "--chain", chain, "-o", str(ans)], capsys
+    )
+    assert code == 0 and "counters: inner_queries=200 " in err
+    code, out, _ = run_cli(["verify", str(TIES), str(ans), "--bound-constant", "1"], capsys)
+    assert code == 0 and "ok" in out
+
+
 def test_verify_takes_the_bound_constant(tmp_path, capsys):
     inst = tmp_path / "inst.txt"
     ans = tmp_path / "ans.txt"

@@ -12,7 +12,7 @@ from omv.eq_from_bool import EqFromBoolSolver, _top_values
 from omv.folklore import DomFromEqSolver
 from omv.oracle import NaiveSolver
 
-from referees import bool_mv, eq_exists_mv
+from referees import bool_mv, eq_exists_mv, naive_factory
 
 
 def _column_tables(solver, k):
@@ -45,19 +45,19 @@ def test_frequency_table_frozen_example():
     # frequency tie broken by smaller value; 9 stays rare at row 4.
     column = [5, 5, 7, 9]
     matrix = Matrix([[c, 0, 0, 0] for c in column])
-    solver = EqFromBoolSolver(matrix, ReductionConfig(t=2))
+    solver = EqFromBoolSolver(matrix, ReductionConfig(t=2), make_inner=naive_factory)
     assert _column_tables(solver, 0) == ([5, 7], {9: [3]})
 
 
 def test_all_distinct_column_with_large_t():
     matrix = Matrix([[1, 0], [2, 0]])
-    solver = EqFromBoolSolver(matrix, ReductionConfig(t=2))
+    solver = EqFromBoolSolver(matrix, ReductionConfig(t=2), make_inner=naive_factory)
     assert _column_tables(solver, 0) == ([1, 2], {})
 
 
 def test_constant_column_single_slot():
     matrix = Matrix([[4, 4], [4, 4]])
-    solver = EqFromBoolSolver(matrix, ReductionConfig(t=1))
+    solver = EqFromBoolSolver(matrix, ReductionConfig(t=1), make_inner=naive_factory)
     assert [_column_tables(solver, k) for k in range(2)] == [([4], {}), ([4], {})]
 
 
@@ -134,7 +134,7 @@ def test_rectangular_instance_matches_its_definition(n, m):
     matrix = rng.integers(0, 4, size=(n, m)).astype(np.float64)
     matrix[rng.random((n, m)) < 0.3] = np.nan
     t = 2
-    solver = EqFromBoolSolver(matrix, ReductionConfig(t=t))
+    solver = EqFromBoolSolver(matrix, ReductionConfig(t=t), make_inner=naive_factory)
     assert solver.t == t and solver.m == m
     for k in range(m):
         column = matrix[:, k].tolist()
@@ -156,7 +156,7 @@ def test_rare_values_respect_frequency_cap():
         n = rng.randint(2, 16)
         t = rng.choice([1, 2, ceil_div(n, 2)])
         matrix = Matrix([[rng.randint(0, 4) for _ in range(n)] for _ in range(n)])
-        solver = EqFromBoolSolver(matrix, ReductionConfig(t=t))
+        solver = EqFromBoolSolver(matrix, ReductionConfig(t=t), make_inner=naive_factory)
         cap = ceil_div(n, t)
         for k in range(n):
             column = [row[k] for row in matrix.rows]
@@ -171,7 +171,7 @@ def test_rare_table_owns_its_memory():
     # all-distinct columns at t = 1: every column has n - 1 rare entries
     n = 40
     matrix = np.arange(n * n, dtype=np.float64).reshape(n, n)
-    solver = EqFromBoolSolver(matrix, ReductionConfig(t=1))
+    solver = EqFromBoolSolver(matrix, ReductionConfig(t=1), make_inner=naive_factory)
     width = len(solver._rare_values)
     assert width == n - 1
     tables = (solver._rare_values, solver._rare_rows)
@@ -182,7 +182,7 @@ def test_rare_table_owns_its_memory():
 
 def test_absent_query_value_contributes_nothing():
     matrix = Matrix([[1, 1], [2, 2]])
-    solver = EqFromBoolSolver(matrix, ReductionConfig(t=1))
+    solver = EqFromBoolSolver(matrix, ReductionConfig(t=1), make_inner=naive_factory)
     assert solver.query(Vector([99, 98])).entries == [0, 0]
 
 
@@ -194,7 +194,7 @@ def test_differential_against_oracle():
         span = (0, 3) if not wide else (-50, 50)
         t = rng.choice([1, 2, None, n])
         matrix = Matrix([[rng.randint(*span) for _ in range(n)] for _ in range(n)])
-        solver = EqFromBoolSolver(matrix, ReductionConfig(t=t))
+        solver = EqFromBoolSolver(matrix, ReductionConfig(t=t), make_inner=naive_factory)
         reference = NaiveSolver(matrix, problem="eq")
         for _ in range(n):
             v = Vector([rng.randint(*span) for _ in range(n)])
@@ -205,7 +205,7 @@ def test_counters_exact_inner_queries_and_scan_cap():
     rng = random.Random(4)
     for n, t in ((8, 2), (16, 4), (12, 5)):
         matrix = Matrix([[rng.randint(0, 3) for _ in range(n)] for _ in range(n)])
-        solver = EqFromBoolSolver(matrix, ReductionConfig(t=t))
+        solver = EqFromBoolSolver(matrix, ReductionConfig(t=t), make_inner=naive_factory)
         for _ in range(5):
             snap = solver.counters.snapshot()
             solver.query(Vector([rng.randint(0, 3) for _ in range(n)]))
@@ -238,7 +238,7 @@ def test_t2_matches_equality_definition():
     for _ in range(25):
         n = rng.randint(2, 10)
         matrix = Matrix([[rng.randint(0, 3) for _ in range(n)] for _ in range(n)])
-        solver = EqFromBoolSolver(matrix, ReductionConfig(t=2))
+        solver = EqFromBoolSolver(matrix, ReductionConfig(t=2), make_inner=naive_factory)
         v = Vector([rng.randint(0, 3) for _ in range(n)])
         out = solver.query(v)
         for i in range(n):
@@ -325,7 +325,7 @@ def _rare_entries(rows, t):
 def test_hypothesis_differential_and_scan_count(stream):
     rows, t, queries = stream
     matrix = Matrix(rows)
-    solver = EqFromBoolSolver(matrix, ReductionConfig(t=t))
+    solver = EqFromBoolSolver(matrix, ReductionConfig(t=t), make_inner=naive_factory)
     rare = _rare_entries(rows, t)
     for q in queries:
         v = Vector(q)
@@ -349,9 +349,10 @@ def test_stacked_instances_answer_each_instance_alone(n):
     stack[rng.random((b, n, n)) < 0.1] = big
     stack[rng.random((b, n, n)) < 0.1] = -big
     config = ReductionConfig()
-    stacked = EqFromBoolSolver(stack, config)
-    alone = [EqFromBoolSolver(instance, config) for instance in stack]
-    one, plain = EqFromBoolSolver(stack[:1], config), EqFromBoolSolver(stack[0], config)
+    stacked = EqFromBoolSolver(stack, config, make_inner=naive_factory)
+    alone = [EqFromBoolSolver(instance, config, make_inner=naive_factory) for instance in stack]
+    one = EqFromBoolSolver(stack[:1], config, make_inner=naive_factory)
+    plain = EqFromBoolSolver(stack[0], config, make_inner=naive_factory)
     assert stacked.top_values.shape[0] == b and stacked._rare_values.shape[0] == b
     for _ in range(6):
         # a coordinate is some row's entry in its column, 7 (rare or absent) or -2^40
@@ -381,7 +382,7 @@ def test_float32_instance_compares_a_float64_query_exactly(column):
     # (column 0 has two values, 0 the frequent one)
     matrix = np.zeros((4, 4), dtype=np.float32)
     matrix[:, 0] = column
-    solver = EqFromBoolSolver(matrix, ReductionConfig(t=1))
+    solver = EqFromBoolSolver(matrix, ReductionConfig(t=1), make_inner=naive_factory)
     assert solver.top_values.dtype == np.float32
     assert solver._rare_values.shape[-2] == (column[0] == 0)
     v = np.full(4, -1.0)  # a float64 query, -1 in no column
@@ -401,7 +402,8 @@ def test_float32_stack_answers_like_its_float64_copy():
     stack = rng.integers(-n, n + 1, size=(b, n, n)).astype(np.float32)
     stack[rng.random((b, n, n)) < 0.4] = 0
     config = ReductionConfig(t=2)  # a small t leaves rare entries in every column
-    narrow, wide = EqFromBoolSolver(stack, config), EqFromBoolSolver(stack.astype(np.float64), config)
+    narrow = EqFromBoolSolver(stack, config, make_inner=naive_factory)
+    wide = EqFromBoolSolver(stack.astype(np.float64), config, make_inner=naive_factory)
     assert narrow.top_values.dtype == narrow._rare_values.dtype == np.float32
     assert wide.top_values.dtype == np.float64
     extremes = [2.0**40, -(2.0**40), INF, NEG_INF, 2.0**24 + 1, 0.5, 1 + 2.0**-30]
@@ -422,16 +424,17 @@ def test_tables_are_held_at_the_precision_of_their_instance():
     handed = []
 
     def factory(problem, matrix, config):
-        handed.append(EqFromBoolSolver(matrix, config))
+        handed.append(EqFromBoolSolver(matrix, config, make_inner=naive_factory))
         return handed[-1]
 
     rng = np.random.default_rng(3)
-    dom = DomFromEqSolver(rng.integers(0, 9, size=(12, 12)).astype(np.float64), make_inner=factory)
+    matrix = rng.integers(0, 9, size=(12, 12)).astype(np.float64)
+    dom = DomFromEqSolver(matrix, ReductionConfig(), make_inner=factory)
     (inner,) = handed
     assert inner.top_values.dtype == inner._rare_values.dtype == dom._probes.dtype == np.float32
     big = 2**40
     matrix = Matrix([[big, -big, 1], [big - 1, 0, 2], [3, -big + 1, big]])
-    solver = EqFromBoolSolver(matrix, ReductionConfig(t=1))
+    solver = EqFromBoolSolver(matrix, ReductionConfig(t=1), make_inner=naive_factory)
     assert solver.top_values.dtype == solver._rare_values.dtype == np.float64
     assert solver.query(Vector([big - 1, -big + 1, big])).entries == [0, 1, 1]
 
@@ -439,7 +442,7 @@ def test_tables_are_held_at_the_precision_of_their_instance():
 def test_float32_stack_compares_without_warning_at_the_value_limits():
     big = 2.0**40
     stack = np.array([[[1, -2], [3, 4]], [[0, 0], [5, -6]]], dtype=np.float32)
-    solver = EqFromBoolSolver(stack)
+    solver = EqFromBoolSolver(stack, ReductionConfig(), make_inner=naive_factory)
     block = np.array([[big, -big], [INF, NEG_INF]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")

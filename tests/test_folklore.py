@@ -16,7 +16,7 @@ from omv.folklore import (
 from omv.harness import InstanceSpec, gen_instance
 from omv.oracle import NaiveSolver
 
-from referees import bool_mv, dom_exists_mv, minplus_mv, run_stream
+from referees import bool_mv, dom_exists_mv, minplus_mv, naive_factory, run_stream
 
 
 def _rank(entries, a):
@@ -27,7 +27,7 @@ def _rank(entries, a):
 
 def test_rank_map_frozen_example():
     # matrix values {3, 7, 7, 10}: for 8 the deepest value at most 8 is 7
-    solver = DomFromEqSolver(Matrix([[3, 7], [7, 10]]))
+    solver = DomFromEqSolver(Matrix([[3, 7], [7, 10]]), ReductionConfig(), make_inner=naive_factory)
     assert solver.values[:-1].tolist() == [3, 7, 10] and np.isnan(solver.values[-1])
     assert solver.query_rank(8) == 2
     assert solver.query_rank(10) == 3
@@ -39,7 +39,7 @@ def test_rank_map_order_embedding_exhaustive():
     for _ in range(150):
         n = rng.randint(1, 4)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        solver = DomFromEqSolver(Matrix(rows))
+        solver = DomFromEqSolver(Matrix(rows), ReductionConfig(), make_inner=naive_factory)
         entries = {v for row in rows for v in row}
         for a in entries:
             for b in range(-6, 7):
@@ -52,7 +52,7 @@ def test_rank_map_order_embedding_exhaustive():
 
 def test_rank_map_handles_infinities():
     entries = [NEG_INF, 0, INF]
-    solver = DomFromEqSolver(Matrix([[NEG_INF, 0], [INF, 0]]))
+    solver = DomFromEqSolver(Matrix([[NEG_INF, 0], [INF, 0]]), ReductionConfig(), make_inner=naive_factory)
     assert solver.query_rank(NEG_INF) == 1 == _rank(entries, NEG_INF)
     assert solver.query_rank(INF) == 3 == _rank(entries, INF)
     assert solver.query_rank(5) == 2
@@ -62,7 +62,8 @@ def test_rank_map_nan_is_absent():
     # a NaN coordinate takes query rank D + 1, past every rank, and reads
     # the all-NaN probe column, so it equals no slice value at any level
     nan = float("nan")
-    solver = DomFromEqSolver(np.array([[nan, 0.0], [INF, nan]]))
+    matrix = np.array([[nan, 0.0], [INF, nan]])
+    solver = DomFromEqSolver(matrix, ReductionConfig(), make_inner=naive_factory)
     assert solver.query_rank(np.array([nan, NEG_INF, 0.0, INF])).tolist() == [3, 0, 1, 2]
     assert np.isnan(solver._probes[:, 3]).all()
     assert not np.isnan(solver._probes[:, :3]).all(axis=0).any()
@@ -103,7 +104,7 @@ def test_dom_from_eq_slices_carry_the_rank_map_ranks():
             handed.append(matrix)
             return NaiveSolver(matrix, config, problem=problem)
 
-        solver = DomFromEqSolver(m, make_inner=factory)
+        solver = DomFromEqSolver(m, ReductionConfig(), make_inner=factory)
         entries = m.ravel().tolist()
         present = sorted({x for x in entries if x == x})
         assert np.array_equal(solver.values, [*present, nan], equal_nan=True)
@@ -131,7 +132,7 @@ def test_dom_from_eq_differential():
         # duplicates and negatives on purpose
         rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
         matrix = Matrix(rows)
-        solver = DomFromEqSolver(matrix)
+        solver = DomFromEqSolver(matrix, ReductionConfig(), make_inner=naive_factory)
         reference = NaiveSolver(matrix, problem="dom")
         for _ in range(min(n, 6)):
             v = Vector([rng.randint(-7, 7) for _ in range(n)])
@@ -140,7 +141,7 @@ def test_dom_from_eq_differential():
 
 def test_dom_from_eq_below_everything():
     matrix = Matrix([[2, 5], [3, 4]])
-    solver = DomFromEqSolver(matrix)
+    solver = DomFromEqSolver(matrix, ReductionConfig(), make_inner=naive_factory)
     assert solver.query(Vector([1, 1])).entries == [0, 0]
 
 
@@ -160,7 +161,7 @@ def test_dom_from_eq_builds_only_reachable_levels(distinct, infinite_ends):
     entries = [values[i % distinct] for i in range(n * n)]
     rng.shuffle(entries)
     matrix = Matrix([entries[i * n : (i + 1) * n] for i in range(n)])
-    solver = DomFromEqSolver(matrix)
+    solver = DomFromEqSolver(matrix, ReductionConfig(), make_inner=naive_factory)
     assert solver.levels == max((distinct + 1).bit_length(), 2)
     assert solver.bit_count == rank_bit_count(n)
     finite = [value for value in values if abs(value) != INF]
@@ -176,18 +177,24 @@ def test_dom_from_eq_builds_only_reachable_levels(distinct, infinite_ends):
 
 def test_dom_from_eq_issues_one_query_per_bit():
     matrix = Matrix([[rng_v for rng_v in range(8)] for _ in range(8)])
-    solver = DomFromEqSolver(matrix)
+    solver = DomFromEqSolver(matrix, ReductionConfig(), make_inner=naive_factory)
     snap = solver.counters.snapshot()
     solver.query(Vector([3] * 8))
     assert solver.counters.since(snap)["inner_queries"] == rank_bit_count(8)
 
 
 def test_minwitness_from_minmax_examples():
-    solver = MinWitnessFromMinMaxSolver(Matrix([[0, 1], [1, 1]], tag="boolean"))
+    solver = MinWitnessFromMinMaxSolver(
+        Matrix([[0, 1], [1, 1]], tag="boolean"), ReductionConfig(), make_inner=naive_factory
+    )
     assert solver.query(Vector([1, 0])).entries == [INF, 1]
-    solver = MinWitnessFromMinMaxSolver(Matrix([[0, 1], [1, 0]], tag="boolean"))
+    solver = MinWitnessFromMinMaxSolver(
+        Matrix([[0, 1], [1, 0]], tag="boolean"), ReductionConfig(), make_inner=naive_factory
+    )
     assert solver.query(Vector([1, 1])).entries == [2, 1]
-    solver = MinWitnessFromMinMaxSolver(Matrix([[0, 0], [0, 0]], tag="boolean"))
+    solver = MinWitnessFromMinMaxSolver(
+        Matrix([[0, 0], [0, 0]], tag="boolean"), ReductionConfig(), make_inner=naive_factory
+    )
     assert solver.query(Vector([1, 1])).entries == [INF, INF]
 
 
@@ -198,7 +205,7 @@ def test_minwitness_from_minmax_differential():
         matrix = Matrix(
             [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)], tag="boolean"
         )
-        solver = MinWitnessFromMinMaxSolver(matrix)
+        solver = MinWitnessFromMinMaxSolver(matrix, ReductionConfig(), make_inner=naive_factory)
         reference = NaiveSolver(matrix, problem="minwit")
         for _ in range(min(n, 5)):
             v = Vector([rng.randint(0, 1) for _ in range(n)])
@@ -251,6 +258,7 @@ def test_bool_from_bmmp_zero_query():
     solver = BoolFromBmmpSolver(
         Matrix([[1, 1], [1, 0]], tag="boolean"),
         ReductionConfig(hitting_set_size="full"),
+        make_inner=naive_factory,
     )
     assert solver.query(Vector([0, 0])).entries == [0, 0]
 

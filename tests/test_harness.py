@@ -12,6 +12,7 @@ from omv.oracle import NaiveSolver
 from referees import (
     accounting_check,
     adaptive_session,
+    naive_factory,
     run_stream,
     success_rate_experiment,
     wilson_interval,
@@ -84,7 +85,7 @@ def test_infinity_sprinkle_only_where_allowed():
 def test_skewed_distribution_loads_frequency_tables():
     spec = InstanceSpec(problem="eq", n=8, distribution="skewed", seed=1)
     matrix, _ = gen_instance(spec)
-    solver = EqFromBoolSolver(matrix, ReductionConfig(t=2))
+    solver = EqFromBoolSolver(matrix, ReductionConfig(t=2), make_inner=naive_factory)
     # with two heavy values over most entries, rare dictionaries stay small
     for k in range(8):
         assert np.count_nonzero(~np.isnan(solver.top_values[:, k])) >= 1

@@ -1,5 +1,5 @@
-"""Import layering: the shared types know no solver, links know no chain, and
-the generator and the naive leaf know no link.
+"""Import layering: the shared types know no solver, links know only the
+shared types, and the generator and the naive leaf know no link.
 
 Imports are read from the source with an AST scan, so an import inside a
 function body counts as much as one at the top of a module.  The same kind
@@ -29,7 +29,7 @@ TEST_ONLY = {
     "harness.BatchingMockSolver.flush",
 }
 
-LINK_MODULES = sorted({cls.__module__ for cls in LINKS.values()} - {"omv.chains"})
+LINK_MODULES = sorted({cls.__module__ for cls in LINKS.values()})
 
 
 def imported_omv_modules(source: str) -> set[str]:
@@ -61,8 +61,10 @@ def test_core_imports_no_omv_module():
 
 
 @pytest.mark.parametrize("module", LINK_MODULES)
-def test_link_modules_do_not_import_chains(module):
-    assert "omv.chains" not in module_imports(module)
+def test_link_modules_import_only_core(module):
+    # a link gets its inner solvers from its caller's factory, so it needs
+    # neither the chains nor the naive leaf
+    assert module_imports(module) == {"omv.core"}
 
 
 def test_generator_and_leaf_import_no_link():

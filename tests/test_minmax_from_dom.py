@@ -7,7 +7,7 @@ from omv.core import INF, NEG_INF, Matrix, ReductionConfig, Vector, ceil_div
 from omv.minmax_from_dom import MinMaxFromDomSolver
 from omv.oracle import NaiveSolver
 
-from referees import DEFINITIONS
+from referees import DEFINITIONS, naive_factory
 
 
 def _buckets(solver, matrix, i):
@@ -19,7 +19,7 @@ def _buckets(solver, matrix, i):
 
 def test_row_bucketing_frozen_example():
     matrix = Matrix([[7, 2, 9, 4], [1, 1, 1, 1], [5, 5, 3, 3], [0, 1, 2, 3]])
-    solver = MinMaxFromDomSolver(matrix, ReductionConfig(t=2))
+    solver = MinMaxFromDomSolver(matrix, ReductionConfig(t=2), make_inner=naive_factory)
     assert sum(_buckets(solver, matrix, 0), []) == [(2, 1), (4, 3), (7, 0), (9, 2)]
     assert _buckets(solver, matrix, 0)[0] == [(2, 1), (4, 3)]
     assert _buckets(solver, matrix, 0)[1] == [(7, 0), (9, 2)]
@@ -30,7 +30,7 @@ def test_row_bucketing_frozen_example():
 
 def test_single_bucket_when_t_is_one():
     matrix = Matrix([[3, 1], [2, 2]])
-    solver = MinMaxFromDomSolver(matrix, ReductionConfig(t=1))
+    solver = MinMaxFromDomSolver(matrix, ReductionConfig(t=1), make_inner=naive_factory)
     assert _buckets(solver, matrix, 0) == [[(1, 1), (3, 0)]]
 
 
@@ -40,7 +40,8 @@ def test_matrix_side_matches_direct_enumeration():
         n = rng.randint(2, 10)
         rows = [[rng.randint(-8, 8) for _ in range(n)] for _ in range(n)]
         matrix = Matrix(rows)
-        solver = MinMaxFromDomSolver(matrix, ReductionConfig(t=rng.choice([1, 2, 3])))
+        config = ReductionConfig(t=rng.choice([1, 2, 3]))
+        solver = MinMaxFromDomSolver(matrix, config, make_inner=naive_factory)
         v = Vector([rng.randint(-8, 8) for _ in range(n)])
         got = solver._matrix_side(np.array(v.entries, dtype=np.float64))
         for i in range(n):
@@ -51,10 +52,10 @@ def test_matrix_side_matches_direct_enumeration():
 
 
 def test_frozen_examples():
-    solver = MinMaxFromDomSolver(Matrix([[1, 5], [7, 2]]), ReductionConfig(t=2))
+    solver = MinMaxFromDomSolver(Matrix([[1, 5], [7, 2]]), ReductionConfig(t=2), make_inner=naive_factory)
     assert solver.query(Vector([3, 4])).entries == [3, 4]
     # query below everything in a row: answer is the row minimum
-    solver = MinMaxFromDomSolver(Matrix([[4, 9], [2, 2]]), ReductionConfig(t=1))
+    solver = MinMaxFromDomSolver(Matrix([[4, 9], [2, 2]]), ReductionConfig(t=1), make_inner=naive_factory)
     assert solver.query(Vector([0, 0])).entries == [4, 2]
 
 
@@ -75,7 +76,7 @@ def test_differential_including_infinities():
         matrix = Matrix(rows)
         # t = n + 3 leaves the last three buckets empty
         t = rng.choice([1, 2, None, n, n + 3])
-        solver = MinMaxFromDomSolver(matrix, ReductionConfig(t=t))
+        solver = MinMaxFromDomSolver(matrix, ReductionConfig(t=t), make_inner=naive_factory)
         reference = NaiveSolver(matrix, problem="minmax")
         for _ in range(n):
             v = Vector([_extended_value(rng) for _ in range(n)])
@@ -92,7 +93,7 @@ def test_differential_including_infinities():
 
 def test_all_infinite_matrix_answers_inf():
     matrix = Matrix([[INF, INF], [INF, INF]])
-    solver = MinMaxFromDomSolver(matrix, ReductionConfig(t=2))
+    solver = MinMaxFromDomSolver(matrix, ReductionConfig(t=2), make_inner=naive_factory)
     assert solver.query(Vector([5, -5])).entries == [INF, INF]
 
 
@@ -100,7 +101,7 @@ def test_counters_exact_inner_queries_and_scan_cap():
     rng = random.Random(23)
     for n, t in ((8, 2), (16, 4), (10, 3)):
         matrix = Matrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
-        solver = MinMaxFromDomSolver(matrix, ReductionConfig(t=t))
+        solver = MinMaxFromDomSolver(matrix, ReductionConfig(t=t), make_inner=naive_factory)
         for _ in range(4):
             snap = solver.counters.snapshot()
             solver.query(Vector([rng.randint(-5, 5) for _ in range(n)]))
